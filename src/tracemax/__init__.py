@@ -36,7 +36,6 @@ from .ensembles import (
 from .errors import (
     BudgetExceeded,
     ConstraintViolated,
-    ConvergenceError,
     DimensionError,
     InvalidExponent,
     NotPSD,

@@ -250,6 +250,41 @@ class LemmaSummary:
     def all_passed(self) -> bool:
         return self.passes == self.trials
 
+    def merge(self, later: "LemmaSummary") -> "LemmaSummary":
+        """Tally of these trials followed by ``later``'s.
+
+        The worst digest moves only on a strictly smaller normalized slack,
+        so ties keep the earliest trial, as a single pass in trial order does.
+        """
+        worse = later.min_norm_slack < self.min_norm_slack
+        return LemmaSummary(
+            lemma_id=self.lemma_id,
+            trials=self.trials + later.trials,
+            passes=self.passes + later.passes,
+            min_slack=min(self.min_slack, later.min_slack),
+            min_norm_slack=later.min_norm_slack if worse else self.min_norm_slack,
+            worst_digest=later.worst_digest if worse else self.worst_digest,
+        )
+
+    def add(self, report: CheckReport) -> "LemmaSummary":
+        return self.merge(
+            LemmaSummary(
+                lemma_id=report.lemma_id,
+                trials=1,
+                passes=int(report.passed),
+                min_slack=report.slack,
+                min_norm_slack=report.norm_slack,
+                worst_digest=report.input_digest,
+            )
+        )
+
+
+def _empty_summary(lemma_id: LemmaId) -> LemmaSummary:
+    return LemmaSummary(
+        lemma_id=lemma_id, trials=0, passes=0, min_slack=math.inf,
+        min_norm_slack=math.inf, worst_digest="",
+    )
+
 
 def _random_word(rng: np.random.Generator, p_max: int) -> AlternatingWord:
     # Half the draws use fractional exponents: the word bound is stated for
@@ -330,12 +365,16 @@ def run_trial(seed: int, t: int, dim_max: int, p_max: int) -> list[CheckReport]:
     return reports
 
 
-def _run_trial_block(args: tuple[int, int, int, int, int]) -> list[CheckReport]:
+def _run_trial_block(
+    args: tuple[int, int, int, int, int],
+) -> dict[LemmaId, LemmaSummary]:
     seed, start, stop, dim_max, p_max = args
-    out: list[CheckReport] = []
+    tallies: dict[LemmaId, LemmaSummary] = {}
     for t in range(start, stop):
-        out.extend(run_trial(seed, t, dim_max, p_max))
-    return out
+        for rep in run_trial(seed, t, dim_max, p_max):
+            prior = tallies.get(rep.lemma_id) or _empty_summary(rep.lemma_id)
+            tallies[rep.lemma_id] = prior.add(rep)
+    return tallies
 
 
 def run_lemma_sweep(
@@ -344,7 +383,8 @@ def run_lemma_sweep(
     """Randomized constrained sweep over all six lemma checkers.
 
     Every trial owns a counter-derived RNG stream keyed by (seed, trial),
-    so results are independent of block boundaries and worker count.
+    so results are independent of block boundaries and worker count. Each
+    block is tallied in its worker; the tallies are merged in block order.
     """
     if trials < 1 or dim_max < 1 or p_max < 1:
         raise InvalidExponent(
@@ -355,28 +395,8 @@ def run_lemma_sweep(
         (seed, start, min(start + block, trials), dim_max, p_max)
         for start in range(0, trials, block)
     ]
-    tallies: dict[LemmaId, dict] = {}
-    for reports in parallel_map(_run_trial_block, blocks):
-        for rep in reports:
-            agg = tallies.setdefault(
-                rep.lemma_id,
-                {"trials": 0, "passes": 0, "min_slack": math.inf,
-                 "min_norm_slack": math.inf, "worst_digest": ""},
-            )
-            agg["trials"] += 1
-            agg["passes"] += rep.passed
-            agg["min_slack"] = min(agg["min_slack"], rep.slack)
-            if rep.norm_slack < agg["min_norm_slack"]:
-                agg["min_norm_slack"] = rep.norm_slack
-                agg["worst_digest"] = rep.input_digest
-    return {
-        lemma: LemmaSummary(
-            lemma_id=lemma,
-            trials=agg["trials"],
-            passes=agg["passes"],
-            min_slack=agg["min_slack"],
-            min_norm_slack=agg["min_norm_slack"],
-            worst_digest=agg["worst_digest"],
-        )
-        for lemma, agg in tallies.items()
-    }
+    totals: dict[LemmaId, LemmaSummary] = {}
+    for tallies in parallel_map(_run_trial_block, blocks):
+        for lemma, tally in tallies.items():
+            totals[lemma] = totals[lemma].merge(tally) if lemma in totals else tally
+    return totals

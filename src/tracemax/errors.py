@@ -27,7 +27,3 @@ class ConstraintViolated(TracemaxError):
 
 class SamplerFailed(TracemaxError):
     """The constrained ensemble sampler did not converge for a given seed."""
-
-
-class ConvergenceError(TracemaxError):
-    """An iterative kernel exhausted its sweep budget without converging."""

@@ -1,11 +1,12 @@
 """Dense symmetric/PSD linear algebra.
 
 Everything operates on exact-symmetric float64 matrices at desk scale
-(n up to ~64). The eigensolver is a self-contained cyclic Jacobi sweep,
-so results do not depend on an external LAPACK build; numpy is used for
-storage and matrix products only. Traces are accumulated with exact
-compensated summation (math.fsum) because downstream moment computations
-raise them to powers up to 30.
+(n up to ~64). Eigendecompositions come from LAPACK through
+numpy.linalg.eigh, whose eigenvalues are accurate to a small multiple of
+machine epsilon times ||A||; every PSD test here is absolute, of the form
+lambda_min >= -PSD_TOL * (1 + ||A||), so that accuracy is all it needs.
+Traces are accumulated with exact compensated summation (math.fsum)
+because downstream moment computations raise them to powers up to 30.
 """
 
 from __future__ import annotations
@@ -17,13 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, InvalidExponent, NotPSD
+from .errors import DimensionError, InvalidExponent, NotPSD
 
 # Eigenvalues are accepted as nonnegative down to -PSD_TOL * (1 + opnorm).
 PSD_TOL = 1e-10
-
-_JACOBI_SWEEPS = 100
-_JACOBI_REL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ class SymMatrix:
 
     @cached_property
     def eig(self) -> EigenDecomposition:
-        lam, q = _jacobi(self.entries)
+        lam, q = np.linalg.eigh(self.entries)
         return EigenDecomposition(lam, q)
 
     @property
@@ -136,95 +134,6 @@ class SymMatrix:
         return SymMatrix(self.entries * float(scalar))
 
     __rmul__ = __mul__
-
-
-def _jacobi(a_in: np.ndarray, max_sweeps: int = _JACOBI_SWEEPS):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Rotations run over the strict upper triangle in row order until the
-    off-diagonal Frobenius mass falls below 1e-14 * ||A||_F or the sweep
-    budget is exhausted. Plain-float inner loops beat vectorized updates
-    by a wide margin at the target sizes (n <= 64).
-    """
-    n = a_in.shape[0]
-    if n == 1:
-        return np.array([float(a_in[0, 0])]), np.eye(1)
-
-    peak = float(np.max(np.abs(a_in)))
-    if peak == 0.0:
-        return np.zeros(n), np.eye(n)
-    # Power-of-two prescaling keeps entry squares finite for entries near
-    # the overflow threshold; binary scaling is exact, so results for
-    # ordinary magnitudes are unchanged bit for bit.
-    scale = math.ldexp(1.0, math.frexp(peak)[1])
-    a_in = a_in / scale
-    fro = math.sqrt(math.fsum((a_in.ravel() ** 2).tolist()))
-    tol = _JACOBI_REL_TOL * fro
-    a = [[float(x) for x in row] for row in a_in]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-    for _ in range(max_sweeps):
-        off2 = 0.0
-        for i in range(n - 1):
-            ai = a[i]
-            for j in range(i + 1, n):
-                off2 += ai[j] * ai[j]
-        if math.sqrt(2.0 * off2) <= tol:
-            break
-        for p in range(n - 1):
-            ap = a[p]
-            for q in range(p + 1, n):
-                apq = ap[q]
-                if apq == 0.0:
-                    continue
-                aq = a[q]
-                tau = (aq[q] - ap[p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    t = 1.0 / (2.0 * tau)
-                else:
-                    t = (1.0 if tau >= 0.0 else -1.0) / (
-                        abs(tau) + math.sqrt(1.0 + tau * tau)
-                    )
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                ap[p] -= t * apq
-                aq[q] += t * apq
-                ap[q] = 0.0
-                aq[p] = 0.0
-                for k in range(n):
-                    if k == p or k == q:
-                        continue
-                    ak = a[k]
-                    akp = ak[p]
-                    akq = ak[q]
-                    nkp = c * akp - s * akq
-                    nkq = s * akp + c * akq
-                    ak[p] = nkp
-                    ak[q] = nkq
-                    ap[k] = nkp
-                    aq[k] = nkq
-                for k in range(n):
-                    vk = v[k]
-                    vkp = vk[p]
-                    vkq = vk[q]
-                    vk[p] = c * vkp - s * vkq
-                    vk[q] = s * vkp + c * vkq
-    else:
-        off = math.sqrt(
-            2.0
-            * math.fsum(
-                a[i][j] * a[i][j] for i in range(n - 1) for j in range(i + 1, n)
-            )
-        )
-        raise ConvergenceError(
-            f"Jacobi sweep budget ({max_sweeps}) exhausted on a {n}x{n} matrix: "
-            f"off-diagonal norm {off:.3e} above threshold {tol:.3e}"
-        )
-
-    lam = np.array([a[i][i] for i in range(n)]) * scale
-    q = np.array(v)
-    order = np.argsort(lam, kind="stable")
-    return np.ascontiguousarray(lam[order]), np.ascontiguousarray(q[:, order])
 
 
 def eigh(a: SymMatrix) -> EigenDecomposition:
@@ -330,17 +239,22 @@ def batched_trace_power(stack: np.ndarray, p: int) -> np.ndarray:
 
 
 def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal matrix from composed random plane rotations."""
-    q = np.eye(n)
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            c, s = math.cos(theta), math.sin(theta)
-            qi = q[:, i].copy()
-            qj = q[:, j].copy()
-            q[:, i] = c * qi + s * qj
-            q[:, j] = -s * qi + c * qj
-    return q
+    """Orthogonal matrix from composed random plane rotations.
+
+    Q = G(0, 1) G(0, 2) ... G(n-2, n-1), one Givens rotation per pair i < j
+    in row order, each rotating columns i and j by an angle uniform on
+    [0, 2 pi). The angles are drawn in one call, and the columns are updated
+    as Python floats, which is faster than numpy at n <= 8.
+    """
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist()
+    cols = [[1.0 if r == k else 0.0 for r in range(n)] for k in range(n)]
+    pairs = ((i, j) for i in range(n - 1) for j in range(i + 1, n))
+    for (i, j), theta in zip(pairs, angles):
+        c, s = math.cos(theta), math.sin(theta)
+        qi, qj = cols[i], cols[j]
+        cols[i] = [c * a + s * b for a, b in zip(qi, qj)]
+        cols[j] = [-s * a + c * b for a, b in zip(qi, qj)]
+    return np.array(cols).T.copy()
 
 
 def random_spectral(
@@ -349,7 +263,7 @@ def random_spectral(
     """Random symmetric matrix Q^T diag(d) Q with d uniform on [lo, hi].
 
     The eigendecomposition is known by construction and seeded into the
-    cache, so norms and powers of sampled matrices cost no extra sweeps.
+    cache, so norms and powers of sampled matrices cost no eigensolver call.
     """
     q = random_rotation(n, rng)
     d = rng.uniform(lo, hi, size=n)

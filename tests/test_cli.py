@@ -153,6 +153,25 @@ def test_search_reruns_are_byte_identical(tmp_path):
     assert (tmp_path / "sweep.csv.manifest.json").read_bytes() == first_manifest
 
 
+def test_search_worker_count_does_not_change_output_bytes(monkeypatch, tmp_path):
+    # two restarts per cell, so every cell engages the pool at two workers
+    argv = [
+        "search", "--n", "1,2", "--members", "1,2", "--p", "2", "--restarts", "2",
+        "--steps", "4", "--sampler-trials", "20", "--seed", "5", "--out", "sweep.csv",
+    ]
+    outputs = {}
+    for threads in ("1", "2"):
+        run_dir = tmp_path / threads
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        monkeypatch.setenv("TMX_THREADS", threads)
+        assert run_cli(argv) == 0
+        outputs[threads] = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert "sweep.csv.manifest.json" in outputs["1"]
+    assert any(".near" in name for name in outputs["1"])
+    assert outputs["1"] == outputs["2"]
+
+
 def test_search_near_miss_dumps_are_replayable(tmp_path):
     out = tmp_path / "sweep.csv"
     run_cli(_search_args(out))

@@ -1,6 +1,7 @@
 """Ensemble construction, mean-shell sampling, and the exact/Monte Carlo
 trace-moment oracles checked against each other and against numpy."""
 
+import itertools
 import json
 import math
 
@@ -31,6 +32,7 @@ from tracemax import (
     stream,
     theorem_max_value,
 )
+from tracemax.ensembles import _CHUNK
 
 _EYE2 = SymMatrix.identity(2)
 _ZERO2 = SymMatrix.zeros(2)
@@ -245,6 +247,28 @@ def test_exact_moment_two_members_hand_enumeration():
             total = np.linalg.matrix_power(a1.entries + a2.entries, p)
             expected += q1 * q2 * np.trace(total)
     assert_close(exact_trace_moment(family, p), float(expected), rel=1e-13)
+
+
+def test_exact_moment_matches_brute_force_across_chunks():
+    # mixed support sizes whose product spans several enumeration chunks, so
+    # a mismatch between outcome order, weights or chunk edges would show
+    sizes = (3, 6, 5, 8, 7)
+    members = tuple(
+        sample_constrained_ensemble(2, s, 1.0 + 0.1 * k, 0.3 + 0.1 * k, seed=40 + k)
+        for k, s in enumerate(sizes)
+    )
+    family = EnsembleFamily(members=members)
+    assert math.prod(sizes) > 4 * _CHUNK
+    for p in (1, 5, 12):
+        terms = []
+        for outcome in itertools.product(*(range(s) for s in sizes)):
+            weight = 1.0
+            total = np.zeros((2, 2))
+            for m, i in zip(members, outcome):
+                weight *= m.probs[i]
+                total = total + m.atoms[i].entries
+            terms.append(weight * float(np.trace(np.linalg.matrix_power(total, p))))
+        assert_close(exact_trace_moment(family, p), math.fsum(terms), rel=1e-13)
 
 
 def test_exact_moment_budget():

@@ -1,15 +1,16 @@
-"""Linear-algebra core: the Jacobi eigensolver is cross-checked against
-numpy's LAPACK-backed eigvalsh, which the package itself never uses."""
+"""Linear-algebra core: the LAPACK eigensolver the package calls is
+checked against 50-digit eigenvalues from mpmath, and the sampled
+rotations against an explicit product of Givens matrices."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import assert_close, dims, psd_pairs, psd_single, seeds, sym_entries
 from tracemax import (
-    ConvergenceError,
     DimensionError,
     InvalidExponent,
     NotPSD,
@@ -46,6 +47,13 @@ def test_rejects_nonsquare():
         SymMatrix(np.zeros((2, 3)))
 
 
+def _mpmath_eigenvalues(m):
+    """Eigenvalues of a symmetric matrix computed at 50 significant digits."""
+    with mpmath.workdps(50):
+        lam = mpmath.eigsy(mpmath.matrix(m.tolist()), eigvals_only=True)
+        return np.sort(np.array([float(v) for v in lam]))
+
+
 def test_hand_eigenvalues_2x2():
     # [[2,1],[1,2]] has spectrum {1, 3}
     m = SymMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -58,7 +66,7 @@ def test_hand_eigenvalues_2x2():
 def test_eigenvalues_match_lapack(seed, n):
     m = SymMatrix(sym_entries(n, seed))
     mine = eigh(m).eigenvalues
-    ref = np.linalg.eigvalsh(m.entries)
+    ref = _mpmath_eigenvalues(m.entries)
     assert np.max(np.abs(mine - ref)) <= 1e-12 * (1.0 + np.max(np.abs(ref)))
 
 
@@ -71,9 +79,9 @@ def test_eigendecomposition_reconstructs(seed, n):
     assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
 
 
-def test_jacobi_handles_larger_matrices():
+def test_larger_matrices_match_mpmath():
     m = SymMatrix(sym_entries(16, 7))
-    ref = np.linalg.eigvalsh(m.entries)
+    ref = _mpmath_eigenvalues(m.entries)
     assert np.max(np.abs(eigh(m).eigenvalues - ref)) <= 1e-11 * (1.0 + m.opnorm)
 
 
@@ -221,6 +229,25 @@ def test_random_rotation_is_orthogonal(seed, n):
     assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_rotation_is_a_product_of_givens_matrices(n):
+    for seed in range(10):
+        got_rng, ref_rng = stream(seed, 107), stream(seed, 107)
+        got = random_rotation(n, got_rng)
+        ref = np.eye(n)
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                theta = ref_rng.uniform(0.0, 2.0 * math.pi)
+                g = np.eye(n)
+                g[i, i] = g[j, j] = math.cos(theta)
+                g[j, i] = math.sin(theta)
+                g[i, j] = -math.sin(theta)
+                ref = ref @ g
+        assert np.max(np.abs(got - ref)) <= 1e-14
+        # one uniform draw per rotation, nothing more
+        assert got_rng.random() == ref_rng.random()
+
+
 @given(seeds, dims)
 def test_random_spectral_cache_is_honest(seed, n):
     m = random_spectral(n, stream(seed, 106), 0.0, 2.0)
@@ -234,9 +261,3 @@ def test_random_psd_is_psd(a):
     assert a.is_psd()
     assert a.min_eigenvalue() >= -1e-12
 
-
-def test_convergence_error_reports_size():
-    from tracemax.linalg import _jacobi
-
-    with pytest.raises(ConvergenceError, match="4x4"):
-        _jacobi(sym_entries(4, 9), max_sweeps=0)
