@@ -6,6 +6,8 @@ and stress-tests the inequality chain behind it with exact checkers,
 randomized sweeps, and adversarial search.
 """
 
+__version__ = "0.1.0"
+
 from .checks import (
     ALT_EXPONENTS,
     CHECK_TOL,
@@ -28,7 +30,6 @@ from .ensembles import (
     extremal_family,
     family_from_json,
     family_to_json,
-    mc_trace_moment,
     project_mean_shell,
     sample_constrained_ensemble,
     sample_with_retry,
@@ -88,5 +89,3 @@ from .words import (
     expand_trace_power,
     to_alternating,
 )
-
-__version__ = "0.1.0"

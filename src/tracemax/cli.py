@@ -20,6 +20,7 @@ import math
 import sys
 from pathlib import Path
 
+from . import __version__
 from .checks import LemmaId, run_lemma_sweep
 from .errors import TracemaxError
 from .extremal import (
@@ -29,8 +30,6 @@ from .extremal import (
     partial_sum_moments,
 )
 from .search import SearchConfig, gap_sweep
-
-VERSION = "0.1.0"
 
 _LEMMA_ORDER = [
     LemmaId.HOLDER,
@@ -47,7 +46,7 @@ def _manifest(command: str, parameters: dict, seed: int | None, outputs: list[st
         "command": command,
         "parameters": parameters,
         "seed": seed,
-        "version": VERSION,
+        "version": __version__,
         "outputs": outputs,
     }
 
@@ -269,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tmx",
         description="Numerical testbed for the extremal trace-moment inequality.",
     )
-    parser.add_argument("--version", action="version", version=f"tmx {VERSION}")
+    parser.add_argument("--version", action="version", version=f"tmx {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify-lemmas", help="randomized sweep of all lemma checkers")

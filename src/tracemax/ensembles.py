@@ -22,10 +22,9 @@ from .errors import (
     BudgetExceeded,
     ConstraintViolated,
     DimensionError,
-    InvalidExponent,
     SamplerFailed,
 )
-from .extremal import MOMENT_BUDGET, BernoulliParams
+from .extremal import BernoulliParams, _validate_p
 from .linalg import SymMatrix, batched_trace_power, random_spectral
 from .rng import stream, subseed
 
@@ -35,7 +34,7 @@ MEAN_REL_TOL = 1e-8
 SUPPORT_BUDGET = 10**6
 
 _PROJECTION_ROUNDS = 50
-_CHUNK = 1024
+_CHUNK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,68 +310,69 @@ def extremal_family(n: int, params: BernoulliParams) -> EnsembleFamily:
     return EnsembleFamily(members=tuple(members))
 
 
-def _validate_moment_order(p: int) -> int:
-    if p != int(p) or p < 1:
-        raise InvalidExponent(f"moment order must be a positive integer, got {p}")
-    if p > MOMENT_BUDGET:
-        raise BudgetExceeded(f"moment order {p} exceeds budget {MOMENT_BUDGET}")
-    return int(p)
+def _chunk_outcomes(n: int) -> int:
+    """Outcomes per enumeration chunk: one (k, n, n) float64 stack per budget."""
+    return max(1, _CHUNK_BYTES // (8 * n * n))
 
 
 def exact_trace_moment(family: EnsembleFamily, p: int) -> float:
     """E tr((X_1 + ... + X_N)^p), summed exactly over the product support.
 
     Outcomes are enumerated in row-major order (the last member varies
-    fastest) in chunks of ``_CHUNK``; each outcome's trace is independent
-    of the others and math.fsum is exact, so the chunk size changes no
-    result.
+    fastest) in chunks whose (k, n, n) stacks take at most ``_CHUNK_BYTES``:
+    128 outcomes at n = 8, 8192 at n = 1. The allocator reuses heap blocks
+    that small, where it would map and unmap larger ones on every chunk at
+    the cost of a page fault per page. The trailing members whose joint
+    support fits in one chunk are added by broadcasting over all their
+    outcomes at once; the leading members are gathered by index (sliced,
+    when the first member leads alone) for a run of leading outcomes per
+    chunk. Either way sums and weight products are formed member by member
+    from left to right, each outcome's trace is independent of the others
+    and math.fsum is exact, so neither the chunk size nor the split
+    changes any result.
     """
-    p = _validate_moment_order(p)
+    p = _validate_p(p)
     sizes = tuple(m.support_size for m in family.members)
     support = math.prod(sizes)
     if support > SUPPORT_BUDGET:
         raise BudgetExceeded(
             f"product support has {support} outcomes, budget is {SUPPORT_BUDGET}"
         )
+    n = family.dim
+    chunk = _chunk_outcomes(n)
     stacks = [np.stack([a.entries for a in m.atoms]) for m in family.members]
     prob_arrays = [np.asarray(m.probs) for m in family.members]
 
+    # members[split:] are broadcast; the first member always leads
+    split, tail = len(sizes), 1
+    while split > 1 and tail * sizes[split - 1] <= chunk:
+        split -= 1
+        tail *= sizes[split]
+    heads = math.prod(sizes[:split])
+    step = chunk // tail
+
     def chunk_contributions(start: int) -> list[float]:
-        idx = np.unravel_index(np.arange(start, min(start + _CHUNK, support)), sizes)
-        total = stacks[0][idx[0]]
-        weight = prob_arrays[0][idx[0]]
-        for k in range(1, len(sizes)):
-            total += stacks[k][idx[k]]
-            weight *= prob_arrays[k][idx[k]]
-        return (weight * batched_trace_power(total, p)).tolist()
+        stop = min(start + step, heads)
+        if split == 1:
+            total, weight = stacks[0][start:stop], prob_arrays[0][start:stop]
+        else:
+            idx = np.unravel_index(np.arange(start, stop), sizes[:split])
+            total = stacks[0][idx[0]]
+            weight = prob_arrays[0][idx[0]]
+            for k in range(1, split):
+                total += stacks[k][idx[k]]
+                weight *= prob_arrays[k][idx[k]]
+        for k in range(split, len(sizes)):
+            total = total[..., None, :, :] + stacks[k]
+            weight = weight[..., None] * prob_arrays[k]
+        traces = batched_trace_power(total.reshape(-1, n, n), p)
+        return (weight.ravel() * traces).tolist()
 
     return math.fsum(
         itertools.chain.from_iterable(
-            chunk_contributions(start) for start in range(0, support, _CHUNK)
+            chunk_contributions(start) for start in range(0, heads, step)
         )
     )
-
-
-def mc_trace_moment(
-    family: EnsembleFamily, p: int, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the trace moment with its standard error."""
-    p = _validate_moment_order(p)
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    rng = stream(seed)
-    n = family.dim
-    total = np.zeros((samples, n, n))
-    for m in family.members:
-        idx = rng.choice(m.support_size, size=samples, p=np.asarray(m.probs))
-        total += np.stack([a.entries for a in m.atoms])[idx]
-    traces = np.empty(samples)
-    for start in range(0, samples, _CHUNK):
-        block = slice(start, start + _CHUNK)
-        traces[block] = batched_trace_power(total[block], p)
-    estimate = float(traces.mean())
-    std_error = float(traces.std(ddof=1) / math.sqrt(samples))
-    return estimate, std_error
 
 
 # JSON replay format: {"dim": n, "members": [{"atoms": [flat row-major], ...}]}

@@ -56,9 +56,6 @@ class SearchConfig:
     max_members: int = 6
     max_power: int = MOMENT_BUDGET
     include_extremal_start: bool = True
-    # Exploratory only: admit families with ||E X|| below the target
-    # instead of exactly on it. Never part of an asserted property.
-    relaxed_mean: bool = False
 
     def __post_init__(self):
         counts = (
@@ -119,22 +116,13 @@ def _propose(
     else:
         atoms, probs = _perturb_atoms(member, rng, config.proposal_scale)
 
-    alpha = member.alpha
-    if config.relaxed_mean:
-        acc = np.zeros((member.dim, member.dim))
-        for q, a in zip(probs, atoms):
-            acc += q * a.entries
-        norm = SymMatrix(acc).opnorm
-        if norm > alpha * member.cap:
-            atoms = project_mean_shell(atoms, probs, member.cap, alpha)
-        else:
-            alpha = norm / member.cap
-    else:
-        atoms = project_mean_shell(atoms, probs, member.cap, alpha)
+    atoms = project_mean_shell(atoms, probs, member.cap, member.alpha)
     if atoms is None:
         return None
     try:
-        moved = FiniteEnsemble(atoms=atoms, probs=probs, cap=member.cap, alpha=alpha)
+        moved = FiniteEnsemble(
+            atoms=atoms, probs=probs, cap=member.cap, alpha=member.alpha
+        )
     except ConstraintViolated:
         return None
     members = family.members[:k] + (moved,) + family.members[k + 1:]

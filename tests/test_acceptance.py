@@ -12,6 +12,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 import conftest
 import tracemax.cli as cli
@@ -25,6 +26,8 @@ from tracemax import (
     stream,
     theorem_max_value,
 )
+
+pytestmark = pytest.mark.acceptance
 
 
 def _verdict(criterion, ok, detail):

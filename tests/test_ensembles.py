@@ -1,5 +1,5 @@
-"""Ensemble construction, mean-shell sampling, and the exact/Monte Carlo
-trace-moment oracles checked against each other and against numpy."""
+"""Ensemble construction, mean-shell sampling, and the exact trace-moment
+enumeration checked against hand and brute-force enumerations."""
 
 import itertools
 import json
@@ -23,7 +23,6 @@ from tracemax import (
     extremal_family,
     family_from_json,
     family_to_json,
-    mc_trace_moment,
     project_mean_shell,
     psd_trace_power,
     random_psd,
@@ -32,7 +31,7 @@ from tracemax import (
     stream,
     theorem_max_value,
 )
-from tracemax.ensembles import _CHUNK
+import tracemax.ensembles as ensembles
 
 _EYE2 = SymMatrix.identity(2)
 _ZERO2 = SymMatrix.zeros(2)
@@ -226,7 +225,7 @@ def test_extremal_family_attains_theorem_value():
         assert_close(exact, target, rel=1e-12, abs_tol=0.0)
 
 
-# Exact and Monte Carlo moments --------------------------------------------------
+# Exact moments --------------------------------------------------------------------
 
 def test_exact_moment_single_deterministic_member():
     a = random_psd(3, stream(301), 1.0)
@@ -252,13 +251,13 @@ def test_exact_moment_two_members_hand_enumeration():
 def test_exact_moment_matches_brute_force_across_chunks():
     # mixed support sizes whose product spans several enumeration chunks, so
     # a mismatch between outcome order, weights or chunk edges would show
-    sizes = (3, 6, 5, 8, 7)
+    sizes = (6, 6, 5, 8, 7)
     members = tuple(
         sample_constrained_ensemble(2, s, 1.0 + 0.1 * k, 0.3 + 0.1 * k, seed=40 + k)
         for k, s in enumerate(sizes)
     )
     family = EnsembleFamily(members=members)
-    assert math.prod(sizes) > 4 * _CHUNK
+    assert math.prod(sizes) > 4 * ensembles._chunk_outcomes(2)
     for p in (1, 5, 12):
         terms = []
         for outcome in itertools.product(*(range(s) for s in sizes)):
@@ -271,6 +270,51 @@ def test_exact_moment_matches_brute_force_across_chunks():
         assert_close(exact_trace_moment(family, p), math.fsum(terms), rel=1e-13)
 
 
+def _mixed_family(n, sizes, seed):
+    return EnsembleFamily(members=tuple(
+        sample_constrained_ensemble(n, s, 1.0 + 0.1 * k, 0.2 + 0.1 * k, seed=seed + k)
+        for k, s in enumerate(sizes)
+    ))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_exact_moment_is_independent_of_the_chunk_size(monkeypatch, n):
+    sizes = (3, 1, 4, 2, 5)
+    family = _mixed_family(n, sizes, seed=70 + n)
+    default = [exact_trace_moment(family, p) for p in (1, 6, 29, 30)]
+    # one outcome per chunk, then a chunk of exactly the trailing support
+    # from each member on (a split before every member), and one more
+    chunks = {1}
+    for k in range(len(sizes)):
+        tail = math.prod(sizes[k:])
+        chunks.update((tail, tail + 1))
+    for chunk in sorted(chunks):
+        monkeypatch.setattr(ensembles, "_CHUNK_BYTES", chunk * 8 * n * n)
+        assert ensembles._chunk_outcomes(n) == chunk
+        got = [exact_trace_moment(family, p) for p in (1, 6, 29, 30)]
+        assert got == default, chunk
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [(n, (3, 1, 4, 2, 5)) for n in range(1, 9)] + [(8, (6,) * 6)],
+)
+def test_exact_moment_chunks_stay_within_the_byte_budget(monkeypatch, n, sizes):
+    family = _mixed_family(n, sizes, seed=90 + n)
+    seen = []
+    kernel = ensembles.batched_trace_power
+
+    def checked(stack, p):
+        assert stack.shape[1:] == (n, n)
+        assert stack.nbytes <= ensembles._CHUNK_BYTES
+        seen.append(len(stack))
+        return kernel(stack, p)
+
+    monkeypatch.setattr(ensembles, "batched_trace_power", checked)
+    exact_trace_moment(family, 2)
+    assert sum(seen) == math.prod(sizes)
+
+
 def test_exact_moment_budget():
     member = sample_constrained_ensemble(2, 2, 1.0, 0.5, seed=5)
     family = EnsembleFamily(members=(member,) * 21)
@@ -278,54 +322,6 @@ def test_exact_moment_budget():
         exact_trace_moment(family, 2)
     with pytest.raises(BudgetExceeded):
         exact_trace_moment(EnsembleFamily(members=(member,)), 31)
-
-
-def test_mc_agrees_with_exact_within_four_sigma():
-    member = sample_constrained_ensemble(2, 2, 1.0, 0.5, seed=9)
-    other = sample_constrained_ensemble(2, 3, 1.5, 0.3, seed=10)
-    family = EnsembleFamily(members=(member, other))
-    exact = exact_trace_moment(family, 4)
-    estimate, se = mc_trace_moment(family, 4, samples=100_000, seed=3)
-    assert se > 0
-    assert abs(estimate - exact) <= 4.0 * se
-
-
-def test_mc_deterministic_family_has_zero_error():
-    a = random_psd(2, stream(302), 1.0)
-    member = FiniteEnsemble(atoms=(a,), probs=(1.0,), cap=max(a.opnorm, 1e-9), alpha=1.0)
-    family = EnsembleFamily(members=(member,))
-    estimate, se = mc_trace_moment(family, 3, samples=200, seed=0)
-    assert_close(estimate, psd_trace_power(a, 3))
-    assert se == 0.0
-
-
-def test_mc_rejects_tiny_sample_counts():
-    family = extremal_family(2, BernoulliParams(caps=(1.0,), alphas=(0.5,)))
-    with pytest.raises(ValueError):
-        mc_trace_moment(family, 2, samples=99, seed=0)
-
-
-def test_mc_error_shrinks_like_root_n():
-    family = extremal_family(2, BernoulliParams(caps=(1.0,), alphas=(0.5,)))
-    ratios = []
-    for seed in range(8):
-        _, se_small = mc_trace_moment(family, 3, samples=2_000, seed=seed)
-        _, se_big = mc_trace_moment(family, 3, samples=8_000, seed=seed + 100)
-        ratios.append(se_small / se_big)
-    mean_ratio = sum(ratios) / len(ratios)
-    assert 1.7 <= mean_ratio <= 2.3
-
-
-def test_mc_coverage_over_many_seeds():
-    family = extremal_family(2, BernoulliParams(caps=(1.0, 1.0), alphas=(0.5, 0.25)))
-    exact = exact_trace_moment(family, 3)
-    hits = 0
-    runs = 60
-    for seed in range(runs):
-        estimate, se = mc_trace_moment(family, 3, samples=4_000, seed=seed)
-        if abs(estimate - exact) <= 4.0 * se:
-            hits += 1
-    assert hits >= int(0.95 * runs)
 
 
 # Serialization -------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Linear-algebra core: the LAPACK eigensolver the package calls is
-checked against 50-digit eigenvalues from mpmath, and the sampled
-rotations against an explicit product of Givens matrices."""
+"""Linear-algebra core: the LAPACK eigensolver the package calls and the
+batched trace-power kernel are checked against 50-digit mpmath values, and
+the sampled rotations against an explicit product of Givens matrices."""
 
 import math
 
@@ -211,6 +211,28 @@ def test_batched_trace_power_matches_scalar_path(a, p):
     got = batched_trace_power(stack, p)
     assert_close(got[0], psd_trace_power(a, p), rel=1e-10, abs_tol=1e-10)
     assert_close(got[1], 2.0**p * psd_trace_power(a, p), rel=1e-10, abs_tol=1e-10)
+
+
+def test_batched_trace_power_matches_mpmath_at_every_parity():
+    # rank-deficient 8x8 PSD matrices and the zero matrix, every p up to the
+    # moment budget, so both the even and the odd half-power path are hit
+    rng = stream(7, 108)
+    stack = [np.zeros((8, 8))]
+    for rank in (1, 3, 5, 7):
+        spectrum = np.zeros(8)
+        spectrum[:rank] = rng.uniform(0.2, 2.0, size=rank)
+        rotation = random_rotation(8, rng)
+        stack.append(SymMatrix.from_eigensystem(rotation, spectrum).entries)
+    stack = np.stack(stack)
+    with mpmath.workdps(50):
+        bases = [mpmath.matrix(m.tolist()) for m in stack]
+        powers = list(bases)
+        for p in range(1, 31):
+            got = batched_trace_power(stack, p)
+            for value, power in zip(got, powers):
+                want = float(mpmath.fsum(power[i, i] for i in range(8)))
+                assert_close(value, want, rel=1e-12, abs_tol=0.0)
+            powers = [power * base for power, base in zip(powers, bases)]
 
 
 def test_clip_spectrum_clamps_and_keeps_basis():
