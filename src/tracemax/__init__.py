@@ -59,7 +59,6 @@ from .linalg import (
     SymMatrix,
     batched_trace_power,
     clip_spectrum,
-    eigh,
     psd_power,
     psd_trace_power,
     random_psd,
@@ -71,7 +70,6 @@ from .linalg import (
 )
 from .rng import stream, subseed
 from .search import (
-    AuditSummary,
     SearchConfig,
     SearchResult,
     SweepOutcome,

@@ -250,6 +250,13 @@ class LemmaSummary:
     def all_passed(self) -> bool:
         return self.passes == self.trials
 
+    @staticmethod
+    def empty(lemma_id: LemmaId) -> "LemmaSummary":
+        return LemmaSummary(
+            lemma_id=lemma_id, trials=0, passes=0, min_slack=math.inf,
+            min_norm_slack=math.inf, worst_digest="",
+        )
+
     def merge(self, later: "LemmaSummary") -> "LemmaSummary":
         """Tally of these trials followed by ``later``'s.
 
@@ -277,13 +284,6 @@ class LemmaSummary:
                 worst_digest=report.input_digest,
             )
         )
-
-
-def _empty_summary(lemma_id: LemmaId) -> LemmaSummary:
-    return LemmaSummary(
-        lemma_id=lemma_id, trials=0, passes=0, min_slack=math.inf,
-        min_norm_slack=math.inf, worst_digest="",
-    )
 
 
 def _random_word(rng: np.random.Generator, p_max: int) -> AlternatingWord:
@@ -372,7 +372,7 @@ def _run_trial_block(
     tallies: dict[LemmaId, LemmaSummary] = {}
     for t in range(start, stop):
         for rep in run_trial(seed, t, dim_max, p_max):
-            prior = tallies.get(rep.lemma_id) or _empty_summary(rep.lemma_id)
+            prior = tallies.get(rep.lemma_id) or LemmaSummary.empty(rep.lemma_id)
             tallies[rep.lemma_id] = prior.add(rep)
     return tallies
 

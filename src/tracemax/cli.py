@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .checks import LemmaId, run_lemma_sweep
+from .checks import LemmaId, LemmaSummary, run_lemma_sweep
 from .errors import TracemaxError
 from .extremal import (
     BernoulliParams,
@@ -48,6 +48,16 @@ def _manifest(command: str, parameters: dict, seed: int | None, outputs: list[st
         "seed": seed,
         "version": __version__,
         "outputs": outputs,
+    }
+
+
+def _tally(s: LemmaSummary) -> dict:
+    return {
+        "trials": s.trials,
+        "passes": s.passes,
+        "min_slack": s.min_slack,
+        "min_norm_slack": s.min_norm_slack,
+        "worst_digest": s.worst_digest,
     }
 
 
@@ -90,17 +100,7 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
         }
         doc = {
             "manifest": _manifest("verify-lemmas", parameters, args.seed, [args.out]),
-            "lemmas": [
-                {
-                    "lemma": s.lemma_id.value,
-                    "trials": s.trials,
-                    "passes": s.passes,
-                    "min_slack": s.min_slack,
-                    "min_norm_slack": s.min_norm_slack,
-                    "worst_digest": s.worst_digest,
-                }
-                for s in ordered
-            ],
+            "lemmas": [{"lemma": s.lemma_id.value, **_tally(s)} for s in ordered],
             "all_passed": all_passed,
         }
         _write_json(Path(args.out), doc)
@@ -208,13 +208,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         "errors": [{"cell": cell, "message": msg} for cell, msg in outcome.errors],
     }
     if outcome.audit is not None:
-        manifest_doc["sampler_audit"] = {
-            "trials": outcome.audit.trials,
-            "passes": outcome.audit.passes,
-            "min_slack": outcome.audit.min_slack,
-            "min_norm_slack": outcome.audit.min_norm_slack,
-            "worst_digest": outcome.audit.worst_digest,
-        }
+        manifest_doc["sampler_audit"] = _tally(outcome.audit)
     _write_json(out.with_suffix(out.suffix + ".manifest.json"), manifest_doc)
 
     mins = min((r.gap for r in outcome.rows), default=math.inf)
@@ -316,10 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except TracemaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (TracemaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

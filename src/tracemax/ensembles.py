@@ -15,6 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
@@ -35,6 +36,14 @@ SUPPORT_BUDGET = 10**6
 
 _PROJECTION_ROUNDS = 50
 _CHUNK_BYTES = 64 * 1024
+
+
+def _weighted_sum(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> np.ndarray:
+    """sum_i probs[i] * matrices[i], accumulated from left to right."""
+    acc = 0.0
+    for q, m in zip(probs, matrices):
+        acc = acc + q * m
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +113,7 @@ class FiniteEnsemble:
 
     @cached_property
     def mean(self) -> SymMatrix:
-        acc = np.zeros((self.dim, self.dim))
-        for q, a in zip(self.probs, self.atoms):
-            acc += q * a.entries
-        return SymMatrix(acc)
+        return SymMatrix(_weighted_sum(self.probs, (a.entries for a in self.atoms)))
 
     @property
     def mean_norm(self) -> float:
@@ -147,7 +153,6 @@ def project_mean_shell(
     probs: tuple[float, ...],
     cap: float,
     alpha: float,
-    rounds: int = _PROJECTION_ROUNDS,
 ) -> tuple[SymMatrix, ...] | None:
     """Rescale atoms (spectrally, capped at ``cap``) until ||mean|| = alpha*cap.
 
@@ -167,16 +172,9 @@ def project_mean_shell(
     if target == 0.0:
         return tuple(SymMatrix.zeros(a.dim) for a in atoms)
 
-    def mean_norm_of(current: tuple[SymMatrix, ...]) -> float:
-        acc = np.zeros_like(current[0].entries)
-        for q, a in zip(probs, current):
-            acc = acc + q * a.entries
-        return SymMatrix(acc).opnorm
-
-    fast_rounds = min(8, rounds)
     candidate = atoms
-    for _ in range(fast_rounds):
-        norm = mean_norm_of(candidate)
+    for _ in range(8):
+        norm = SymMatrix(_weighted_sum(probs, (a.entries for a in candidate))).opnorm
         if abs(norm - target) <= 1e-9 * target:
             return candidate
         if norm == 0.0:
@@ -192,11 +190,10 @@ def project_mean_shell(
     spectra = [(a.eig.eigenvectors, a.eig.eigenvalues) for a in atoms]
 
     def mean_norm_at(t: float) -> float:
-        acc = np.zeros_like(atoms[0].entries)
-        for q, (vecs, vals) in zip(probs, spectra):
-            clipped = np.clip(vals * t, 0.0, cap)
-            acc = acc + q * ((vecs * clipped) @ vecs.T)
-        return SymMatrix(0.5 * (acc + acc.T)).opnorm
+        scaled = (
+            (vecs * np.clip(vals * t, 0.0, cap)) @ vecs.T for vecs, vals in spectra
+        )
+        return SymMatrix(_weighted_sum(probs, scaled)).opnorm
 
     def build(t: float) -> tuple[SymMatrix, ...]:
         return tuple(
@@ -218,7 +215,7 @@ def project_mean_shell(
         return build(hi)
 
     lo = 0.0
-    for _ in range(rounds):
+    for _ in range(_PROJECTION_ROUNDS):
         mid = 0.5 * (lo + hi)
         norm_mid = mean_norm_at(mid)
         if abs(norm_mid - target) <= 1e-9 * target:

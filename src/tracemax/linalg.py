@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +34,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
 
     def power(self, t: float) -> np.ndarray:
         """Q diag(clamp(lam)^t) Q^T with negative eigenvalues clamped to 0."""
@@ -88,22 +84,14 @@ class SymMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eig.eigenvalues[0])
 
-    def is_psd(self, tol: float = PSD_TOL) -> bool:
-        return self.min_eigenvalue() >= -tol * (1.0 + self.opnorm)
+    def is_psd(self) -> bool:
+        return self.min_eigenvalue() >= -PSD_TOL * (1.0 + self.opnorm)
 
     # Convenience constructors -------------------------------------------
 
     @staticmethod
-    def identity(n: int) -> "SymMatrix":
-        return SymMatrix(np.eye(n))
-
-    @staticmethod
     def zeros(n: int) -> "SymMatrix":
         return SymMatrix(np.zeros((n, n)))
-
-    @staticmethod
-    def diagonal(values: Sequence[float]) -> "SymMatrix":
-        return SymMatrix(np.diag(np.asarray(values, dtype=float)))
 
     @staticmethod
     def from_eigensystem(q: np.ndarray, lam: np.ndarray) -> "SymMatrix":
@@ -129,16 +117,6 @@ class SymMatrix:
         if other.dim != self.dim:
             raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
         return SymMatrix(self.entries + other.entries)
-
-    def __mul__(self, scalar: float) -> "SymMatrix":
-        return SymMatrix(self.entries * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def eigh(a: SymMatrix) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix (cached on the instance)."""
-    return a.eig
 
 
 def psd_power(a: SymMatrix, t: float) -> SymMatrix:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CHECK_TOL, check_theorem_max
+from .checks import CHECK_TOL, LemmaId, LemmaSummary, check_theorem_max
 from .ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
@@ -26,8 +26,8 @@ from .ensembles import (
     project_mean_shell,
     sample_with_retry,
 )
-from .errors import BudgetExceeded, ConstraintViolated, DimensionError, TracemaxError
-from .extremal import MOMENT_BUDGET, BernoulliParams, theorem_max_value
+from .errors import BudgetExceeded, ConstraintViolated, TracemaxError
+from .extremal import BernoulliParams, theorem_max_value
 from .linalg import SymMatrix, clip_spectrum
 from .parallel import parallel_map
 from .rng import stream, subseed
@@ -36,6 +36,13 @@ from .rng import stream, subseed
 NEAR_MISS_TOL = 1e-6
 
 _TIE_TOL = 1e-12
+
+# Atom perturbations are normal with this standard deviation times the cap.
+_PROPOSAL_SCALE = 0.25
+
+# Largest problem maximize() accepts; theorem_max_value bounds the moment order.
+_MAX_DIM = 8
+_MAX_MEMBERS = 6
 
 # Budget for the sampled-family audit, matching the central admissibility
 # property: n <= 4, N <= 3, s <= 3, p <= 8.
@@ -49,25 +56,13 @@ _AUDIT_POWER = 8
 class SearchConfig:
     restarts: int = 20
     steps_per_restart: int = 500
-    proposal_scale: float = 0.25
     seed: int = 0
     max_atoms: int = 3
-    max_dim: int = 8
-    max_members: int = 6
-    max_power: int = MOMENT_BUDGET
-    include_extremal_start: bool = True
 
     def __post_init__(self):
-        counts = (
-            self.restarts, self.steps_per_restart, self.max_atoms,
-            self.max_dim, self.max_members, self.max_power,
-        )
+        counts = (self.restarts, self.steps_per_restart, self.max_atoms)
         if any(c < 1 for c in counts):
             raise ConstraintViolated(f"all search counts must be positive: {counts}")
-        if not self.proposal_scale > 0:
-            raise ConstraintViolated(
-                f"proposal_scale must be positive, got {self.proposal_scale}"
-            )
 
 
 @dataclass(frozen=True)
@@ -80,10 +75,10 @@ class SearchResult:
 
 
 def _perturb_atoms(
-    member: FiniteEnsemble, rng: np.random.Generator, scale: float
+    member: FiniteEnsemble, rng: np.random.Generator
 ) -> tuple[tuple[SymMatrix, ...], tuple[float, ...]]:
     i = int(rng.integers(member.support_size))
-    noise = rng.normal(0.0, scale * member.cap, size=(member.dim, member.dim))
+    noise = rng.normal(0.0, _PROPOSAL_SCALE * member.cap, size=(member.dim, member.dim))
     candidate = clip_spectrum(SymMatrix(member.atoms[i].entries + noise), 0.0, member.cap)
     atoms = member.atoms[:i] + (candidate,) + member.atoms[i + 1:]
     return atoms, member.probs
@@ -101,9 +96,7 @@ def _shift_probs(
     return member.atoms, tuple(q / total for q in moved)
 
 
-def _propose(
-    family: EnsembleFamily, rng: np.random.Generator, config: SearchConfig
-) -> EnsembleFamily | None:
+def _propose(family: EnsembleFamily, rng: np.random.Generator) -> EnsembleFamily | None:
     """One perturbed family, re-projected onto the constraint set.
 
     Returns None when the projection or validation rejects the move; the
@@ -114,7 +107,7 @@ def _propose(
     if member.support_size >= 2 and rng.random() < 0.5:
         atoms, probs = _shift_probs(member, rng)
     else:
-        atoms, probs = _perturb_atoms(member, rng, config.proposal_scale)
+        atoms, probs = _perturb_atoms(member, rng)
 
     atoms = project_mean_shell(atoms, probs, member.cap, member.alpha)
     if atoms is None:
@@ -143,15 +136,18 @@ def _initial_family(
 
 
 def _run_restart(
-    args: tuple[int, BernoulliParams, int, SearchConfig, int, EnsembleFamily | None],
+    args: tuple[int, BernoulliParams, int, SearchConfig, int],
 ) -> tuple[float, EnsembleFamily, tuple[tuple[int, float], ...]]:
-    n, params, p, config, restart, pinned = args
+    n, params, p, config, restart = args
     rng = stream(config.seed, restart)
-    family = pinned if pinned is not None else _initial_family(n, params, config, rng)
+    if restart == 0:
+        family = extremal_family(n, params)
+    else:
+        family = _initial_family(n, params, config, rng)
     value = exact_trace_moment(family, p)
     trajectory = [(0, value)]
     for step in range(1, config.steps_per_restart + 1):
-        candidate = _propose(family, rng, config)
+        candidate = _propose(family, rng)
         if candidate is None:
             continue
         moved = exact_trace_moment(candidate, p)
@@ -166,30 +162,18 @@ def maximize(
     params: BernoulliParams,
     p: int,
     config: SearchConfig,
-    init_family: EnsembleFamily | None = None,
 ) -> SearchResult:
     """Hill-climb with restarts; restart 0 starts at the conjectured maximizer.
 
     Restarts own independent RNG streams keyed by (seed, restart) and run
     in parallel; the merge keeps the earlier restart on ties within 1e-12.
     """
-    if n > config.max_dim or params.count > config.max_members or p > config.max_power:
+    if n > _MAX_DIM or params.count > _MAX_MEMBERS:
         raise BudgetExceeded(
             f"search budget exceeded: n={n}, members={params.count}, p={p}"
         )
-    if init_family is not None and (
-        init_family.dim != n or len(init_family.members) != params.count
-    ):
-        raise DimensionError("init_family shape does not match (n, params)")
-    pinned = init_family
-    if pinned is None and config.include_extremal_start:
-        pinned = extremal_family(n, params)
-
     theorem_value = theorem_max_value(n, params, p)
-    tasks = [
-        (n, params, p, config, r, pinned if r == 0 else None)
-        for r in range(config.restarts)
-    ]
+    tasks = [(n, params, p, config, r) for r in range(config.restarts)]
     best: tuple[float, EnsembleFamily, tuple[tuple[int, float], ...]] | None = None
     for outcome in parallel_map(_run_restart, tasks):
         if best is None or outcome[0] > best[0] + _TIE_TOL:
@@ -220,25 +204,12 @@ class SweepRow:
 
 
 @dataclass(frozen=True)
-class AuditSummary:
-    trials: int
-    passes: int
-    min_slack: float
-    min_norm_slack: float
-    worst_digest: str
-
-    @property
-    def all_passed(self) -> bool:
-        return self.passes == self.trials
-
-
-@dataclass(frozen=True)
 class SweepOutcome:
     rows: tuple[SweepRow, ...]
     violations: tuple[dict, ...]
     near_misses: tuple[dict, ...]
     errors: tuple[tuple[str, str], ...]
-    audit: AuditSummary | None
+    audit: LemmaSummary | None
 
     @property
     def clean(self) -> bool:
@@ -251,11 +222,8 @@ def _is_violation(gap: float, theorem_value: float) -> bool:
     return gap < -CHECK_TOL * (1.0 + theorem_value)
 
 
-def _audit_sampled_families(seed: int, trials: int) -> tuple[AuditSummary, list[dict]]:
-    passes = 0
-    min_slack = math.inf
-    min_norm_slack = math.inf
-    worst = ""
+def _audit_sampled_families(seed: int, trials: int) -> tuple[LemmaSummary, list[dict]]:
+    summary = LemmaSummary.empty(LemmaId.THEOREM_MAX)
     failures: list[dict] = []
     for t in range(trials):
         rng = stream(seed, 2, t)
@@ -274,11 +242,7 @@ def _audit_sampled_families(seed: int, trials: int) -> tuple[AuditSummary, list[
         )
         family = EnsembleFamily(members=members)
         report = check_theorem_max(family, p, digest=f"audit={t};n={n};N={count};p={p}")
-        passes += report.passed
-        min_slack = min(min_slack, report.slack)
-        if report.norm_slack < min_norm_slack:
-            min_norm_slack = report.norm_slack
-            worst = report.input_digest
+        summary = summary.add(report)
         if not report.passed:
             failures.append(
                 {
@@ -289,10 +253,6 @@ def _audit_sampled_families(seed: int, trials: int) -> tuple[AuditSummary, list[
                     "family": family_to_json(family),
                 }
             )
-    summary = AuditSummary(
-        trials=trials, passes=passes, min_slack=min_slack,
-        min_norm_slack=min_norm_slack, worst_digest=worst,
-    )
     return summary, failures
 
 
@@ -341,25 +301,20 @@ def gap_sweep(
         )
         rows.append(row)
         if _is_violation(result.gap, result.theorem_value):
-            violations.append(
-                {
-                    "cell": cell,
-                    "gap": result.gap,
-                    "best_value": result.best_value,
-                    "theorem_value": result.theorem_value,
-                    "family": family_to_json(result.best_family),
-                }
-            )
+            dumps = violations
         elif result.gap < NEAR_MISS_TOL * result.theorem_value:
-            near_misses.append(
-                {
-                    "cell": cell,
-                    "gap": result.gap,
-                    "best_value": result.best_value,
-                    "theorem_value": result.theorem_value,
-                    "family": family_to_json(result.best_family),
-                }
-            )
+            dumps = near_misses
+        else:
+            continue
+        dumps.append(
+            {
+                "cell": cell,
+                "gap": result.gap,
+                "best_value": result.best_value,
+                "theorem_value": result.theorem_value,
+                "family": family_to_json(result.best_family),
+            }
+        )
 
     audit = None
     if sampler_trials > 0:

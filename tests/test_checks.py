@@ -18,6 +18,7 @@ from tracemax import (
     FiniteEnsemble,
     InvalidExponent,
     LemmaId,
+    LemmaSummary,
     SymMatrix,
     check_alt,
     check_alt_schatten,
@@ -38,7 +39,7 @@ from tracemax.checks import run_trial
 
 
 def test_report_fields_are_consistent():
-    rep = check_alt(SymMatrix.identity(2), SymMatrix.identity(2), 2.0, digest="d")
+    rep = check_alt(SymMatrix(np.eye(2)), SymMatrix(np.eye(2)), 2.0, digest="d")
     assert isinstance(rep, CheckReport)
     assert rep.lemma_id is LemmaId.ALT
     assert rep.slack == rep.rhs - rep.lhs
@@ -49,7 +50,7 @@ def test_report_fields_are_consistent():
 # Holder ---------------------------------------------------------------------
 
 def test_holder_identity_pair():
-    eye = SymMatrix.identity(2)
+    eye = SymMatrix(np.eye(2))
     rep = check_holder([eye, eye], [2.0, 2.0])
     assert rep.passed
     assert_close(rep.lhs, 2.0)
@@ -63,13 +64,13 @@ def test_holder_single_factor_is_equality():
 
 
 def test_holder_exponent_validation():
-    eye = SymMatrix.identity(2)
+    eye = SymMatrix(np.eye(2))
     with pytest.raises(InvalidExponent):
         check_holder([eye, eye], [2.0, 3.0])
     with pytest.raises(InvalidExponent):
         check_holder([eye], [0.5])
     with pytest.raises(DimensionError):
-        check_holder([eye, SymMatrix.identity(3)], [2.0, 2.0])
+        check_holder([eye, SymMatrix(np.eye(3))], [2.0, 2.0])
     with pytest.raises(DimensionError):
         check_holder([], [])
 
@@ -96,7 +97,7 @@ def test_holder_random_pair_with_numpy_oracle(pair):
 # ALT ------------------------------------------------------------------------
 
 def test_alt_identity_case():
-    eye = SymMatrix.identity(4)
+    eye = SymMatrix(np.eye(4))
     rep = check_alt(eye, eye, 2.0)
     assert_close(rep.lhs, 4.0)
     assert_close(rep.rhs, 4.0)
@@ -133,7 +134,7 @@ def test_alt_numpy_oracle():
 
 
 def test_alt_rejects_bad_exponent():
-    eye = SymMatrix.identity(2)
+    eye = SymMatrix(np.eye(2))
     with pytest.raises(InvalidExponent):
         check_alt(eye, eye, 0.9)
 
@@ -141,7 +142,7 @@ def test_alt_rejects_bad_exponent():
 # ALT, Schatten form ---------------------------------------------------------
 
 def test_alt_schatten_identity_case():
-    eye = SymMatrix.identity(3)
+    eye = SymMatrix(np.eye(3))
     rep = check_alt_schatten(eye, eye, 2.0)
     assert_close(rep.lhs, 3.0**0.5)
     assert_close(rep.rhs, 3.0**0.5)
@@ -166,7 +167,7 @@ def test_alt_schatten_random_passes(pair, alpha_exp):
 def test_word_bound_identity_x_is_equality():
     y = random_psd(3, stream(45), 1.0)
     w = AlternatingWord(exponent_pairs=((2.0, 1.0), (1.0, 2.0)))
-    rep = check_word_bound(SymMatrix.identity(3), y, w)
+    rep = check_word_bound(SymMatrix(np.eye(3)), y, w)
     assert abs(rep.slack) <= 1e-10 * (1.0 + abs(rep.rhs))
 
 
@@ -200,7 +201,7 @@ def test_word_bound_slack_survives_shrinking(pair, c):
     x, y, _ = pair
     w = AlternatingWord(exponent_pairs=((1.0, 1.0), (2.0, 1.0)))
     before = check_word_bound(x, y, w)
-    after = check_word_bound(c * x, y, w)
+    after = check_word_bound(SymMatrix(c * x.entries), y, w)
     assert before.passed
     assert after.passed
 
@@ -225,7 +226,7 @@ def _deterministic(atom, cap, alpha):
 def test_expectation_word_bound_deterministic_equality():
     cap = 1.3
     n = 3
-    ex = _deterministic(cap * SymMatrix.identity(n), cap, 1.0)
+    ex = _deterministic(SymMatrix(cap * np.eye(n)), cap, 1.0)
     y = random_psd(n, stream(47), 1.0)
     ey = FiniteEnsemble(atoms=(y,), probs=(1.0,), cap=max(y.opnorm, 1e-9), alpha=1.0)
     w = AlternatingWord(exponent_pairs=((2.0, 1.0),))
@@ -261,9 +262,9 @@ def test_expectation_word_bound_random_ensembles(seed):
 
 def test_expectation_word_bound_enforces_cap():
     n = 2
-    big = 2.0 * SymMatrix.identity(n)
+    big = SymMatrix(2.0 * np.eye(n))
     ex = FiniteEnsemble(atoms=(big,), probs=(1.0,), cap=2.0, alpha=1.0)
-    ey = FiniteEnsemble(atoms=(SymMatrix.identity(n),), probs=(1.0,), cap=1.0, alpha=1.0)
+    ey = FiniteEnsemble(atoms=(SymMatrix(np.eye(n)),), probs=(1.0,), cap=1.0, alpha=1.0)
     w = AlternatingWord(exponent_pairs=((1.0, 1.0),))
     with pytest.raises(ConstraintViolated):
         check_expectation_word_bound(ex, ey, w, 0.5)
@@ -277,12 +278,12 @@ def test_binomial_reduction_commuting_equality():
     cap = 1.5
     alpha = 0.4
     ex = FiniteEnsemble(
-        atoms=(cap * SymMatrix.identity(n), SymMatrix.zeros(n)),
+        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix.zeros(n)),
         probs=(alpha, 1.0 - alpha),
         cap=cap,
         alpha=alpha,
     )
-    y = SymMatrix.diagonal([0.3, 0.7, 1.1])
+    y = SymMatrix(np.diag([0.3, 0.7, 1.1]))
     ey = FiniteEnsemble(atoms=(y,), probs=(1.0,), cap=1.1, alpha=1.0)
     rep = check_binomial_reduction(ex, ey, 5, cap)
     assert abs(rep.slack) <= 1e-9 * abs(rep.rhs)
@@ -310,7 +311,7 @@ def test_binomial_reduction_random_passes(seed):
 
 def test_binomial_reduction_validation():
     n = 2
-    ex = FiniteEnsemble(atoms=(SymMatrix.identity(n),), probs=(1.0,), cap=1.0, alpha=1.0)
+    ex = FiniteEnsemble(atoms=(SymMatrix(np.eye(n)),), probs=(1.0,), cap=1.0, alpha=1.0)
     with pytest.raises(InvalidExponent):
         check_binomial_reduction(ex, ex, 0, 1.0)
     with pytest.raises(BudgetExceeded):
@@ -318,7 +319,7 @@ def test_binomial_reduction_validation():
     with pytest.raises(DimensionError):
         check_binomial_reduction(
             ex,
-            FiniteEnsemble(atoms=(SymMatrix.identity(3),), probs=(1.0,), cap=1.0, alpha=1.0),
+            FiniteEnsemble(atoms=(SymMatrix(np.eye(3)),), probs=(1.0,), cap=1.0, alpha=1.0),
             2,
             1.0,
         )
@@ -354,6 +355,37 @@ def test_run_trial_is_deterministic():
         LemmaId.WORD_BOUND, LemmaId.EXPECTATION_WORD_BOUND,
         LemmaId.BINOMIAL_REDUCTION,
     ]
+
+
+def _tally_report(slack, rhs, digest):
+    return CheckReport(
+        lemma_id=LemmaId.THEOREM_MAX, lhs=rhs - slack, rhs=rhs, slack=slack,
+        passed=slack >= 0.0, input_digest=digest,
+    )
+
+
+def test_summary_tally_rule():
+    reports = [
+        _tally_report(0.5, 1.0, "t0"),     # normalized slack 0.25
+        _tally_report(-5.0, 999.0, "t1"),  # smallest raw slack, normalized -0.005
+        _tally_report(-1.0, 0.0, "t2"),    # normalized -1.0
+        _tally_report(-3.0, 2.0, "t3"),    # normalized -1.0, a tie with t2
+    ]
+    sequential = LemmaSummary.empty(LemmaId.THEOREM_MAX)
+    for rep in reports:
+        sequential = sequential.add(rep)
+    assert (sequential.trials, sequential.passes) == (4, 1)
+    assert sequential.min_slack == -5.0
+    assert sequential.min_norm_slack == -1.0
+    # the tie keeps the earliest trial, which is not the min-slack one
+    assert sequential.worst_digest == "t2"
+    for cut in range(len(reports) + 1):
+        head = tail = LemmaSummary.empty(LemmaId.THEOREM_MAX)
+        for rep in reports[:cut]:
+            head = head.add(rep)
+        for rep in reports[cut:]:
+            tail = tail.add(rep)
+        assert head.merge(tail) == sequential
 
 
 def test_sweep_small_scale():

@@ -2,6 +2,7 @@
 determinism of every file the tool writes."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import sys
 import pytest
 
 import tracemax.cli as cli
-from tracemax.search import AuditSummary, SweepOutcome, SweepRow
+from tracemax.checks import LemmaId, LemmaSummary
+from tracemax.search import SearchConfig, SweepOutcome, SweepRow
 
 
 def run_cli(argv):
@@ -180,6 +182,32 @@ def test_search_near_miss_dumps_are_replayable(tmp_path):
     assert dump["family"]["members"]
 
 
+def test_search_manifest_records_every_search_setting(monkeypatch, tmp_path):
+    # A SearchConfig field the manifest does not record would make a run
+    # impossible to reproduce from its manifest.
+    manifest_key = {
+        "restarts": "restarts", "steps_per_restart": "steps",
+        "max_atoms": "atoms", "seed": "seed",
+    }
+    seen = []
+
+    def fake_sweep(*args, **kwargs):
+        seen.append(args[5])
+        return SweepOutcome(rows=(), violations=(), near_misses=(), errors=(), audit=None)
+
+    monkeypatch.setattr(cli, "gap_sweep", fake_sweep)
+    out = tmp_path / "sweep.csv"
+    assert run_cli([
+        "search", "--n", "1", "--members", "1", "--p", "2", "--restarts", "3",
+        "--steps", "7", "--atoms", "2", "--seed", "11", "--out", str(out),
+    ]) == 0
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    recorded = {**manifest["manifest"]["parameters"], "seed": manifest["manifest"]["seed"]}
+    (config,) = seen
+    for field in dataclasses.fields(SearchConfig):
+        assert recorded[manifest_key[field.name]] == getattr(config, field.name)
+
+
 def test_search_violation_exits_two(monkeypatch, capsys, tmp_path):
     row = SweepRow(
         n=1, members=1, p=2, alphas=(0.5,), caps=(1.0,),
@@ -208,9 +236,9 @@ def test_search_audit_failure_exits_two(monkeypatch, capsys, tmp_path):
         violations=(),
         near_misses=(),
         errors=(),
-        audit=AuditSummary(
-            trials=5, passes=4, min_slack=-1.0, min_norm_slack=-0.5,
-            worst_digest="trial=3",
+        audit=LemmaSummary(
+            lemma_id=LemmaId.THEOREM_MAX, trials=5, passes=4, min_slack=-1.0,
+            min_norm_slack=-0.5, worst_digest="trial=3",
         ),
     )
     monkeypatch.setattr(cli, "gap_sweep", lambda *a, **k: fake)

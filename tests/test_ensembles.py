@@ -33,13 +33,13 @@ from tracemax import (
 )
 import tracemax.ensembles as ensembles
 
-_EYE2 = SymMatrix.identity(2)
+_EYE2 = SymMatrix(np.eye(2))
 _ZERO2 = SymMatrix.zeros(2)
 
 
 def _bernoulli_member(cap, alpha, n=2):
     return FiniteEnsemble(
-        atoms=(cap * SymMatrix.identity(n), SymMatrix.zeros(n)),
+        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix.zeros(n)),
         probs=(alpha, 1.0 - alpha),
         cap=cap,
         alpha=alpha,
@@ -67,14 +67,14 @@ def test_rejects_probabilities_not_summing_to_one():
 
 
 def test_rejects_non_psd_atom():
-    bad = SymMatrix.diagonal([1.0, -0.5])
+    bad = SymMatrix(np.diag([1.0, -0.5]))
     with pytest.raises(ConstraintViolated):
         FiniteEnsemble(atoms=(bad,), probs=(1.0,), cap=1.0, alpha=1.0)
 
 
 def test_rejects_atom_over_cap():
     with pytest.raises(ConstraintViolated):
-        FiniteEnsemble(atoms=(2.0 * _EYE2,), probs=(1.0,), cap=1.0, alpha=1.0)
+        FiniteEnsemble(atoms=(SymMatrix(2.0 * np.eye(2)),), probs=(1.0,), cap=1.0, alpha=1.0)
 
 
 def test_rejects_mean_norm_mismatch():
@@ -174,7 +174,7 @@ def test_sampler_with_retry_always_lands_on_shell(seed, n, s):
 def test_projection_reports_unreachable_target():
     # orthogonal positive eigenspaces saturate the mean norm at cap/2, so
     # alpha = 0.9 is unreachable no matter how hard the atoms are scaled
-    atoms = (SymMatrix.diagonal([1.0, 0.0]), SymMatrix.diagonal([0.0, 1.0]))
+    atoms = (SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0])))
     probs = (0.5, 0.5)
     assert project_mean_shell(atoms, probs, cap=1.0, alpha=0.9) is None
 

@@ -9,14 +9,10 @@ from tracemax import (
     BernoulliParams,
     BudgetExceeded,
     ConstraintViolated,
-    DimensionError,
     SearchConfig,
     SearchResult,
-    extremal_family,
     gap_sweep,
     maximize,
-    sample_with_retry,
-    stream,
     theorem_max_value,
 )
 from tracemax.search import _is_violation
@@ -36,7 +32,7 @@ def test_config_rejects_nonpositive_counts():
     with pytest.raises(ConstraintViolated):
         SearchConfig(steps_per_restart=-5)
     with pytest.raises(ConstraintViolated):
-        SearchConfig(proposal_scale=0.0)
+        SearchConfig(max_atoms=0)
 
 
 # maximize ------------------------------------------------------------------------
@@ -92,22 +88,10 @@ def test_maximize_worker_count_does_not_change_results(monkeypatch):
 
 def test_random_starts_never_beat_the_theorem_value():
     params = _params(alpha=0.6, cap=1.2)
-    config = SearchConfig(
-        restarts=4, steps_per_restart=60, seed=5, include_extremal_start=False
-    )
+    config = SearchConfig(restarts=5, steps_per_restart=60, seed=5)
     result = maximize(2, params, 3, config)
     target = theorem_max_value(2, params, 3)
     assert result.best_value <= target + 1e-9 * (1.0 + target)
-
-
-def test_init_family_must_match_the_problem():
-    params = _params(members=2)
-    wrong_dim = extremal_family(3, params)
-    with pytest.raises(DimensionError):
-        maximize(2, params, 3, SearchConfig(**_FAST), init_family=wrong_dim)
-    wrong_members = extremal_family(2, _params(members=3))
-    with pytest.raises(DimensionError):
-        maximize(2, params, 3, SearchConfig(**_FAST), init_family=wrong_members)
 
 
 def test_budget_checks():
@@ -118,22 +102,6 @@ def test_budget_checks():
         maximize(2, _params(members=7), 2, config)
     with pytest.raises(BudgetExceeded):
         maximize(2, _params(), 31, config)
-
-
-def test_custom_start_can_only_help():
-    params = _params(alpha=0.5, cap=1.0)
-    rng = stream(17)
-    member = sample_with_retry(2, 2, 1.0, 0.5, rng)
-    init = extremal_family(2, params)
-    seeded = maximize(
-        2, params, 3,
-        SearchConfig(restarts=1, steps_per_restart=30, seed=4,
-                     include_extremal_start=False),
-        init_family=init,
-    )
-    # starting at the maximizer pins the result to the theorem value
-    assert seeded.gap >= -1e-9 * (1.0 + seeded.theorem_value)
-    del member
 
 
 # _is_violation ---------------------------------------------------------------------

@@ -155,6 +155,6 @@ def test_expand_degenerate_summands():
 
 
 def test_expand_budget():
-    x = SymMatrix.identity(2)
+    x = SymMatrix(np.eye(2))
     with pytest.raises(BudgetExceeded):
         expand_trace_power(x, x, 21)
