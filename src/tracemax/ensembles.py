@@ -7,6 +7,11 @@ independent ensembles sharing a dimension; expectations over a family are
 exact sums over the finite product support. exact_trace_moment raises
 BudgetExceeded when that support exceeds SUPPORT_BUDGET outcomes; no
 checker falls back to Monte Carlo.
+
+The sampler and every search proposal land on the mean-norm shell through
+project_mean_shell, which rescales the atoms' spectra in their own
+eigenbases: a few compounded rounds, then a Newton solve for one scale
+factor, bracketed between the factors at which eigenvalues reach the cap.
 """
 
 from __future__ import annotations
@@ -38,12 +43,12 @@ _PROJECTION_ROUNDS = 50
 _CHUNK_BYTES = 64 * 1024
 
 
-def _weighted_sum(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> np.ndarray:
+def _mean(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> SymMatrix:
     """sum_i probs[i] * matrices[i], accumulated from left to right."""
     acc = 0.0
     for q, m in zip(probs, matrices):
         acc = acc + q * m
-    return acc
+    return SymMatrix(acc)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +118,7 @@ class FiniteEnsemble:
 
     @cached_property
     def mean(self) -> SymMatrix:
-        return SymMatrix(_weighted_sum(self.probs, (a.entries for a in self.atoms)))
+        return _mean(self.probs, (a.entries for a in self.atoms))
 
     @property
     def mean_norm(self) -> float:
@@ -148,6 +153,23 @@ class EnsembleFamily:
         )
 
 
+def _spectral_entries(vecs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Entries of Q diag(lam) Q^T for a (s, n, n) stack of eigenbases.
+
+    Each slice is computed and symmetrised exactly as
+    SymMatrix.from_eigensystem stores it for an ascending spectrum, and
+    symmetrising it again leaves it unchanged.
+    """
+    m = (vecs * spectra[:, None, :]) @ vecs.transpose(0, 2, 1)
+    return 0.5 * (m + m.transpose(0, 2, 1))
+
+
+def _atoms(
+    vecs: np.ndarray, spectra: np.ndarray, entries: np.ndarray
+) -> tuple[SymMatrix, ...]:
+    return tuple(SymMatrix.seeded(*atom) for atom in zip(entries, vecs, spectra))
+
+
 def project_mean_shell(
     atoms: tuple[SymMatrix, ...],
     probs: tuple[float, ...],
@@ -157,73 +179,92 @@ def project_mean_shell(
     """Rescale atoms (spectrally, capped at ``cap``) until ||mean|| = alpha*cap.
 
     Scale factors multiply eigenvalues, clipped into [0, cap]; the
-    eigenbasis never changes, so cached spectra stay valid. Two phases:
-    a few compounded rescale rounds (one round is exact when nothing
-    clips, which covers warm inputs already near the shell), then, on a
-    stall, bisection of a single factor applied to the original
-    eigenvalues. The mean norm is continuous and nondecreasing in that
-    factor with limits 0 and cap, so bisection cannot stall the way
-    compounding can near alpha = 1, where the compounding rate degrades
-    to the clipped-mass fraction. Returns None if the round budget runs
-    out or the target norm is unreachable, which callers translate into
+    eigenbasis never changes, so cached spectra stay valid. A result is
+    accepted once its mean norm is within 1e-9 * alpha * cap of the target.
+
+    Inputs already on the shell come back as they are. Otherwise up to
+    seven compounded rescale rounds follow, each scaling the current
+    spectra by target / norm. One round is exact when nothing clips, which
+    covers warm inputs near the shell. The rounds run on the stacked
+    (s, n, n) eigenbases and (s, n) spectra, and atoms are built only on
+    return.
+
+    Near alpha = 1 compounding stalls, because its rate degrades to the
+    clipped-mass fraction. The fallback then solves g(t) = target for one
+    factor t on the original spectra, where
+    g(t) = ||sum_i q_i Q_i clip(t Lambda_i, 0, cap) Q_i^T||. g is
+    nondecreasing, and between the breakpoints t = cap / lambda_ij it is
+    the top eigenvalue of an affine matrix function, hence convex. One
+    batched eigensolve over all breakpoints brackets the root within one
+    piece, or shows that the target exceeds the saturated value
+    g(last breakpoint) = cap * ||sum_i q_i P_i||, P_i the projector onto
+    the range of atom i. Newton's method then runs from the right end of
+    the piece, with slope v^T B v for the top eigenvector v and the
+    unclipped part B; a step that leaves the bracket bisects instead.
+
+    Returns None if the target is unreachable or the fallback's
+    _PROJECTION_ROUNDS steps run out, which callers translate into
     SamplerFailed or a rejected proposal.
     """
     target = alpha * cap
     if target == 0.0:
         return tuple(SymMatrix.zeros(a.dim) for a in atoms)
+    tol = 1e-9 * target
 
-    candidate = atoms
-    for _ in range(8):
-        norm = SymMatrix(_weighted_sum(probs, (a.entries for a in candidate))).opnorm
-        if abs(norm - target) <= 1e-9 * target:
-            return candidate
+    norm = _mean(probs, (a.entries for a in atoms)).opnorm
+    if abs(norm - target) <= tol:
+        return atoms
+    vecs = np.stack([a.eig.eigenvectors for a in atoms])
+    lam = np.stack([a.eig.eigenvalues for a in atoms])
+    # Scaling by t > 0 and clipping are monotone, so every spectrum stays
+    # ascending, as the atoms' eigendecomposition caches must be.
+    spectra = lam
+    for _ in range(7):
         if norm == 0.0:
             break
-        t = target / norm
-        candidate = tuple(
-            SymMatrix.from_eigensystem(
-                a.eig.eigenvectors, np.clip(a.eig.eigenvalues * t, 0.0, cap)
-            )
-            for a in candidate
-        )
+        spectra = np.clip(spectra * (target / norm), 0.0, cap)
+        entries = _spectral_entries(vecs, spectra)
+        norm = _mean(probs, entries).opnorm
+        if abs(norm - target) <= tol:
+            return _atoms(vecs, spectra, entries)
 
-    spectra = [(a.eig.eigenvectors, a.eig.eigenvalues) for a in atoms]
-
-    def mean_norm_at(t: float) -> float:
-        scaled = (
-            (vecs * np.clip(vals * t, 0.0, cap)) @ vecs.T for vecs, vals in spectra
-        )
-        return SymMatrix(_weighted_sum(probs, scaled)).opnorm
-
-    def build(t: float) -> tuple[SymMatrix, ...]:
-        return tuple(
-            SymMatrix.from_eigensystem(vecs, np.clip(vals * t, 0.0, cap))
-            for vecs, vals in spectra
-        )
-
-    hi = 1.0
-    norm_hi = mean_norm_at(hi)
-    for _ in range(64):
-        if norm_hi >= target:
-            break
-        hi *= 2.0
-        norm_hi = mean_norm_at(hi)
-    else:
-        # saturated below the target: some direction is unreachable
+    lam = np.maximum(lam, 0.0)
+    with np.errstate(divide="ignore"):
+        knee = cap / lam  # the factor at which each eigenvalue reaches the cap
+    # np.sort, not np.unique: np.unique imports numpy.ma, 1.5 MB of resident memory
+    knots = np.sort(knee[np.isfinite(knee)])
+    if knots.size == 0:
         return None
-    if abs(norm_hi - target) <= 1e-9 * target:
-        return build(hi)
-
-    lo = 0.0
+    s, n = lam.shape
+    q = np.asarray(probs)
+    cols = vecs.transpose(0, 2, 1)  # cols[i, j] is eigenvector j of atom i
+    rank_one = q[:, None, None, None] * cols[:, :, :, None] * cols[:, :, None, :]
+    coef = np.clip(knots[:, None] * lam.ravel(), 0.0, cap)
+    means = (coef @ rank_one.reshape(s * n, n * n)).reshape(-1, n, n)
+    tops, top_vecs = np.linalg.eigh(means)
+    if tops[-1, -1] < target - tol:
+        return None
+    # the first knot whose value reaches the target, else the last one
+    k = min(int(np.count_nonzero(tops[:, -1] < target)), knots.size - 1)
+    lo = float(knots[k - 1]) if k else 0.0
+    hi = float(knots[k])
+    slope_weights = q[:, None] * lam * (knee >= hi)
+    t, norm, top = hi, float(tops[k, -1]), top_vecs[k, :, -1]
     for _ in range(_PROJECTION_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        norm_mid = mean_norm_at(mid)
-        if abs(norm_mid - target) <= 1e-9 * target:
-            return build(mid)
-        if norm_mid < target:
-            lo = mid
+        slope = float(np.sum(slope_weights * (cols @ top) ** 2))
+        t = t - (norm - target) / slope if slope > 0.0 else lo
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        spectra = np.clip(lam * t, 0.0, cap)
+        entries = _spectral_entries(vecs, spectra)
+        mean = _mean(probs, entries)
+        norm, top = mean.opnorm, mean.eig.eigenvectors[:, -1]
+        if abs(norm - target) <= tol:
+            return _atoms(vecs, spectra, entries)
+        if norm < target:
+            lo = t
         else:
-            hi = mid
+            hi = t
     return None
 
 

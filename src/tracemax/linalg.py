@@ -84,8 +84,13 @@ class SymMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eig.eigenvalues[0])
 
+    @property
+    def psd_floor(self) -> float:
+        """Lowest eigenvalue still accepted as nonnegative."""
+        return -PSD_TOL * (1.0 + self.opnorm)
+
     def is_psd(self) -> bool:
-        return self.min_eigenvalue() >= -PSD_TOL * (1.0 + self.opnorm)
+        return self.min_eigenvalue() >= self.psd_floor
 
     # Convenience constructors -------------------------------------------
 
@@ -105,7 +110,17 @@ class SymMatrix:
         order = np.argsort(lam, kind="stable")
         lam = np.ascontiguousarray(lam[order])
         q = np.ascontiguousarray(q[:, order])
-        m = SymMatrix((q * lam) @ q.T)
+        return SymMatrix.seeded((q * lam) @ q.T, q, lam)
+
+    @staticmethod
+    def seeded(entries: np.ndarray, q: np.ndarray, lam: np.ndarray) -> "SymMatrix":
+        """SymMatrix(entries) with the eigendecomposition cache set to (lam, q).
+
+        The caller vouches that entries equal Q diag(lam) Q^T with lam
+        ascending, as from_eigensystem and the stacked mean-shell rescaling
+        compute them.
+        """
+        m = SymMatrix(entries)
         m.__dict__["eig"] = EigenDecomposition(lam, q)
         return m
 
@@ -141,10 +156,10 @@ def psd_trace_power(a: SymMatrix, t: float) -> float:
 
 
 def _require_psd(a: SymMatrix) -> None:
-    lo = a.min_eigenvalue()
-    bound = -PSD_TOL * (1.0 + a.opnorm)
-    if lo < bound:
-        raise NotPSD(f"min eigenvalue {lo:.6e} below tolerance {bound:.6e}")
+    if not a.is_psd():
+        raise NotPSD(
+            f"min eigenvalue {a.min_eigenvalue():.6e} below tolerance {a.psd_floor:.6e}"
+        )
 
 
 def schatten_norm(a: SymMatrix, q: float) -> float:

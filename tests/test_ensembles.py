@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_close, seeds
 from tracemax import (
@@ -26,6 +26,8 @@ from tracemax import (
     project_mean_shell,
     psd_trace_power,
     random_psd,
+    random_rotation,
+    random_spectral,
     sample_constrained_ensemble,
     sample_with_retry,
     stream,
@@ -171,20 +173,173 @@ def test_sampler_with_retry_always_lands_on_shell(seed, n, s):
     assert abs(member.mean_norm - alpha * cap) <= 1e-8 * alpha * cap + 1e-12 * (1 + cap)
 
 
-def test_projection_reports_unreachable_target():
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Leading shape of every eigh/eigvalsh call: () for one matrix, (k,) for a stack."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a)[:-2])
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(ensembles.np.linalg, name, counted)
+    return shapes
+
+
+def test_projection_reports_unreachable_target(eigensolves):
     # orthogonal positive eigenspaces saturate the mean norm at cap/2, so
     # alpha = 0.9 is unreachable no matter how hard the atoms are scaled
     atoms = (SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0])))
     probs = (0.5, 0.5)
     assert project_mean_shell(atoms, probs, cap=1.0, alpha=0.9) is None
+    # the input's mean norm, seven rescale rounds and one eigendecomposition
+    # per atom; then the single batched bracket proves the target
+    # unreachable without probing any scale factor
+    assert eigensolves[:-1] == [()] * (8 + len(atoms))
+    assert len(eigensolves[-1]) == 1
 
 
-def test_projection_handles_extreme_alpha():
-    # bisection on the shared scale factor must not stall near alpha = 1
-    rng = stream(55)
-    for _ in range(30):
-        member = sample_with_retry(5, 3, 0.75, 0.9985, rng, attempts=1)
+def _extreme_alpha_projections(monkeypatch):
+    """The projection calls of the 30 families sampled near alpha = 1."""
+    calls = []
+    project = ensembles.project_mean_shell
+
+    def recorded(*args):
+        calls.append(args)
+        return project(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ensembles, "project_mean_shell", recorded)
+        rng = stream(55)
+        members = [
+            sample_with_retry(5, 3, 0.75, 0.9985, rng, attempts=1) for _ in range(30)
+        ]
+    return members, calls
+
+
+def test_projection_handles_extreme_alpha(monkeypatch):
+    # compounding stalls near alpha = 1; the bracketed Newton solve on a
+    # single scale factor must still land on the shell
+    members, calls = _extreme_alpha_projections(monkeypatch)
+    assert len(calls) == 30
+    for member in members:
         assert abs(member.mean_norm - 0.9985 * 0.75) <= 1e-8 * 0.9985 * 0.75 + 1e-12
+
+
+def test_projection_fallback_needs_few_eigensolves(monkeypatch, eigensolves):
+    # The bounds are half of what doubling and bisecting the scale factor
+    # needed on these calls: 30 to 40 solves each, 1057 in all. The
+    # bracketed Newton solve takes eight mean norms in the rescale phase,
+    # one batched bracket and a few steps.
+    _, calls = _extreme_alpha_projections(monkeypatch)
+    total = 0
+    for args in calls:
+        eigensolves.clear()
+        assert project_mean_shell(*args) is not None
+        stacked = [shape for shape in eigensolves if shape]
+        assert len(stacked) == 1, "every call stalls and brackets once"
+        assert len(eigensolves) < 15
+        total += len(eigensolves)
+    assert total < 1057 / 2
+
+
+def _compounding_rounds(atoms, probs, cap, alpha):
+    """Eight compounded rescale rounds on SymMatrix atoms; None on a stall."""
+    target = alpha * cap
+    candidate = atoms
+    for _ in range(8):
+        mean = 0.0
+        for q, a in zip(probs, candidate):
+            mean = mean + q * a.entries
+        norm = SymMatrix(mean).opnorm
+        if abs(norm - target) <= 1e-9 * target:
+            return candidate
+        if norm == 0.0:
+            return None
+        t = target / norm
+        candidate = tuple(
+            SymMatrix.from_eigensystem(
+                a.eig.eigenvectors, np.clip(a.eig.eigenvalues * t, 0.0, cap)
+            )
+            for a in candidate
+        )
+    return None
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_projection_rescale_rounds_are_bit_identical(n):
+    rng = stream(401, n)
+    rescaled = 0
+    for s in range(1, 7):
+        for _ in range(12):
+            cap = float(rng.uniform(0.5, 2.0))
+            alpha = float(rng.uniform(0.05, 0.95))
+            probs = tuple(float(q) for q in rng.dirichlet(np.ones(s)))
+            atoms = tuple(random_spectral(n, rng, 0.0, cap) for _ in range(s))
+            expected = _compounding_rounds(atoms, probs, cap, alpha)
+            if expected is None:
+                continue
+            got = project_mean_shell(atoms, probs, cap, alpha)
+            # atoms already on the shell come back as they are
+            assert project_mean_shell(got, probs, cap, alpha) is got
+            if expected is atoms:
+                assert got is atoms
+                continue
+            rescaled += 1
+            for x, y in zip(got, expected):
+                assert np.array_equal(x.entries, y.entries)
+                assert np.array_equal(x.eig.eigenvalues, y.eig.eigenvalues)
+                assert np.array_equal(x.eig.eigenvectors, y.eig.eigenvectors)
+    assert rescaled >= 24
+
+
+@settings(max_examples=150)
+@given(
+    seeds,
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([0.1, 0.5, 0.9, 0.99, 0.999]),
+)
+def test_projection_agrees_with_the_range_oracle(seed, n, s, alpha):
+    rng = stream(seed, 211)
+    cap = float(rng.uniform(0.5, 2.0))
+    probs = tuple(float(q) for q in rng.dirichlet(np.ones(s)))
+    bases, atoms = [], []
+    for _ in range(s):
+        q = random_rotation(n, rng)
+        spectrum = rng.uniform(0.0, cap, size=n)
+        # rank-deficient atoms leave some directions out of reach
+        spectrum[rng.random(n) < 0.3] = 0.0
+        bases.append(q)
+        atoms.append(SymMatrix.from_eigensystem(q, spectrum))
+
+    # the largest mean norm any rescaling reaches: every atom at cap on its range
+    saturated = 0.0
+    for q, a in zip(probs, atoms):
+        w, v = np.linalg.eigh(a.entries)
+        kept = v[:, w > 1e-9 * cap]
+        saturated = saturated + q * cap * (kept @ kept.T)
+    reach = float(np.max(np.abs(np.linalg.eigvalsh(saturated))))
+    target = alpha * cap
+    excess = target - (reach + 1e-9 * target)
+    assume(abs(excess) > 1e-9 * target)
+
+    out = project_mean_shell(tuple(atoms), probs, cap, alpha)
+    assert (out is None) == (excess > 0.0)
+    if out is None:
+        return
+    mean = 0.0
+    for q, base, a in zip(probs, bases, out):
+        # still diagonal in the atom's own eigenbasis, spectrum inside [0, cap]
+        d = base.T @ a.entries @ base
+        off = d - np.diag(np.diag(d))
+        assert np.max(np.abs(off)) <= 1e-12 * cap
+        assert np.all(np.diag(d) >= -1e-12 * cap)
+        assert np.all(np.diag(d) <= cap * (1.0 + 1e-12))
+        assert np.all(a.eig.eigenvalues >= 0.0) and np.all(a.eig.eigenvalues <= cap)
+        mean = mean + q * a.entries
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (mean + mean.T)))))
+    assert abs(norm - target) <= 1e-9 * target
 
 
 def test_sample_with_retry_propagates_final_failure(monkeypatch):

@@ -14,6 +14,7 @@ from tracemax import (
     DimensionError,
     InvalidExponent,
     NotPSD,
+    PSD_TOL,
     SymMatrix,
     batched_trace_power,
     clip_spectrum,
@@ -118,6 +119,22 @@ def test_psd_power_rejects_indefinite():
     m = SymMatrix(np.diag([1.0, -1.0]))
     with pytest.raises(NotPSD):
         psd_power(m, 2.0)
+
+
+def test_psd_rule_is_the_same_everywhere():
+    # the floor is -PSD_TOL * (1 + ||A||) = -3e-10 for ||A|| = 2
+    inside = SymMatrix(np.diag([-2.9e-10, 2.0]))
+    outside = SymMatrix(np.diag([-3.1e-10, 2.0]))
+    assert inside.psd_floor == outside.psd_floor == -PSD_TOL * 3.0
+    assert inside.is_psd()
+    psd_power(inside, 2.0)
+    psd_trace_power(inside, 2.0)
+    assert not outside.is_psd()
+    message = "min eigenvalue -3.100000e-10 below tolerance -3.000000e-10"
+    for fn in (psd_power, psd_trace_power):
+        with pytest.raises(NotPSD) as err:
+            fn(outside, 2.0)
+        assert str(err.value) == message
 
 
 @given(psd_single(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
