@@ -23,13 +23,14 @@ from typing import Sequence
 import numpy as np
 
 from .ensembles import (
-    CAP_SLACK,
     EnsembleFamily,
     FiniteEnsemble,
+    bernoulli_member,
     exact_trace_moment,
+    require_caps,
     sample_with_retry,
 )
-from .errors import BudgetExceeded, ConstraintViolated, DimensionError, InvalidExponent
+from .errors import BudgetExceeded, DimensionError, InvalidExponent
 from .extremal import theorem_max_value
 from .linalg import (
     SymMatrix,
@@ -78,10 +79,15 @@ class CheckReport:
         return self.slack / (1.0 + abs(self.rhs))
 
 
+def holds(lhs: float, rhs: float) -> bool:
+    """The pass rule of every check: lhs <= rhs up to CHECK_TOL * (1 + |rhs|)."""
+    return lhs <= rhs + CHECK_TOL * (1.0 + abs(rhs))
+
+
 def _report(lemma_id: LemmaId, lhs: float, rhs: float, digest: str) -> CheckReport:
     lhs, rhs = float(lhs), float(rhs)
     slack = rhs - lhs
-    passed = lhs <= rhs + CHECK_TOL * (1.0 + abs(rhs))
+    passed = holds(lhs, rhs)
     return CheckReport(
         lemma_id=lemma_id, lhs=lhs, rhs=rhs, slack=slack, passed=passed,
         input_digest=digest,
@@ -153,14 +159,6 @@ def check_word_bound(
     return _report(LemmaId.WORD_BOUND, lhs, rhs, digest)
 
 
-def _require_caps(ex: FiniteEnsemble, cap: float) -> None:
-    for i, atom in enumerate(ex.atoms):
-        if atom.opnorm > cap * (1.0 + CAP_SLACK):
-            raise ConstraintViolated(
-                f"atom {i} has norm {atom.opnorm!r} above the stated cap {cap!r}"
-            )
-
-
 def _bernoulli_weight(ex: FiniteEnsemble, cap: float) -> float:
     # ||E X|| <= cap holds whenever all atoms respect the cap; clamp the
     # quotient so roundoff cannot produce a probability above 1.
@@ -181,7 +179,7 @@ def check_expectation_word_bound(
     """
     if ex.dim != ey.dim:
         raise DimensionError(f"dim mismatch: {ex.dim} vs {ey.dim}")
-    _require_caps(ex, cap)
+    require_caps(ex.atoms, cap)
     lhs = math.fsum(
         px * py * eval_word_trace(ax, ay, w)
         for px, ax in zip(ex.probs, ex.atoms)
@@ -194,37 +192,20 @@ def check_expectation_word_bound(
     return _report(LemmaId.EXPECTATION_WORD_BOUND, lhs, ef_l * ey_trace, digest)
 
 
-def _shift_identity(a: SymMatrix, c: float) -> SymMatrix:
-    """A + c*I through the cached eigensystem (basis unchanged)."""
-    e = a.eig
-    return SymMatrix.from_eigensystem(e.eigenvectors, e.eigenvalues + c)
-
-
 def check_binomial_reduction(
     ex: FiniteEnsemble, ey: FiniteEnsemble, p: int, cap: float, digest: str = ""
 ) -> CheckReport:
-    """E tr(X + Y)^p <= E tr(f I + Y)^p with the Bernoulli surrogate f."""
-    if ex.dim != ey.dim:
-        raise DimensionError(f"dim mismatch: {ex.dim} vs {ey.dim}")
-    if p != int(p) or p < 1:
-        raise InvalidExponent(f"need a positive integer power, got {p}")
+    """E tr(X + Y)^p <= E tr(f I + Y)^p with the Bernoulli surrogate f.
+
+    Both sides are exact_trace_moment over a two-member family; the right
+    one swaps X for bernoulli_member at the stated cap.
+    """
     if p > WORD_BUDGET:
         raise BudgetExceeded(f"power {p} exceeds word budget {WORD_BUDGET}")
-    _require_caps(ex, cap)
-    lhs = math.fsum(
-        px * py * psd_trace_power(ax + ay, p)
-        for px, ax in zip(ex.probs, ex.atoms)
-        for py, ay in zip(ey.probs, ey.atoms)
-    )
-    weight = _bernoulli_weight(ex, cap)
-    rhs = math.fsum(
-        py
-        * (
-            weight * psd_trace_power(_shift_identity(ay, cap), p)
-            + (1.0 - weight) * psd_trace_power(ay, p)
-        )
-        for py, ay in zip(ey.probs, ey.atoms)
-    )
+    require_caps(ex.atoms, cap)
+    surrogate = bernoulli_member(ex.dim, cap, _bernoulli_weight(ex, cap))
+    lhs = exact_trace_moment(EnsembleFamily((ex, ey)), p)
+    rhs = exact_trace_moment(EnsembleFamily((surrogate, ey)), p)
     return _report(LemmaId.BINOMIAL_REDUCTION, lhs, rhs, digest)
 
 

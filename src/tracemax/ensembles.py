@@ -51,6 +51,13 @@ def _mean(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> SymMatrix
     return SymMatrix(acc)
 
 
+def require_caps(atoms: Iterable[SymMatrix], cap: float) -> None:
+    """Raise ConstraintViolated unless every atom's norm is at most cap(1 + CAP_SLACK)."""
+    for i, a in enumerate(atoms):
+        if a.opnorm > cap * (1.0 + CAP_SLACK):
+            raise ConstraintViolated(f"atom {i} has norm {a.opnorm!r} above cap {cap!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class FiniteEnsemble:
     """One random PSD matrix with finite support.
@@ -95,10 +102,7 @@ class FiniteEnsemble:
                 raise ConstraintViolated(
                     f"atom {i} is not PSD (min eigenvalue {a.min_eigenvalue():.3e})"
                 )
-            if a.opnorm > self.cap * (1.0 + CAP_SLACK):
-                raise ConstraintViolated(
-                    f"atom {i} has norm {a.opnorm!r} above cap {self.cap!r}"
-                )
+        require_caps(atoms, self.cap)
         target = self.alpha * self.cap
         # Tiny absolute floor so alpha = 0 (target 0) stays checkable.
         tol = MEAN_REL_TOL * target + 1e-12 * (1.0 + self.cap)
@@ -331,21 +335,25 @@ def sample_with_retry(
     raise failure
 
 
+def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:
+    """The scalar surrogate f I: cap * I with probability alpha, else 0."""
+    eye = np.eye(n)
+    atoms = (
+        SymMatrix.seeded(cap * eye, eye, np.full(n, cap)),
+        SymMatrix.seeded(np.zeros((n, n)), eye, np.zeros(n)),
+    )
+    return FiniteEnsemble(atoms=atoms, probs=(alpha, 1.0 - alpha), cap=cap, alpha=alpha)
+
+
 def extremal_family(n: int, params: BernoulliParams) -> EnsembleFamily:
     """The conjectured maximizer: member k takes cap_k * I w.p. alpha_k, else 0."""
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
-    eye = np.eye(n)
-    members = []
-    for cap, alpha in zip(params.caps, params.alphas):
-        atoms = (
-            SymMatrix.from_eigensystem(eye, np.full(n, cap)),
-            SymMatrix.from_eigensystem(eye, np.zeros(n)),
+    return EnsembleFamily(
+        members=tuple(
+            bernoulli_member(n, cap, alpha) for cap, alpha in zip(params.caps, params.alphas)
         )
-        members.append(
-            FiniteEnsemble(atoms=atoms, probs=(alpha, 1.0 - alpha), cap=cap, alpha=alpha)
-        )
-    return EnsembleFamily(members=tuple(members))
+    )
 
 
 def _chunk_outcomes(n: int) -> int:

@@ -124,15 +124,6 @@ class SymMatrix:
         m.__dict__["eig"] = EigenDecomposition(lam, q)
         return m
 
-    # Arithmetic ----------------------------------------------------------
-
-    def __add__(self, other: "SymMatrix") -> "SymMatrix":
-        if not isinstance(other, SymMatrix):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionError(f"dim mismatch: {self.dim} vs {other.dim}")
-        return SymMatrix(self.entries + other.entries)
-
 
 def psd_power(a: SymMatrix, t: float) -> SymMatrix:
     """Fractional matrix power A^t of a PSD matrix, t >= 0.

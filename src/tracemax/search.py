@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CHECK_TOL, LemmaId, LemmaSummary, check_theorem_max
+from .checks import LemmaId, LemmaSummary, check_theorem_max, holds
 from .ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
@@ -71,7 +71,6 @@ class SearchResult:
     best_family: EnsembleFamily
     theorem_value: float
     gap: float
-    trajectory: tuple[tuple[int, float], ...]
 
 
 def _perturb_atoms(
@@ -137,7 +136,7 @@ def _initial_family(
 
 def _run_restart(
     args: tuple[int, BernoulliParams, int, SearchConfig, int],
-) -> tuple[float, EnsembleFamily, tuple[tuple[int, float], ...]]:
+) -> tuple[float, EnsembleFamily]:
     n, params, p, config, restart = args
     rng = stream(config.seed, restart)
     if restart == 0:
@@ -145,16 +144,14 @@ def _run_restart(
     else:
         family = _initial_family(n, params, config, rng)
     value = exact_trace_moment(family, p)
-    trajectory = [(0, value)]
-    for step in range(1, config.steps_per_restart + 1):
+    for _ in range(config.steps_per_restart):
         candidate = _propose(family, rng)
         if candidate is None:
             continue
         moved = exact_trace_moment(candidate, p)
         if moved > value:
             family, value = candidate, moved
-            trajectory.append((step, value))
-    return value, family, tuple(trajectory)
+    return value, family
 
 
 def maximize(
@@ -174,17 +171,16 @@ def maximize(
         )
     theorem_value = theorem_max_value(n, params, p)
     tasks = [(n, params, p, config, r) for r in range(config.restarts)]
-    best: tuple[float, EnsembleFamily, tuple[tuple[int, float], ...]] | None = None
+    best: tuple[float, EnsembleFamily] | None = None
     for outcome in parallel_map(_run_restart, tasks):
         if best is None or outcome[0] > best[0] + _TIE_TOL:
             best = outcome
-    value, family, trajectory = best
+    value, family = best
     return SearchResult(
         best_value=value,
         best_family=family,
         theorem_value=theorem_value,
         gap=theorem_value - value,
-        trajectory=trajectory,
     )
 
 
@@ -216,10 +212,6 @@ class SweepOutcome:
         # errored cells are undecided, so they block a clean verdict too
         no_audit_failure = self.audit is None or self.audit.all_passed
         return not self.violations and not self.errors and no_audit_failure
-
-
-def _is_violation(gap: float, theorem_value: float) -> bool:
-    return gap < -CHECK_TOL * (1.0 + theorem_value)
 
 
 def _audit_sampled_families(seed: int, trials: int) -> tuple[LemmaSummary, list[dict]]:
@@ -300,7 +292,7 @@ def gap_sweep(
             gap=result.gap, seed=cell_seed,
         )
         rows.append(row)
-        if _is_violation(result.gap, result.theorem_value):
+        if not holds(result.best_value, result.theorem_value):
             dumps = violations
         elif result.gap < NEAR_MISS_TOL * result.theorem_value:
             dumps = near_misses

@@ -68,30 +68,12 @@ class AlternatingWord:
         object.__setattr__(self, "exponent_pairs", pairs)
 
     @property
-    def r(self) -> int:
-        return len(self.exponent_pairs)
-
-    @property
     def x_degree(self) -> float:
         return math.fsum(l for l, _ in self.exponent_pairs)
 
     @property
     def y_degree(self) -> float:
         return math.fsum(m for _, m in self.exponent_pairs)
-
-    def rotated(self, shift: int) -> "AlternatingWord":
-        pairs = self.exponent_pairs
-        k = shift % len(pairs)
-        return AlternatingWord(pairs[k:] + pairs[:k])
-
-    def letters(self) -> str:
-        """Expand back to a binary-word string (integer exponents only)."""
-        out = []
-        for l, m in self.exponent_pairs:
-            if l != int(l) or m != int(m):
-                raise InvalidExponent("cannot expand fractional exponents to letters")
-            out.append("X" * int(l) + "Y" * int(m))
-        return "".join(out)
 
 
 def enumerate_binary_words(p: int) -> list[BinaryWord]:

@@ -309,6 +309,33 @@ def test_binomial_reduction_random_passes(seed):
     assert check_binomial_reduction(ex, ey, 4, cap).passed
 
 
+@given(seeds, st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=8))
+def test_binomial_reduction_matches_pairwise_oracle(seed, n, p):
+    # both sides summed pair by pair with numpy powers, independent of
+    # exact_trace_moment and of the surrogate ensemble
+    rng = stream(seed, 405)
+    ex = sample_with_retry(n, int(rng.integers(1, 4)), 1.0, float(rng.uniform()), rng)
+    ey = sample_with_retry(n, int(rng.integers(1, 4)), 1.5, float(rng.uniform()), rng)
+    cap = ex.cap * float(rng.uniform(1.1, 2.0))
+    rep = check_binomial_reduction(ex, ey, p, cap)
+
+    def tr_pow(m):
+        return float(np.trace(np.linalg.matrix_power(m, p)))
+
+    lhs = math.fsum(
+        px * py * tr_pow(ax.entries + ay.entries)
+        for px, ax in zip(ex.probs, ex.atoms)
+        for py, ay in zip(ey.probs, ey.atoms)
+    )
+    w = min(ex.mean_norm / cap, 1.0)
+    rhs = math.fsum(
+        py * (w * tr_pow(ay.entries + cap * np.eye(n)) + (1.0 - w) * tr_pow(ay.entries))
+        for py, ay in zip(ey.probs, ey.atoms)
+    )
+    assert_close(rep.lhs, lhs, rel=1e-12)
+    assert_close(rep.rhs, rhs, rel=1e-12)
+
+
 def test_binomial_reduction_validation():
     n = 2
     ex = FiniteEnsemble(atoms=(SymMatrix(np.eye(n)),), probs=(1.0,), cap=1.0, alpha=1.0)
