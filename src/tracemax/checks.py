@@ -30,7 +30,7 @@ from .ensembles import (
     require_caps,
     sample_with_retry,
 )
-from .errors import BudgetExceeded, DimensionError, InvalidExponent
+from .errors import DimensionError, InvalidExponent
 from .extremal import theorem_max_value
 from .linalg import (
     SymMatrix,
@@ -44,7 +44,7 @@ from .linalg import (
 )
 from .parallel import parallel_map
 from .rng import stream, subseed
-from .words import WORD_BUDGET, AlternatingWord, eval_word_trace
+from .words import AlternatingWord, eval_word_trace
 
 CHECK_TOL = 1e-9
 
@@ -198,10 +198,9 @@ def check_binomial_reduction(
     """E tr(X + Y)^p <= E tr(f I + Y)^p with the Bernoulli surrogate f.
 
     Both sides are exact_trace_moment over a two-member family; the right
-    one swaps X for bernoulli_member at the stated cap.
+    one swaps X for bernoulli_member at the stated cap. The power limit is
+    exact_trace_moment's, MOMENT_BUDGET.
     """
-    if p > WORD_BUDGET:
-        raise BudgetExceeded(f"power {p} exceeds word budget {WORD_BUDGET}")
     require_caps(ex.atoms, cap)
     surrogate = bernoulli_member(ex.dim, cap, _bernoulli_weight(ex, cap))
     lhs = exact_trace_moment(EnsembleFamily((ex, ey)), p)

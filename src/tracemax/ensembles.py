@@ -371,11 +371,20 @@ def exact_trace_moment(family: EnsembleFamily, p: int) -> float:
     the cost of a page fault per page. The trailing members whose joint
     support fits in one chunk are added by broadcasting over all their
     outcomes at once; the leading members are gathered by index (sliced,
-    when the first member leads alone) for a run of leading outcomes per
-    chunk. Either way sums and weight products are formed member by member
-    from left to right, each outcome's trace is independent of the others
-    and math.fsum is exact, so neither the chunk size nor the split
-    changes any result.
+    when the first member leads alone).
+
+    Chunks are grouped into blocks, so that the per-call numpy overhead of
+    the gathers and of the weights is paid once per block. A block is the
+    longest run of whole chunks whose gathered leading sums fit in
+    ``_CHUNK_BYTES``, as does the list of Python floats its outcomes
+    become: one chunk at n = 1, up to 2048 outcomes at n = 8. Memory thus
+    stays bounded whatever the support. Each chunk of a block slices the
+    block's leading sums, adds the trailing members and writes its traces
+    into the block's trace array; one product with the weights and one
+    ``tolist`` per block feed math.fsum. Sums and weight products are
+    formed member by member from left to right, each outcome's trace is
+    independent of the others and math.fsum is exact, so neither the chunk
+    size, the block size nor the split changes any result.
     """
     p = _validate_p(p)
     sizes = tuple(m.support_size for m in family.members)
@@ -395,28 +404,36 @@ def exact_trace_moment(family: EnsembleFamily, p: int) -> float:
         split -= 1
         tail *= sizes[split]
     heads = math.prod(sizes[:split])
-    step = chunk // tail
+    step = chunk // tail  # leading outcomes per chunk
+    # leading outcomes per block: at most one chunk's worth of leading sums,
+    # and a list of at most _CHUNK_BYTES / 32 floats (24 bytes and a slot each)
+    block = step * max(1, min(chunk // step, _CHUNK_BYTES // (32 * step * tail)))
 
-    def chunk_contributions(start: int) -> list[float]:
-        stop = min(start + step, heads)
+    def block_contributions(start: int) -> list[float]:
+        stop = min(start + block, heads)
         if split == 1:
-            total, weight = stacks[0][start:stop], prob_arrays[0][start:stop]
+            sums, weight = stacks[0][start:stop], prob_arrays[0][start:stop]
         else:
             idx = np.unravel_index(np.arange(start, stop), sizes[:split])
-            total = stacks[0][idx[0]]
+            sums = stacks[0][idx[0]]
             weight = prob_arrays[0][idx[0]]
             for k in range(1, split):
-                total += stacks[k][idx[k]]
+                sums += stacks[k][idx[k]]
                 weight *= prob_arrays[k][idx[k]]
         for k in range(split, len(sizes)):
-            total = total[..., None, :, :] + stacks[k]
             weight = weight[..., None] * prob_arrays[k]
-        traces = batched_trace_power(total.reshape(-1, n, n), p)
+        traces = np.empty((stop - start) * tail)
+        for lo in range(0, stop - start, step):
+            total = sums[lo : lo + step]
+            for k in range(split, len(sizes)):
+                total = total[..., None, :, :] + stacks[k]
+            stack = total.reshape(-1, n, n)
+            traces[lo * tail : lo * tail + len(stack)] = batched_trace_power(stack, p)
         return (weight.ravel() * traces).tolist()
 
     return math.fsum(
         itertools.chain.from_iterable(
-            chunk_contributions(start) for start in range(0, heads, step)
+            block_contributions(start) for start in range(0, heads, block)
         )
     )
 

@@ -235,18 +235,33 @@ def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
 
     Q = G(0, 1) G(0, 2) ... G(n-2, n-1), one Givens rotation per pair i < j
     in row order, each rotating columns i and j by an angle uniform on
-    [0, 2 pi). The angles are drawn in one call, and the columns are updated
-    as Python floats, which is faster than numpy at n <= 8.
+    [0, 2 pi). The angles are drawn in one call.
+
+    Right multiplication mixes entries within a row only, so each row of Q
+    is the matching row of the identity carried through all the rotations
+    on its own, as Python floats (faster than numpy at n <= 8). Entry by
+    entry this is the same arithmetic as rotating whole columns, so it
+    yields the same floats.
     """
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist()
-    cols = [[1.0 if r == k else 0.0 for r in range(n)] for k in range(n)]
-    pairs = ((i, j) for i in range(n - 1) for j in range(i + 1, n))
-    for (i, j), theta in zip(pairs, angles):
-        c, s = math.cos(theta), math.sin(theta)
-        qi, qj = cols[i], cols[j]
-        cols[i] = [c * a + s * b for a, b in zip(qi, qj)]
-        cols[j] = [-s * a + c * b for a, b in zip(qi, qj)]
-    return np.array(cols).T.copy()
+    angles = iter(rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist())
+    # the rotations of pairs (i, j), grouped by i: [(i, [(j, cos, sin), ...]), ...]
+    rotations = [
+        (i, [(j, math.cos(t), math.sin(t)) for j, t in zip(range(i + 1, n), angles)])
+        for i in range(n - 1)
+    ]
+    rows = []
+    for r in range(n):
+        row = [0.0] * n
+        row[r] = 1.0
+        for i, pairs in rotations:
+            a = row[i]
+            for j, c, s in pairs:
+                b = row[j]
+                row[j] = -s * a + c * b
+                a = c * a + s * b
+            row[i] = a
+        rows.append(row)
+    return np.array(rows)
 
 
 def random_spectral(

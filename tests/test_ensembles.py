@@ -4,6 +4,7 @@ enumeration checked against hand and brute-force enumerations."""
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -468,6 +469,69 @@ def test_exact_moment_chunks_stay_within_the_byte_budget(monkeypatch, n, sizes):
     monkeypatch.setattr(ensembles, "batched_trace_power", checked)
     exact_trace_moment(family, 2)
     assert sum(seen) == math.prod(sizes)
+
+
+def _moment_by_chunks(family, p):
+    # the chunk-at-a-time form: gathers and weights are redone for each chunk
+    sizes = tuple(m.support_size for m in family.members)
+    n = family.dim
+    chunk = ensembles._chunk_outcomes(n)
+    stacks = [np.stack([a.entries for a in m.atoms]) for m in family.members]
+    prob_arrays = [np.asarray(m.probs) for m in family.members]
+    split, tail = len(sizes), 1
+    while split > 1 and tail * sizes[split - 1] <= chunk:
+        split -= 1
+        tail *= sizes[split]
+    heads = math.prod(sizes[:split])
+    step = chunk // tail
+    terms = []
+    for start in range(0, heads, step):
+        stop = min(start + step, heads)
+        if split == 1:
+            total, weight = stacks[0][start:stop], prob_arrays[0][start:stop]
+        else:
+            idx = np.unravel_index(np.arange(start, stop), sizes[:split])
+            total = stacks[0][idx[0]]
+            weight = prob_arrays[0][idx[0]]
+            for k in range(1, split):
+                total += stacks[k][idx[k]]
+                weight *= prob_arrays[k][idx[k]]
+        for k in range(split, len(sizes)):
+            total = total[..., None, :, :] + stacks[k]
+            weight = weight[..., None] * prob_arrays[k]
+        traces = ensembles.batched_trace_power(total.reshape(-1, n, n), p)
+        terms.extend((weight.ravel() * traces).tolist())
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize(
+    "n, sizes",
+    [(n, (3, 1, 4, 2, 5)) for n in (1, 3, 8)] + [(8, (6,) * 6)],
+)
+def test_exact_moment_matches_the_chunk_loop_bit_for_bit(n, sizes):
+    family = _mixed_family(n, sizes, seed=110 + n)
+    for p in (1, 2, 7, 29, 30):
+        assert exact_trace_moment(family, p) == _moment_by_chunks(family, p), p
+
+
+@pytest.mark.parametrize("n, small, large", [(1, 17, 19), (8, 15, 17)])
+def test_exact_moment_memory_does_not_grow_with_the_support(n, small, large):
+    # a block holds at most _CHUNK_BYTES / 8 outcomes, so 2^small and 2^large
+    # outcomes both span several blocks; an array sized by the support would
+    # make the larger call's peak several times higher
+    assert 2**small * 8 > 2 * ensembles._CHUNK_BYTES
+    assert 2**large <= ensembles.SUPPORT_BUDGET
+    member = ensembles.bernoulli_member(n, 1.0, 0.5)
+    peaks = []
+    for count in (small, large):
+        family = EnsembleFamily(members=(member,) * count)
+        tracemalloc.start()
+        try:
+            exact_trace_moment(family, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_exact_moment_budget():

@@ -287,6 +287,30 @@ def test_random_rotation_is_a_product_of_givens_matrices(n):
         assert got_rng.random() == ref_rng.random()
 
 
+def _rotation_by_columns(n, rng):
+    # the column-by-column form: each rotation updates the whole columns i, j
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist()
+    cols = [[1.0 if r == k else 0.0 for r in range(n)] for k in range(n)]
+    pairs = ((i, j) for i in range(n - 1) for j in range(i + 1, n))
+    for (i, j), theta in zip(pairs, angles):
+        c, s = math.cos(theta), math.sin(theta)
+        qi, qj = cols[i], cols[j]
+        cols[i] = [c * a + s * b for a, b in zip(qi, qj)]
+        cols[j] = [-s * a + c * b for a, b in zip(qi, qj)]
+    return np.array(cols).T.copy()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_random_rotation_matches_the_column_loop_bit_for_bit(n):
+    for seed in range(25):
+        got_rng, ref_rng = stream(seed, 108), stream(seed, 108)
+        got = random_rotation(n, got_rng)
+        ref = _rotation_by_columns(n, ref_rng)
+        assert np.array_equal(got, ref), seed
+        assert got.tobytes() == ref.tobytes(), seed  # signed zeros and layout too
+        assert got_rng.random() == ref_rng.random()
+
+
 @given(seeds, dims)
 def test_random_spectral_cache_is_honest(seed, n):
     m = random_spectral(n, stream(seed, 106), 0.0, 2.0)

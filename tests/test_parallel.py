@@ -1,10 +1,15 @@
-"""Worker pool: order preservation, env-controlled sizing, and the
-serial short-circuit."""
+"""Worker pool: order preservation, env-controlled sizing, the serial
+short-circuit, and a pool module loaded only where a pool starts."""
 
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tracemax
 from tracemax.parallel import parallel_map, worker_count
 
 
@@ -16,6 +21,21 @@ def test_worker_count_reads_env(monkeypatch):
 def test_worker_count_defaults_to_machine(monkeypatch):
     monkeypatch.delenv("TMX_THREADS", raising=False)
     assert worker_count() >= 1
+
+
+def test_worker_count_defaults_to_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.delenv("TMX_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # pinned to one CPU (taskset -c 0): one worker, not one per machine CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert worker_count() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert worker_count() == 3
+    # without affinity support, the machine count, and 1 when that is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert worker_count() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert worker_count() == 1
 
 
 def test_worker_count_blank_env_means_default(monkeypatch):
@@ -63,3 +83,19 @@ def test_single_item_stays_serial(monkeypatch):
 def test_empty_input(monkeypatch):
     monkeypatch.setenv("TMX_THREADS", "4")
     assert parallel_map(operator.neg, []) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = Path(tracemax.__file__).resolve().parents[1]
+    probe = (
+        "import sys, tracemax.cli; "
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
