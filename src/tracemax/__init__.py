@@ -58,7 +58,6 @@ from .linalg import (
     EigenDecomposition,
     SymMatrix,
     batched_trace_power,
-    clip_spectrum,
     psd_power,
     psd_trace_power,
     random_psd,

@@ -9,9 +9,12 @@ BudgetExceeded when that support exceeds SUPPORT_BUDGET outcomes; no
 checker falls back to Monte Carlo.
 
 The sampler and every search proposal land on the mean-norm shell through
-project_mean_shell, which rescales the atoms' spectra in their own
+_project_batch, which rescales the atoms' spectra in their own
 eigenbases: a few compounded rounds, then a Newton solve for one scale
 factor, bracketed between the factors at which eigenvalues reach the cap.
+It projects a batch of atom stacks at once, as the search's lockstep
+restarts need; project_mean_shell and the sampler call it on a batch of
+one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -43,12 +46,26 @@ _PROJECTION_ROUNDS = 50
 _CHUNK_BYTES = 64 * 1024
 
 
-def _mean(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> SymMatrix:
+def _weighted_sum(probs: Iterable, matrices: Iterable[np.ndarray]):
     """sum_i probs[i] * matrices[i], accumulated from left to right."""
     acc = 0.0
     for q, m in zip(probs, matrices):
         acc = acc + q * m
-    return SymMatrix(acc)
+    return acc
+
+
+def _mean(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> SymMatrix:
+    return SymMatrix(_weighted_sum(probs, matrices))
+
+
+def _stacked_means(probs: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """_mean's entries for a batch: (B, s) probs and (B, s, n, n) atoms give (B, n, n)."""
+    return _symmetrised(_weighted_sum(probs.T[:, :, None, None], entries.swapaxes(0, 1)))
+
+
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    """0.5 * (M + M^T) for each matrix of a (..., n, n) stack, as SymMatrix stores it."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def require_caps(atoms: Iterable[SymMatrix], cap: float) -> None:
@@ -112,6 +129,25 @@ class FiniteEnsemble:
                 f"{target!r} by more than {tol:.3e}"
             )
 
+    @staticmethod
+    def seeded(
+        atoms: tuple[SymMatrix, ...],
+        probs: tuple[float, ...],
+        cap: float,
+        alpha: float,
+        mean: SymMatrix,
+    ) -> "FiniteEnsemble":
+        """FiniteEnsemble(atoms, probs, cap, alpha) with the mean cache set to ``mean``.
+
+        The caller vouches that mean equals the left-to-right mean of the
+        atoms bit for bit, as the projection and bernoulli_member compute
+        it, so validation reads its norm instead of solving for it again.
+        """
+        ensemble = object.__new__(FiniteEnsemble)
+        ensemble.__dict__["mean"] = mean
+        ensemble.__init__(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
+        return ensemble
+
     @property
     def dim(self) -> int:
         return self.atoms[0].dim
@@ -158,20 +194,197 @@ class EnsembleFamily:
 
 
 def _spectral_entries(vecs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Entries of Q diag(lam) Q^T for a (s, n, n) stack of eigenbases.
+    """Entries of Q diag(lam) Q^T for a (..., n, n) stack of eigenbases.
 
     Each slice is computed and symmetrised exactly as
     SymMatrix.from_eigensystem stores it for an ascending spectrum, and
     symmetrising it again leaves it unchanged.
     """
-    m = (vecs * spectra[:, None, :]) @ vecs.transpose(0, 2, 1)
-    return 0.5 * (m + m.transpose(0, 2, 1))
+    return _symmetrised((vecs * spectra[..., None, :]) @ vecs.swapaxes(-1, -2))
 
 
 def _atoms(
     vecs: np.ndarray, spectra: np.ndarray, entries: np.ndarray
 ) -> tuple[SymMatrix, ...]:
     return tuple(SymMatrix.seeded(*atom) for atom in zip(entries, vecs, spectra))
+
+
+# Outcome of each batch row of _project_batch.
+FAILED, ON_SHELL, RESCALED = 0, 1, 2
+
+
+def _top_norms(means: np.ndarray) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Operator norms of a (B, n, n) stack of symmetric means, with their eigensystems."""
+    lam, vecs = np.linalg.eigh(means)
+    ends = zip(lam[:, 0].tolist(), lam[:, -1].tolist())
+    return [max(abs(lo), abs(hi)) for lo, hi in ends], lam, vecs
+
+
+def _project_batch(
+    vecs: np.ndarray,
+    lam: np.ndarray,
+    entries: np.ndarray,
+    probs: np.ndarray,
+    sizes: Sequence[int],
+    cap: float,
+    alpha: float,
+) -> tuple:
+    """project_mean_shell on B atom stacks at once.
+
+    Row b holds sizes[b] atoms: eigenbases vecs[b] (B, s, n, n), ascending
+    spectra lam[b] (B, s, n), entries[b] (B, s, n, n) and probs[b] (B, s).
+    Slots past sizes[b] are padding with zero probability and a zero
+    spectrum and entries; their terms add exact zeros to the means, so
+    every row gets the bits it would get alone.
+
+    Returns (status, spectra, entries, means, mean_lam, mean_vecs): the
+    FAILED, ON_SHELL or RESCALED outcome of each row, the rows' spectra and
+    entries on return (their eigenbases never change), and the final mean
+    of each row with its eigensystem. Rows leave the rescale rounds as they
+    land; rows that stall take the Newton fallback one at a time. A zero
+    target zeroes every row, which is then on the shell. Per-row scalars
+    live in Python lists, so a batch of one costs little more than a
+    single projection.
+    """
+    target = alpha * cap
+    if target == 0.0:
+        lam, entries = np.zeros_like(lam), np.zeros_like(entries)
+    tol = 1e-9 * target
+
+    means = _stacked_means(probs, entries)
+    norms, mean_lam, mean_vecs = _top_norms(means)
+    status = [ON_SHELL if abs(norm - target) <= tol else FAILED for norm in norms]
+    rows = [b for b, outcome in enumerate(status) if outcome == FAILED]
+    if not rows:
+        return status, lam, entries, means, mean_lam, mean_vecs
+    spectra, entries = lam.copy(), entries.copy()
+    # The rows still in the rounds, compacted (a view while that is every
+    # row): spectra, probabilities and eigenbases. Scaling by t > 0 and
+    # clipping are monotone, so every spectrum stays ascending, as the
+    # atoms' eigendecomposition caches must be.
+    live = slice(None) if len(rows) == len(status) else rows
+    scaled, q, basis = lam[live], probs[live], vecs[live]
+    norms = [norms[b] for b in rows]
+    stalled: list[int] = []
+    for _ in range(7):
+        if 0.0 in norms:  # a zero mean cannot be rescaled: fallback
+            keep = [norm != 0.0 for norm in norms]
+            stalled += [b for b, kept in zip(rows, keep) if not kept]
+            rows = [b for b, kept in zip(rows, keep) if kept]
+            norms = [norm for norm in norms if norm != 0.0]
+            scaled, q, basis = scaled[keep], q[keep], basis[keep]
+            if not rows:
+                break
+        factors = np.array([target / norm for norm in norms])[:, None, None]
+        scaled = np.clip(scaled * factors, 0.0, cap)
+        moved = _spectral_entries(basis, scaled)
+        mean = _stacked_means(q, moved)
+        norms, top_lam, top_vecs = _top_norms(mean)
+        landed = [abs(norm - target) <= tol for norm in norms]
+        if all(landed) and len(rows) == len(status):
+            # every row lands in this round: the round's arrays are the result
+            return [RESCALED] * len(status), scaled, moved, mean, top_lam, top_vecs
+        if any(landed):
+            done = [b for b, hit in zip(rows, landed) if hit]
+            for b in done:
+                status[b] = RESCALED
+            spectra[done], entries[done], means[done] = scaled[landed], moved[landed], mean[landed]
+            mean_lam[done], mean_vecs[done] = top_lam[landed], top_vecs[landed]
+            keep = [not hit for hit in landed]
+            rows = [b for b, hit in zip(rows, landed) if not hit]
+            norms = [norm for norm, hit in zip(norms, landed) if not hit]
+            scaled, q, basis = scaled[keep], q[keep], basis[keep]
+            if not rows:
+                break
+
+    for b in stalled + rows:
+        s = sizes[b]
+        solved = _solve_scale(vecs[b, :s], lam[b, :s], probs[b, :s], cap, target, tol)
+        if solved is not None:
+            spectra[b, :s], entries[b, :s], mean = solved
+            means[b], mean_lam[b], mean_vecs[b] = (
+                mean.entries, mean.eig.eigenvalues, mean.eig.eigenvectors,
+            )
+            status[b] = RESCALED
+    return status, spectra, entries, means, mean_lam, mean_vecs
+
+
+def _solve_scale(
+    vecs: np.ndarray,
+    lam: np.ndarray,
+    probs: np.ndarray,
+    cap: float,
+    target: float,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray, SymMatrix] | None:
+    """The Newton fallback of project_mean_shell for one stack of s atoms.
+
+    Returns the spectra, entries and mean on the shell, or None.
+    """
+    lam = np.maximum(lam, 0.0)
+    with np.errstate(divide="ignore"):
+        knee = cap / lam  # the factor at which each eigenvalue reaches the cap
+    # np.sort, not np.unique: np.unique imports numpy.ma, 1.5 MB of resident memory
+    knots = np.sort(knee[np.isfinite(knee)])
+    if knots.size == 0:
+        return None
+    s, n = lam.shape
+    cols = vecs.transpose(0, 2, 1)  # cols[i, j] is eigenvector j of atom i
+    rank_one = probs[:, None, None, None] * cols[:, :, :, None] * cols[:, :, None, :]
+    coef = np.clip(knots[:, None] * lam.ravel(), 0.0, cap)
+    means = (coef @ rank_one.reshape(s * n, n * n)).reshape(-1, n, n)
+    tops, top_vecs = np.linalg.eigh(means)
+    if tops[-1, -1] < target - tol:
+        return None
+    # the first knot whose value reaches the target, else the last one
+    k = min(int(np.count_nonzero(tops[:, -1] < target)), knots.size - 1)
+    lo = float(knots[k - 1]) if k else 0.0
+    hi = float(knots[k])
+    slope_weights = probs[:, None] * lam * (knee >= hi)
+    t, norm, top = hi, float(tops[k, -1]), top_vecs[k, :, -1]
+    for _ in range(_PROJECTION_ROUNDS):
+        slope = float(np.sum(slope_weights * (cols @ top) ** 2))
+        t = t - (norm - target) / slope if slope > 0.0 else lo
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        spectra = np.clip(lam * t, 0.0, cap)
+        entries = _spectral_entries(vecs, spectra)
+        mean = _mean(probs, entries)
+        norm, top = mean.opnorm, mean.eig.eigenvectors[:, -1]
+        if abs(norm - target) <= tol:
+            return spectra, entries, mean
+        if norm < target:
+            lo = t
+        else:
+            hi = t
+    return None
+
+
+def _project(
+    atoms: tuple[SymMatrix, ...],
+    probs: tuple[float, ...],
+    cap: float,
+    alpha: float,
+) -> tuple[tuple[SymMatrix, ...], SymMatrix] | None:
+    """project_mean_shell, together with the mean of the atoms it returns."""
+    if alpha * cap == 0.0:
+        return tuple(SymMatrix.zeros(a.dim) for a in atoms), SymMatrix.zeros(atoms[0].dim)
+    vecs = np.stack([a.eig.eigenvectors for a in atoms])
+    status, spectra, entries, means, mean_lam, mean_vecs = _project_batch(
+        vecs[None],
+        np.stack([a.eig.eigenvalues for a in atoms])[None],
+        np.stack([a.entries for a in atoms])[None],
+        np.asarray(probs, dtype=float)[None],
+        (len(atoms),),
+        cap,
+        alpha,
+    )
+    if status[0] == FAILED:
+        return None
+    mean = SymMatrix.seeded(means[0], mean_vecs[0], mean_lam[0])
+    if status[0] == ON_SHELL:
+        return atoms, mean
+    return _atoms(vecs, spectra[0], entries[0]), mean
 
 
 def project_mean_shell(
@@ -185,13 +398,15 @@ def project_mean_shell(
     Scale factors multiply eigenvalues, clipped into [0, cap]; the
     eigenbasis never changes, so cached spectra stay valid. A result is
     accepted once its mean norm is within 1e-9 * alpha * cap of the target.
+    A zero target maps every atom to zero.
 
     Inputs already on the shell come back as they are. Otherwise up to
     seven compounded rescale rounds follow, each scaling the current
     spectra by target / norm. One round is exact when nothing clips, which
     covers warm inputs near the shell. The rounds run on the stacked
     (s, n, n) eigenbases and (s, n) spectra, and atoms are built only on
-    return.
+    return. This is _project_batch on a batch of one, the same code that
+    steps the search's restarts together.
 
     Near alpha = 1 compounding stalls, because its rate degrades to the
     clipped-mass fraction. The fallback then solves g(t) = target for one
@@ -210,77 +425,14 @@ def project_mean_shell(
     _PROJECTION_ROUNDS steps run out, which callers translate into
     SamplerFailed or a rejected proposal.
     """
-    target = alpha * cap
-    if target == 0.0:
-        return tuple(SymMatrix.zeros(a.dim) for a in atoms)
-    tol = 1e-9 * target
-
-    norm = _mean(probs, (a.entries for a in atoms)).opnorm
-    if abs(norm - target) <= tol:
-        return atoms
-    vecs = np.stack([a.eig.eigenvectors for a in atoms])
-    lam = np.stack([a.eig.eigenvalues for a in atoms])
-    # Scaling by t > 0 and clipping are monotone, so every spectrum stays
-    # ascending, as the atoms' eigendecomposition caches must be.
-    spectra = lam
-    for _ in range(7):
-        if norm == 0.0:
-            break
-        spectra = np.clip(spectra * (target / norm), 0.0, cap)
-        entries = _spectral_entries(vecs, spectra)
-        norm = _mean(probs, entries).opnorm
-        if abs(norm - target) <= tol:
-            return _atoms(vecs, spectra, entries)
-
-    lam = np.maximum(lam, 0.0)
-    with np.errstate(divide="ignore"):
-        knee = cap / lam  # the factor at which each eigenvalue reaches the cap
-    # np.sort, not np.unique: np.unique imports numpy.ma, 1.5 MB of resident memory
-    knots = np.sort(knee[np.isfinite(knee)])
-    if knots.size == 0:
-        return None
-    s, n = lam.shape
-    q = np.asarray(probs)
-    cols = vecs.transpose(0, 2, 1)  # cols[i, j] is eigenvector j of atom i
-    rank_one = q[:, None, None, None] * cols[:, :, :, None] * cols[:, :, None, :]
-    coef = np.clip(knots[:, None] * lam.ravel(), 0.0, cap)
-    means = (coef @ rank_one.reshape(s * n, n * n)).reshape(-1, n, n)
-    tops, top_vecs = np.linalg.eigh(means)
-    if tops[-1, -1] < target - tol:
-        return None
-    # the first knot whose value reaches the target, else the last one
-    k = min(int(np.count_nonzero(tops[:, -1] < target)), knots.size - 1)
-    lo = float(knots[k - 1]) if k else 0.0
-    hi = float(knots[k])
-    slope_weights = q[:, None] * lam * (knee >= hi)
-    t, norm, top = hi, float(tops[k, -1]), top_vecs[k, :, -1]
-    for _ in range(_PROJECTION_ROUNDS):
-        slope = float(np.sum(slope_weights * (cols @ top) ** 2))
-        t = t - (norm - target) / slope if slope > 0.0 else lo
-        if not lo < t < hi:
-            t = 0.5 * (lo + hi)
-        spectra = np.clip(lam * t, 0.0, cap)
-        entries = _spectral_entries(vecs, spectra)
-        mean = _mean(probs, entries)
-        norm, top = mean.opnorm, mean.eig.eigenvectors[:, -1]
-        if abs(norm - target) <= tol:
-            return _atoms(vecs, spectra, entries)
-        if norm < target:
-            lo = t
-        else:
-            hi = t
-    return None
+    projected = _project(atoms, probs, cap, alpha)
+    return None if projected is None else projected[0]
 
 
-def sample_constrained_ensemble(
+def _draw(
     n: int, s: int, cap: float, alpha: float, seed: int
-) -> FiniteEnsemble:
-    """Random admissible ensemble: s atoms, norm cap, exact mean-norm target.
-
-    Atoms are drawn spectrally (random rotation, spectrum uniform on
-    [0, cap]) and probabilities from a flat simplex draw, then projected
-    onto the mean-norm shell. Deterministic in ``seed``.
-    """
+) -> tuple[tuple[float, ...], tuple[SymMatrix, ...]]:
+    """sample_constrained_ensemble's probabilities and atoms, before projection."""
     if n < 1 or s < 1:
         raise DimensionError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
     if not cap > 0:
@@ -291,24 +443,45 @@ def sample_constrained_ensemble(
     rng = stream(seed)
     probs = tuple(float(q) for q in rng.dirichlet(np.ones(s)))
     if alpha == 0.0:
-        atoms = tuple(SymMatrix.zeros(n) for _ in range(s))
-    elif alpha == 1.0:
+        return probs, tuple(SymMatrix.zeros(n) for _ in range(s))
+    if alpha == 1.0:
         # Mean norm == cap forces the mean to sit at the cap; every-atom
         # cap*I is always admissible and keeps the draw deterministic.
         eye = np.eye(n)
-        atoms = tuple(
+        return probs, tuple(
             SymMatrix.from_eigensystem(eye, np.full(n, cap)) for _ in range(s)
         )
-    else:
-        drawn = tuple(random_spectral(n, rng, 0.0, cap) for _ in range(s))
-        projected = project_mean_shell(drawn, probs, cap, alpha)
-        if projected is None:
-            raise SamplerFailed(
-                f"mean-norm projection did not converge for seed {seed} "
-                f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
-            )
-        atoms = projected
-    return FiniteEnsemble(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
+    return probs, tuple(random_spectral(n, rng, 0.0, cap) for _ in range(s))
+
+
+def _no_convergence(n: int, s: int, cap: float, alpha: float, seed: int) -> SamplerFailed:
+    return SamplerFailed(
+        f"mean-norm projection did not converge for seed {seed} "
+        f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
+    )
+
+
+def sample_constrained_ensemble(
+    n: int, s: int, cap: float, alpha: float, seed: int
+) -> FiniteEnsemble:
+    """Random admissible ensemble: s atoms, norm cap, exact mean-norm target.
+
+    Atoms are drawn spectrally (random rotation, spectrum uniform on
+    [0, cap]) and probabilities from a flat simplex draw, then projected
+    onto the mean-norm shell. Deterministic in ``seed``. A projected
+    ensemble keeps the projection's final mean as its cached mean.
+    """
+    probs, atoms = _draw(n, s, cap, alpha, seed)
+    if alpha in (0.0, 1.0):
+        return FiniteEnsemble(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
+    projected = _project(atoms, probs, cap, alpha)
+    if projected is None:
+        raise _no_convergence(n, s, cap, alpha, seed)
+    atoms, mean = projected
+    return FiniteEnsemble.seeded(atoms, probs, cap, alpha, mean)
+
+
+SAMPLER_ATTEMPTS = 10
 
 
 def sample_with_retry(
@@ -317,7 +490,7 @@ def sample_with_retry(
     cap: float,
     alpha: float,
     rng: np.random.Generator,
-    attempts: int = 10,
+    attempts: int = SAMPLER_ATTEMPTS,
 ) -> FiniteEnsemble:
     """Draw sampler seeds from ``rng`` until the projection converges.
 
@@ -336,13 +509,18 @@ def sample_with_retry(
 
 
 def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:
-    """The scalar surrogate f I: cap * I with probability alpha, else 0."""
+    """The scalar surrogate f I: cap * I with probability alpha, else 0.
+
+    Its mean alpha * cap * I is seeded with the identity eigenbasis; it is
+    the left-to-right mean of the two atoms bit for bit.
+    """
     eye = np.eye(n)
     atoms = (
         SymMatrix.seeded(cap * eye, eye, np.full(n, cap)),
         SymMatrix.seeded(np.zeros((n, n)), eye, np.zeros(n)),
     )
-    return FiniteEnsemble(atoms=atoms, probs=(alpha, 1.0 - alpha), cap=cap, alpha=alpha)
+    mean = SymMatrix.seeded(alpha * cap * eye, eye, np.full(n, alpha * cap))
+    return FiniteEnsemble.seeded(atoms, (alpha, 1.0 - alpha), cap, alpha, mean)
 
 
 def extremal_family(n: int, params: BernoulliParams) -> EnsembleFamily:
@@ -387,16 +565,28 @@ def exact_trace_moment(family: EnsembleFamily, p: int) -> float:
     size, the block size nor the split changes any result.
     """
     p = _validate_p(p)
-    sizes = tuple(m.support_size for m in family.members)
+    _require_support(tuple(m.support_size for m in family.members))
+    return _trace_moment(
+        [np.stack([a.entries for a in m.atoms]) for m in family.members],
+        [np.asarray(m.probs) for m in family.members],
+        p,
+    )
+
+
+def _require_support(sizes: tuple[int, ...]) -> None:
+    """Raise BudgetExceeded if members of these support sizes have too many outcomes."""
     support = math.prod(sizes)
     if support > SUPPORT_BUDGET:
         raise BudgetExceeded(
             f"product support has {support} outcomes, budget is {SUPPORT_BUDGET}"
         )
-    n = family.dim
+
+
+def _trace_moment(stacks: list[np.ndarray], prob_arrays: list[np.ndarray], p: int) -> float:
+    """exact_trace_moment of the members whose (s, n, n) atoms and (s,) probs are given."""
+    sizes = tuple(len(q) for q in prob_arrays)
+    n = stacks[0].shape[-1]
     chunk = _chunk_outcomes(n)
-    stacks = [np.stack([a.entries for a in m.atoms]) for m in family.members]
-    prob_arrays = [np.asarray(m.probs) for m in family.members]
 
     # members[split:] are broadcast; the first member always leads
     split, tail = len(sizes), 1
@@ -436,6 +626,67 @@ def exact_trace_moment(family: EnsembleFamily, p: int) -> float:
             block_contributions(start) for start in range(0, heads, block)
         )
     )
+
+
+def _stacked_moments(
+    entries: np.ndarray, probs: np.ndarray, sizes: np.ndarray, p: int
+) -> list[float]:
+    """exact_trace_moment of B families held as stacked arrays, bit for bit.
+
+    Member k of family b is entries[b, k, :sizes[b, k]] (B, N, s, n, n)
+    with probabilities probs[b, k, :sizes[b, k]] (B, N, s); p is valid and
+    every support within budget. A family whose support exceeds one
+    enumeration chunk is enumerated alone, by _trace_moment. The others
+    are enumerated together, as many families per batched_trace_power call
+    as fit in one chunk, which is what makes small supports cheap. Each
+    outcome's sum and weight are formed member by member from left to
+    right, its trace does not depend on its neighbours and math.fsum is
+    exact, so the grouping changes no value.
+    """
+    count, members, _, n, _ = entries.shape
+    chunk = _chunk_outcomes(n)
+    supports = np.prod(sizes, axis=1)
+    values = [0.0] * count
+
+    def enumerate_together(group: list[int]) -> None:
+        rows = np.array(group)
+        counts = supports[rows]
+        family = np.repeat(rows, counts)
+        # row-major outcome index within each family, last member fastest
+        local = np.arange(family.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = [local] * members
+        for k in reversed(range(members)):
+            size = sizes[family, k]
+            idx[k] = local % size
+            local = local // size
+        total = entries[family, 0, idx[0]]
+        weight = probs[family, 0, idx[0]]
+        for k in range(1, members):
+            total += entries[family, k, idx[k]]
+            weight *= probs[family, k, idx[k]]
+        contributions = (weight * batched_trace_power(total, p)).tolist()
+        stops = np.cumsum(counts).tolist()
+        for b, start, stop in zip(group, [0] + stops, stops):
+            values[b] = math.fsum(contributions[start:stop])
+
+    group: list[int] = []
+    pending = 0
+    for b, support in enumerate(supports.tolist()):
+        if support > chunk:
+            values[b] = _trace_moment(
+                [entries[b, k, :s] for k, s in enumerate(sizes[b].tolist())],
+                [probs[b, k, :s] for k, s in enumerate(sizes[b].tolist())],
+                p,
+            )
+            continue
+        if pending + support > chunk:
+            enumerate_together(group)
+            group, pending = [], 0
+        group.append(b)
+        pending += support
+    if group:
+        enumerate_together(group)
+    return values
 
 
 # JSON replay format: {"dim": n, "members": [{"atoms": [flat row-major], ...}]}

@@ -194,13 +194,6 @@ def trace_product(factors: Sequence[SymMatrix]) -> float:
     return math.fsum(prod.diagonal().tolist())
 
 
-def clip_spectrum(a: SymMatrix, lo: float, hi: float) -> SymMatrix:
-    """Clamp the spectrum of A into [lo, hi], keeping the eigenbasis."""
-    e = a.eig
-    lam = np.clip(e.eigenvalues, lo, hi)
-    return SymMatrix.from_eigensystem(e.eigenvectors, lam)
-
-
 def batched_trace_power(stack: np.ndarray, p: int) -> np.ndarray:
     """tr(S^p) for each symmetric matrix S in a (k, n, n) stack, p >= 1 integer.
 

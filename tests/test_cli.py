@@ -1,11 +1,13 @@
 """Command line surface: exit codes, output formats, and byte-level
 determinism of every file the tool writes."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +182,40 @@ def test_search_near_miss_dumps_are_replayable(tmp_path):
     dump = json.loads(out.with_suffix(".near0.json").read_text())
     assert "cell" in dump and "family" in dump
     assert dump["family"]["members"]
+
+
+def test_search_starts_one_pool(monkeypatch, tmp_path):
+    # four cells of three restarts and a two-block audit are one parallel_map
+    started = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setenv("TMX_THREADS", "2")
+    assert run_cli([
+        "search", "--n", "1,2", "--members", "1,2", "--p", "2", "--restarts", "3",
+        "--steps", "4", "--sampler-trials", "300", "--seed", "5",
+        "--out", str(tmp_path / "sweep.csv"),
+    ]) == 0
+    assert started == [2]
+
+
+def test_dump_names_match_the_manifest_and_the_readme(tmp_path):
+    # dumps replace the extension of --out; the manifest appends to it
+    run_cli(_search_args(tmp_path / "sweep.csv"))
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    outputs = [Path(path).name for path in manifest["manifest"]["outputs"]]
+    assert outputs[0] == "sweep.csv"
+    assert outputs[1:] == [f"sweep.near{k}.json" for k in range(manifest["near_misses"])]
+    assert manifest["near_misses"] == 4
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(outputs + ["sweep.csv.manifest.json"])
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for name in ("sweep.near0.json", "sweep.violation0.json", "sweep.csv.manifest.json"):
+        assert name in readme
 
 
 def test_search_manifest_records_every_search_setting(monkeypatch, tmp_path):

@@ -193,24 +193,33 @@ def test_projection_reports_unreachable_target(eigensolves):
     atoms = (SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0])))
     probs = (0.5, 0.5)
     assert project_mean_shell(atoms, probs, cap=1.0, alpha=0.9) is None
-    # the input's mean norm, seven rescale rounds and one eigendecomposition
-    # per atom; then the single batched bracket proves the target
-    # unreachable without probing any scale factor
-    assert eigensolves[:-1] == [()] * (8 + len(atoms))
+    # one eigendecomposition per atom, then the input's mean norm and seven
+    # rescale rounds, each solved as a batch of one; then the single batched
+    # bracket proves the target unreachable without probing any scale factor
+    assert eigensolves[:-1] == [()] * len(atoms) + [(1,)] * 8
     assert len(eigensolves[-1]) == 1
+
+
+def test_projection_falls_back_from_a_zero_mean():
+    # no rescaling moves a zero mean, so the rounds hand the input to the
+    # bracketed solve, which clips these indefinite atoms into reach
+    atoms = (SymMatrix(np.diag([1.0, -1.0])), SymMatrix(np.diag([-1.0, 1.0])))
+    out = project_mean_shell(atoms, (0.5, 0.5), cap=1.0, alpha=0.25)
+    assert out is not None
+    assert [a.entries.tolist() for a in out] == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]]
 
 
 def _extreme_alpha_projections(monkeypatch):
     """The projection calls of the 30 families sampled near alpha = 1."""
     calls = []
-    project = ensembles.project_mean_shell
+    project = ensembles._project  # the sampler's projection, which keeps the mean
 
     def recorded(*args):
         calls.append(args)
         return project(*args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ensembles, "project_mean_shell", recorded)
+        patch.setattr(ensembles, "_project", recorded)
         rng = stream(55)
         members = [
             sample_with_retry(5, 3, 0.75, 0.9985, rng, attempts=1) for _ in range(30)
@@ -230,15 +239,16 @@ def test_projection_handles_extreme_alpha(monkeypatch):
 def test_projection_fallback_needs_few_eigensolves(monkeypatch, eigensolves):
     # The bounds are half of what doubling and bisecting the scale factor
     # needed on these calls: 30 to 40 solves each, 1057 in all. The
-    # bracketed Newton solve takes eight mean norms in the rescale phase,
-    # one batched bracket and a few steps.
+    # bracketed Newton solve takes eight mean norms in the rescale phase
+    # (batches of one), one batched bracket and a few single steps.
     _, calls = _extreme_alpha_projections(monkeypatch)
     total = 0
     for args in calls:
         eigensolves.clear()
         assert project_mean_shell(*args) is not None
-        stacked = [shape for shape in eigensolves if shape]
-        assert len(stacked) == 1, "every call stalls and brackets once"
+        rounds, bracket, steps = eigensolves[:8], eigensolves[8], eigensolves[9:]
+        assert rounds == [(1,)] * 8, "every call stalls in the rescale rounds"
+        assert len(bracket) == 1 and set(steps) <= {()}, "and brackets once"
         assert len(eigensolves) < 15
         total += len(eigensolves)
     assert total < 1057 / 2
@@ -532,6 +542,47 @@ def test_exact_moment_memory_does_not_grow_with_the_support(n, small, large):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.05 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stacked_moments_match_exact_trace_moment_bit_for_bit(n):
+    # families of mixed support sizes, zero-padded into one stack: the small
+    # ones are enumerated together, several per kernel call, while at n = 8
+    # the 6 x 5 x 6 support exceeds a chunk and is enumerated on its own
+    shapes = [(1, 1, 1), (3, 2, 1), (2, 1, 3), (3, 1, 2), (2, 3, 3), (6, 5, 6)]
+    families = [_mixed_family(n, sizes, seed=300 + 10 * n + i) for i, sizes in enumerate(shapes)]
+    entries = np.zeros((len(shapes), 3, 6, n, n))
+    probs = np.zeros((len(shapes), 3, 6))
+    for b, family in enumerate(families):
+        for k, member in enumerate(family.members):
+            entries[b, k, : member.support_size] = [a.entries for a in member.atoms]
+            probs[b, k, : member.support_size] = member.probs
+    for p in (1, 2, 7, 30):
+        got = ensembles._stacked_moments(entries, probs, np.array(shapes), p)
+        assert got == [exact_trace_moment(family, p) for family in families], (n, p)
+
+
+def test_sampled_mean_is_the_recomputed_mean_bit_for_bit():
+    rng = stream(620)
+    for _ in range(60):
+        n, s = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        alpha = float(rng.choice([0.2, 0.5, 0.9, 0.999]))
+        member = sample_constrained_ensemble(n, s, 1.3, alpha, seed=int(rng.integers(2**31)))
+        seeded = member.__dict__["mean"]
+        recomputed = ensembles._mean(member.probs, (a.entries for a in member.atoms))
+        assert np.array_equal(seeded.entries, recomputed.entries)
+        assert seeded.entries.tobytes() == recomputed.entries.tobytes()
+        assert np.array_equal(seeded.eig.eigenvalues, recomputed.eig.eigenvalues)
+        assert member.mean_norm == recomputed.opnorm
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_bernoulli_mean_is_the_recomputed_mean_bit_for_bit(n):
+    for cap, alpha in [(1.0, 0.5), (1.7, 0.0), (0.3, 1.0), (2.5, 0.123456789)]:
+        member = ensembles.bernoulli_member(n, cap, alpha)
+        recomputed = ensembles._mean(member.probs, (a.entries for a in member.atoms))
+        assert member.mean.entries.tobytes() == recomputed.entries.tobytes()
+        assert member.mean_norm == alpha * cap
 
 
 def test_exact_moment_budget():

@@ -17,7 +17,6 @@ from tracemax import (
     PSD_TOL,
     SymMatrix,
     batched_trace_power,
-    clip_spectrum,
     psd_power,
     psd_trace_power,
     random_psd,
@@ -250,16 +249,6 @@ def test_batched_trace_power_matches_mpmath_at_every_parity():
                 want = float(mpmath.fsum(power[i, i] for i in range(8)))
                 assert_close(value, want, rel=1e-12, abs_tol=0.0)
             powers = [power * base for power, base in zip(powers, bases)]
-
-
-def test_clip_spectrum_clamps_and_keeps_basis():
-    m = SymMatrix(sym_entries(4, 3, scale=2.0))
-    clipped = clip_spectrum(m, 0.0, 1.0)
-    lam = clipped.eig.eigenvalues
-    assert lam[0] >= 0.0 and lam[-1] <= 1.0 + 1e-15
-    # commuting with the original certifies the shared eigenbasis
-    comm = clipped.entries @ m.entries - m.entries @ clipped.entries
-    assert np.max(np.abs(comm)) <= 1e-12
 
 
 @given(seeds, dims)
