@@ -12,9 +12,11 @@ The sampler and every search proposal land on the mean-norm shell through
 _project_batch, which rescales the atoms' spectra in their own
 eigenbases: a few compounded rounds, then a Newton solve for one scale
 factor, bracketed between the factors at which eigenvalues reach the cap.
-It projects a batch of atom stacks at once, as the search's lockstep
-restarts need; project_mean_shell and the sampler call it on a batch of
-one.
+It projects a batch of atom stacks at once, each with its own cap and
+target: the search's lockstep restarts, and the batched sampler, which
+draws the ensembles of many requests, builds their atoms one dimension at
+a time and projects them together. project_mean_shell calls it on a batch
+of one, and so do sample_constrained_ensemble and sample_with_retry.
 """
 
 from __future__ import annotations
@@ -32,9 +34,18 @@ from .errors import (
     ConstraintViolated,
     DimensionError,
     SamplerFailed,
+    TracemaxError,
 )
 from .extremal import BernoulliParams, _validate_p
-from .linalg import SymMatrix, batched_trace_power, random_spectral
+from .linalg import (
+    SymMatrix,
+    _eigensystems,
+    _spectral_arrays,
+    _spectral_draw,
+    _spectral_entries,
+    _symmetrised,
+    batched_trace_power,
+)
 from .rng import stream, subseed
 
 PROB_TOL = 1e-12
@@ -61,11 +72,6 @@ def _mean(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> SymMatrix
 def _stacked_means(probs: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """_mean's entries for a batch: (B, s) probs and (B, s, n, n) atoms give (B, n, n)."""
     return _symmetrised(_weighted_sum(probs.T[:, :, None, None], entries.swapaxes(0, 1)))
-
-
-def _symmetrised(m: np.ndarray) -> np.ndarray:
-    """0.5 * (M + M^T) for each matrix of a (..., n, n) stack, as SymMatrix stores it."""
-    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def require_caps(atoms: Iterable[SymMatrix], cap: float) -> None:
@@ -193,16 +199,6 @@ class EnsembleFamily:
         )
 
 
-def _spectral_entries(vecs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
-    """Entries of Q diag(lam) Q^T for a (..., n, n) stack of eigenbases.
-
-    Each slice is computed and symmetrised exactly as
-    SymMatrix.from_eigensystem stores it for an ascending spectrum, and
-    symmetrising it again leaves it unchanged.
-    """
-    return _symmetrised((vecs * spectra[..., None, :]) @ vecs.swapaxes(-1, -2))
-
-
 def _atoms(
     vecs: np.ndarray, spectra: np.ndarray, entries: np.ndarray
 ) -> tuple[SymMatrix, ...]:
@@ -226,44 +222,51 @@ def _project_batch(
     entries: np.ndarray,
     probs: np.ndarray,
     sizes: Sequence[int],
-    cap: float,
-    alpha: float,
+    caps: Sequence[float],
+    targets: Sequence[float],
 ) -> tuple:
     """project_mean_shell on B atom stacks at once.
 
     Row b holds sizes[b] atoms: eigenbases vecs[b] (B, s, n, n), ascending
-    spectra lam[b] (B, s, n), entries[b] (B, s, n, n) and probs[b] (B, s).
-    Slots past sizes[b] are padding with zero probability and a zero
-    spectrum and entries; their terms add exact zeros to the means, so
-    every row gets the bits it would get alone.
+    spectra lam[b] (B, s, n), entries[b] (B, s, n, n) and probs[b] (B, s),
+    and is projected onto the shell of mean norm targets[b] =
+    alpha_b * caps[b] under the cap caps[b]. Slots past sizes[b] are
+    padding with zero probability and a zero spectrum and entries; their
+    terms add exact zeros to the means, so every row gets the bits it
+    would get alone.
 
     Returns (status, spectra, entries, means, mean_lam, mean_vecs): the
     FAILED, ON_SHELL or RESCALED outcome of each row, the rows' spectra and
     entries on return (their eigenbases never change), and the final mean
     of each row with its eigensystem. Rows leave the rescale rounds as they
     land; rows that stall take the Newton fallback one at a time. A zero
-    target zeroes every row, which is then on the shell. Per-row scalars
+    target zeroes its row, which is then on the shell. Per-row scalars
     live in Python lists, so a batch of one costs little more than a
     single projection.
     """
-    target = alpha * cap
-    if target == 0.0:
-        lam, entries = np.zeros_like(lam), np.zeros_like(entries)
-    tol = 1e-9 * target
+    zero = [target == 0.0 for target in targets]
+    if any(zero):
+        lam, entries = lam.copy(), entries.copy()
+        lam[zero], entries[zero] = 0.0, 0.0
+    tols = [1e-9 * target for target in targets]
 
     means = _stacked_means(probs, entries)
     norms, mean_lam, mean_vecs = _top_norms(means)
-    status = [ON_SHELL if abs(norm - target) <= tol else FAILED for norm in norms]
+    status = [
+        ON_SHELL if abs(norm - target) <= tol else FAILED
+        for norm, target, tol in zip(norms, targets, tols)
+    ]
     rows = [b for b, outcome in enumerate(status) if outcome == FAILED]
     if not rows:
         return status, lam, entries, means, mean_lam, mean_vecs
     spectra, entries = lam.copy(), entries.copy()
     # The rows still in the rounds, compacted (a view while that is every
-    # row): spectra, probabilities and eigenbases. Scaling by t > 0 and
-    # clipping are monotone, so every spectrum stays ascending, as the
+    # row): spectra, probabilities, eigenbases and caps. Scaling by t > 0
+    # and clipping are monotone, so every spectrum stays ascending, as the
     # atoms' eigendecomposition caches must be.
     live = slice(None) if len(rows) == len(status) else rows
     scaled, q, basis = lam[live], probs[live], vecs[live]
+    top = np.array(caps, dtype=float)[live, None, None]
     norms = [norms[b] for b in rows]
     stalled: list[int] = []
     for _ in range(7):
@@ -272,15 +275,15 @@ def _project_batch(
             stalled += [b for b, kept in zip(rows, keep) if not kept]
             rows = [b for b, kept in zip(rows, keep) if kept]
             norms = [norm for norm in norms if norm != 0.0]
-            scaled, q, basis = scaled[keep], q[keep], basis[keep]
+            scaled, q, basis, top = scaled[keep], q[keep], basis[keep], top[keep]
             if not rows:
                 break
-        factors = np.array([target / norm for norm in norms])[:, None, None]
-        scaled = np.clip(scaled * factors, 0.0, cap)
+        factors = np.array([targets[b] / norm for b, norm in zip(rows, norms)])[:, None, None]
+        scaled = np.clip(scaled * factors, 0.0, top)
         moved = _spectral_entries(basis, scaled)
         mean = _stacked_means(q, moved)
         norms, top_lam, top_vecs = _top_norms(mean)
-        landed = [abs(norm - target) <= tol for norm in norms]
+        landed = [abs(norm - targets[b]) <= tols[b] for b, norm in zip(rows, norms)]
         if all(landed) and len(rows) == len(status):
             # every row lands in this round: the round's arrays are the result
             return [RESCALED] * len(status), scaled, moved, mean, top_lam, top_vecs
@@ -293,13 +296,15 @@ def _project_batch(
             keep = [not hit for hit in landed]
             rows = [b for b, hit in zip(rows, landed) if not hit]
             norms = [norm for norm, hit in zip(norms, landed) if not hit]
-            scaled, q, basis = scaled[keep], q[keep], basis[keep]
+            scaled, q, basis, top = scaled[keep], q[keep], basis[keep], top[keep]
             if not rows:
                 break
 
     for b in stalled + rows:
         s = sizes[b]
-        solved = _solve_scale(vecs[b, :s], lam[b, :s], probs[b, :s], cap, target, tol)
+        solved = _solve_scale(
+            vecs[b, :s], lam[b, :s], probs[b, :s], caps[b], targets[b], tols[b]
+        )
         if solved is not None:
             spectra[b, :s], entries[b, :s], mean = solved
             means[b], mean_lam[b], mean_vecs[b] = (
@@ -360,33 +365,6 @@ def _solve_scale(
     return None
 
 
-def _project(
-    atoms: tuple[SymMatrix, ...],
-    probs: tuple[float, ...],
-    cap: float,
-    alpha: float,
-) -> tuple[tuple[SymMatrix, ...], SymMatrix] | None:
-    """project_mean_shell, together with the mean of the atoms it returns."""
-    if alpha * cap == 0.0:
-        return tuple(SymMatrix.zeros(a.dim) for a in atoms), SymMatrix.zeros(atoms[0].dim)
-    vecs = np.stack([a.eig.eigenvectors for a in atoms])
-    status, spectra, entries, means, mean_lam, mean_vecs = _project_batch(
-        vecs[None],
-        np.stack([a.eig.eigenvalues for a in atoms])[None],
-        np.stack([a.entries for a in atoms])[None],
-        np.asarray(probs, dtype=float)[None],
-        (len(atoms),),
-        cap,
-        alpha,
-    )
-    if status[0] == FAILED:
-        return None
-    mean = SymMatrix.seeded(means[0], mean_vecs[0], mean_lam[0])
-    if status[0] == ON_SHELL:
-        return atoms, mean
-    return _atoms(vecs, spectra[0], entries[0]), mean
-
-
 def project_mean_shell(
     atoms: tuple[SymMatrix, ...],
     probs: tuple[float, ...],
@@ -425,40 +403,140 @@ def project_mean_shell(
     _PROJECTION_ROUNDS steps run out, which callers translate into
     SamplerFailed or a rejected proposal.
     """
-    projected = _project(atoms, probs, cap, alpha)
-    return None if projected is None else projected[0]
-
-
-def _draw(
-    n: int, s: int, cap: float, alpha: float, seed: int
-) -> tuple[tuple[float, ...], tuple[SymMatrix, ...]]:
-    """sample_constrained_ensemble's probabilities and atoms, before projection."""
-    if n < 1 or s < 1:
-        raise DimensionError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
-    if not cap > 0:
-        raise ConstraintViolated(f"cap must be positive, got {cap}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ConstraintViolated(f"alpha must lie in [0, 1], got {alpha}")
-
-    rng = stream(seed)
-    probs = tuple(float(q) for q in rng.dirichlet(np.ones(s)))
-    if alpha == 0.0:
-        return probs, tuple(SymMatrix.zeros(n) for _ in range(s))
-    if alpha == 1.0:
-        # Mean norm == cap forces the mean to sit at the cap; every-atom
-        # cap*I is always admissible and keeps the draw deterministic.
-        eye = np.eye(n)
-        return probs, tuple(
-            SymMatrix.from_eigensystem(eye, np.full(n, cap)) for _ in range(s)
-        )
-    return probs, tuple(random_spectral(n, rng, 0.0, cap) for _ in range(s))
-
-
-def _no_convergence(n: int, s: int, cap: float, alpha: float, seed: int) -> SamplerFailed:
-    return SamplerFailed(
-        f"mean-norm projection did not converge for seed {seed} "
-        f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
+    if alpha * cap == 0.0:
+        return tuple(SymMatrix.zeros(a.dim) for a in atoms)
+    vecs = np.stack([a.eig.eigenvectors for a in atoms])
+    status, spectra, entries, *_ = _project_batch(
+        vecs[None],
+        np.stack([a.eig.eigenvalues for a in atoms])[None],
+        np.stack([a.entries for a in atoms])[None],
+        np.asarray(probs, dtype=float)[None],
+        (len(atoms),),
+        (cap,),
+        (alpha * cap,),
     )
+    if status[0] == FAILED:
+        return None
+    if status[0] == ON_SHELL:
+        return atoms
+    return _atoms(vecs, spectra[0], entries[0])
+
+
+SAMPLER_ATTEMPTS = 10
+
+
+def _checked(
+    atoms: tuple[SymMatrix, ...],
+    probs: np.ndarray,
+    cap: float,
+    alpha: float,
+    mean: SymMatrix | None,
+) -> FiniteEnsemble | TracemaxError:
+    """The FiniteEnsemble of a sampled draw, or the error its validation raises."""
+    try:
+        if mean is None:
+            return FiniteEnsemble(atoms=atoms, probs=tuple(probs.tolist()), cap=cap, alpha=alpha)
+        return FiniteEnsemble.seeded(atoms, tuple(probs.tolist()), cap, alpha, mean)
+    except TracemaxError as exc:
+        return exc
+
+
+def _attempt(
+    rows: Sequence[tuple[int, int, float, float, int]],
+) -> list[FiniteEnsemble | TracemaxError]:
+    """One sampler attempt for each row (n, s, cap, alpha, seed).
+
+    Row b draws from stream(seed): its probabilities from a flat simplex,
+    then each atom's rotation and spectrum, uniform on [0, cap], as
+    random_spectral draws them. The atoms of all rows of one dimension are
+    built together and projected onto their mean-norm shells by one
+    _project_batch call, padded to the longest support; a projected
+    ensemble keeps the projection's final mean as its cached mean.
+    alpha = 0 forces zero atoms and alpha = 1 makes every atom cap * I,
+    always admissible; neither is projected. A row gets the error its
+    validation raises, or a SamplerFailed naming its seed if its
+    projection fails.
+    """
+    results: list[FiniteEnsemble | TracemaxError | None] = [None] * len(rows)
+    groups: dict[int, list[tuple[int, np.ndarray, list]]] = {}
+    for row, (n, s, cap, alpha, seed) in enumerate(rows):
+        if n < 1 or s < 1:
+            results[row] = DimensionError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
+        elif not cap > 0:
+            results[row] = ConstraintViolated(f"cap must be positive, got {cap}")
+        elif not 0.0 <= alpha <= 1.0:
+            results[row] = ConstraintViolated(f"alpha must lie in [0, 1], got {alpha}")
+        else:
+            rng = stream(seed)
+            probs = rng.dirichlet(np.ones(s))
+            if alpha in (0.0, 1.0):
+                eye = np.broadcast_to(np.eye(n), (s, n, n))
+                q, lam, entries = _eigensystems(eye, np.full((s, n), alpha * cap))
+                results[row] = _checked(_atoms(q, lam, entries), probs, cap, alpha, None)
+            else:
+                draws = [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]
+                groups.setdefault(n, []).append((row, probs, draws))
+
+    for n, group in groups.items():
+        q, lam, entries = _spectral_arrays(n, [d for *_, row_draws in group for d in row_draws])
+        sizes = [len(probs) for _, probs, _ in group]
+        # atom i of row b goes to slot (b, i) of arrays padded to the longest support
+        owners = np.repeat(np.arange(len(group)), sizes)
+        slot = owners, np.concatenate([np.arange(s) for s in sizes])
+        padded = np.zeros((len(group), max(sizes)))
+        vecs = np.zeros(padded.shape + (n, n))
+        spectra = np.zeros(padded.shape + (n,))
+        stacked = np.zeros(padded.shape + (n, n))
+        padded[slot] = np.concatenate([probs for _, probs, _ in group])
+        vecs[slot], spectra[slot], stacked[slot] = q, lam, entries
+        caps = [rows[row][2] for row, _, _ in group]
+        targets = [rows[row][3] * rows[row][2] for row, _, _ in group]
+        status, spectra, stacked, means, mean_lam, mean_vecs = _project_batch(
+            vecs, spectra, stacked, padded, sizes, caps, targets
+        )
+        for b, (row, probs, _) in enumerate(group):
+            n, s, cap, alpha, seed = rows[row]
+            if status[b] == FAILED:
+                results[row] = SamplerFailed(
+                    f"mean-norm projection did not converge for seed {seed} "
+                    f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
+                )
+            else:
+                atoms = _atoms(vecs[b, :s], spectra[b, :s], stacked[b, :s])
+                mean = SymMatrix.seeded(means[b], mean_vecs[b], mean_lam[b])
+                results[row] = _checked(atoms, probs, cap, alpha, mean)
+    return results
+
+
+def _sample(
+    requests: Sequence[tuple[int, int, float, float, np.random.Generator]],
+    attempts: int = SAMPLER_ATTEMPTS,
+) -> list[FiniteEnsemble | TracemaxError]:
+    """sample_with_retry for every request (n, s, cap, alpha, rng), batched.
+
+    Each attempt draws one sampler seed from the rng of every request
+    still pending, that is, whose attempts so far ended in SamplerFailed,
+    and runs _attempt on them all. A request thus draws from its own rng
+    exactly as it does alone. Each result is the ensemble, the last
+    SamplerFailed if every attempt fails, or any other error, which ends
+    the request's attempts at once.
+    """
+    results: list[FiniteEnsemble | TracemaxError] = [None] * len(requests)
+    pending = list(range(len(requests)))
+    for _ in range(attempts):
+        rows = [(*requests[i][:4], subseed(requests[i][4])) for i in pending]
+        for i, result in zip(pending, _attempt(rows)):
+            results[i] = result
+        pending = [i for i in pending if isinstance(results[i], SamplerFailed)]
+        if not pending:
+            break
+    return results
+
+
+def _ensemble_or_raise(result: FiniteEnsemble | TracemaxError) -> FiniteEnsemble:
+    if isinstance(result, TracemaxError):
+        raise result
+    return result
 
 
 def sample_constrained_ensemble(
@@ -468,20 +546,10 @@ def sample_constrained_ensemble(
 
     Atoms are drawn spectrally (random rotation, spectrum uniform on
     [0, cap]) and probabilities from a flat simplex draw, then projected
-    onto the mean-norm shell. Deterministic in ``seed``. A projected
-    ensemble keeps the projection's final mean as its cached mean.
+    onto the mean-norm shell. Deterministic in ``seed``. This is _attempt
+    on a batch of one.
     """
-    probs, atoms = _draw(n, s, cap, alpha, seed)
-    if alpha in (0.0, 1.0):
-        return FiniteEnsemble(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
-    projected = _project(atoms, probs, cap, alpha)
-    if projected is None:
-        raise _no_convergence(n, s, cap, alpha, seed)
-    atoms, mean = projected
-    return FiniteEnsemble.seeded(atoms, probs, cap, alpha, mean)
-
-
-SAMPLER_ATTEMPTS = 10
+    return _ensemble_or_raise(_attempt([(n, s, cap, alpha, seed)])[0])
 
 
 def sample_with_retry(
@@ -496,16 +564,10 @@ def sample_with_retry(
 
     Convergence failures are rare and seed-specific; retrying with the next
     derived seed keeps sweeps deterministic without aborting them. The last
-    SamplerFailed propagates if every attempt fails.
+    SamplerFailed propagates if every attempt fails. This is _sample on a
+    batch of one.
     """
-    failure: SamplerFailed | None = None
-    for _ in range(attempts):
-        candidate = subseed(rng)
-        try:
-            return sample_constrained_ensemble(n, s, cap, alpha, candidate)
-        except SamplerFailed as exc:
-            failure = exc
-    raise failure
+    return _ensemble_or_raise(_sample([(n, s, cap, alpha, rng)], attempts)[0])
 
 
 def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:

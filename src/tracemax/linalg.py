@@ -59,7 +59,7 @@ class SymMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-        m = 0.5 * (m + m.T)
+        m = _symmetrised(m)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -105,22 +105,25 @@ class SymMatrix:
         Used by samplers that construct matrices spectrally and already
         know (Q, lam); the cache is stored sorted, matching ``eig``.
         """
-        lam = np.asarray(lam, dtype=float)
-        q = np.asarray(q, dtype=float)
-        order = np.argsort(lam, kind="stable")
-        lam = np.ascontiguousarray(lam[order])
-        q = np.ascontiguousarray(q[:, order])
-        return SymMatrix.seeded((q * lam) @ q.T, q, lam)
+        q, lam, entries = _eigensystems(
+            np.asarray(q, dtype=float)[None], np.asarray(lam, dtype=float)[None]
+        )
+        return SymMatrix.seeded(entries[0], q[0], lam[0])
 
     @staticmethod
     def seeded(entries: np.ndarray, q: np.ndarray, lam: np.ndarray) -> "SymMatrix":
-        """SymMatrix(entries) with the eigendecomposition cache set to (lam, q).
+        """A SymMatrix holding ``entries``, with the eigendecomposition cache set to (lam, q).
 
-        The caller vouches that entries equal Q diag(lam) Q^T with lam
-        ascending, as from_eigensystem and the stacked mean-shell rescaling
-        compute them.
+        The caller vouches that entries are exactly symmetric and equal
+        Q diag(lam) Q^T with lam ascending, as _eigensystems and the
+        stacked mean-shell rescaling compute them. The entries are stored
+        as a read-only view, neither copied nor symmetrised again, so the
+        caller must not write to them afterwards.
         """
-        m = SymMatrix(entries)
+        m = object.__new__(SymMatrix)
+        view = entries.view()
+        view.setflags(write=False)
+        object.__setattr__(m, "entries", view)
         m.__dict__["eig"] = EigenDecomposition(lam, q)
         return m
 
@@ -223,38 +226,99 @@ def batched_trace_power(stack: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("kij,kij->k", half, rest)
 
 
+def _symmetrised(m: np.ndarray) -> np.ndarray:
+    """0.5 * (M + M^T) for each matrix of a (..., n, n) stack, as SymMatrix stores it."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
+
+
+def _spectral_entries(vecs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """Entries of Q diag(lam) Q^T for a (..., n, n) stack of eigenbases.
+
+    Stacked matmul gives every slice the bits it gets alone, so each slice
+    is what SymMatrix.from_eigensystem stores for an ascending spectrum,
+    and symmetrising it again leaves it unchanged.
+    """
+    return _symmetrised((vecs * spectra[..., None, :]) @ vecs.swapaxes(-1, -2))
+
+
+def _eigensystems(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """from_eigensystem for a (K, n, n) stack of bases and (K, n) spectra.
+
+    Returns the eigenbases with their columns in ascending (stable) order
+    of the spectra, the sorted spectra and the entries.
+    """
+    order = np.argsort(lam, axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=-1)
+    q = np.take_along_axis(q, order[:, None, :], axis=-1)
+    return q, lam, _spectral_entries(q, lam)
+
+
+def _givens(n: int, angles: np.ndarray) -> np.ndarray:
+    """random_rotation's matrix for each row of a (K, n(n-1)/2) angle array.
+
+    Rotation r of the pair (i, j) updates columns i and j of all K
+    matrices at once, from a copy of column i taken before it is
+    overwritten. Entry by entry this is the arithmetic of composing the
+    rotations one matrix at a time, so it yields the same floats. The
+    sines and cosines come from math, not numpy: np.cos and np.sin differ
+    from them in the last bit. Returns a (K, n, n) view.
+    """
+    flat = angles.ravel().tolist()
+    cos = np.array([math.cos(t) for t in flat]).reshape(angles.shape)
+    sin = np.array([math.sin(t) for t in flat]).reshape(angles.shape)
+    cols = np.zeros((len(angles), n, n))  # cols[k, j] is column j of matrix k
+    cols[:, range(n), range(n)] = 1.0
+    pairs = ((i, j) for i in range(n - 1) for j in range(i + 1, n))
+    for r, (i, j) in enumerate(pairs):
+        c, s = cos[:, r, None], sin[:, r, None]
+        a, b = cols[:, i].copy(), cols[:, j]
+        cols[:, i] = c * a + s * b
+        cols[:, j] = -s * a + c * b
+    return cols.swapaxes(1, 2)
+
+
 def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
     """Orthogonal matrix from composed random plane rotations.
 
     Q = G(0, 1) G(0, 2) ... G(n-2, n-1), one Givens rotation per pair i < j
     in row order, each rotating columns i and j by an angle uniform on
     [0, 2 pi). The angles are drawn in one call.
-
-    Right multiplication mixes entries within a row only, so each row of Q
-    is the matching row of the identity carried through all the rotations
-    on its own, as Python floats (faster than numpy at n <= 8). Entry by
-    entry this is the same arithmetic as rotating whole columns, so it
-    yields the same floats.
     """
-    angles = iter(rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist())
-    # the rotations of pairs (i, j), grouped by i: [(i, [(j, cos, sin), ...]), ...]
-    rotations = [
-        (i, [(j, math.cos(t), math.sin(t)) for j, t in zip(range(i + 1, n), angles)])
-        for i in range(n - 1)
-    ]
-    rows = []
-    for r in range(n):
-        row = [0.0] * n
-        row[r] = 1.0
-        for i, pairs in rotations:
-            a = row[i]
-            for j, c, s in pairs:
-                b = row[j]
-                row[j] = -s * a + c * b
-                a = c * a + s * b
-            row[i] = a
-        rows.append(row)
-    return np.array(rows)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2)
+    return np.ascontiguousarray(_givens(n, angles[None])[0])
+
+
+def _spectral_draw(
+    n: int, rng: np.random.Generator, lo: float, hi: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """random_spectral's draws, recorded rather than built: its angles, then its spectrum."""
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2)
+    return angles, rng.uniform(lo, hi, size=n)
+
+
+def _spectral_arrays(
+    n: int, draws: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_eigensystems of the n x n matrices random_spectral builds from these draws."""
+    angles = np.array([angles for angles, _ in draws])
+    return _eigensystems(_givens(n, angles), np.array([spectrum for _, spectrum in draws]))
+
+
+def _spectral_build(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[SymMatrix]:
+    """The matrices random_spectral builds from recorded draws, bit for bit.
+
+    The draws may mix dimensions; the matrices of each dimension are built
+    together, by one _spectral_arrays call.
+    """
+    built: list[SymMatrix] = [None] * len(draws)
+    groups: dict[int, list[int]] = {}
+    for i, (_, spectrum) in enumerate(draws):
+        groups.setdefault(len(spectrum), []).append(i)
+    for n, idx in groups.items():
+        q, lam, entries = _spectral_arrays(n, [draws[i] for i in idx])
+        for i, *atom in zip(idx, entries, q, lam):
+            built[i] = SymMatrix.seeded(*atom)
+    return built
 
 
 def random_spectral(
@@ -265,9 +329,7 @@ def random_spectral(
     The eigendecomposition is known by construction and seeded into the
     cache, so norms and powers of sampled matrices cost no eigensolver call.
     """
-    q = random_rotation(n, rng)
-    d = rng.uniform(lo, hi, size=n)
-    return SymMatrix.from_eigensystem(q, d)
+    return _spectral_build([_spectral_draw(n, rng, lo, hi)])[0]
 
 
 def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:

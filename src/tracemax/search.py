@@ -30,23 +30,18 @@ import numpy as np
 from .checks import LemmaId, LemmaSummary, check_theorem_max, holds
 from .ensembles import (
     FAILED,
-    SAMPLER_ATTEMPTS,
     EnsembleFamily,
     FiniteEnsemble,
-    _draw,
-    _no_convergence,
     _project_batch,
     _require_support,
-    _spectral_entries,
+    _sample,
     _stacked_moments,
-    _symmetrised,
     extremal_family,
     family_to_json,
-    sample_with_retry,
 )
 from .errors import BudgetExceeded, ConstraintViolated, TracemaxError
 from .extremal import BernoulliParams, theorem_max_value
-from .linalg import SymMatrix
+from .linalg import SymMatrix, _spectral_entries, _symmetrised
 from .parallel import parallel_map, worker_count
 from .rng import stream, subseed
 
@@ -130,55 +125,6 @@ def _padded(members: list[_Member], slots: int) -> tuple[np.ndarray, ...]:
     return probs, vecs, spectra, entries, sizes
 
 
-def _sample_members(
-    n: int,
-    cap: float,
-    alpha: float,
-    max_atoms: int,
-    rngs: dict[int, np.random.Generator],
-    errors: dict[int, TracemaxError],
-) -> dict[int, _Member]:
-    """sample_with_retry for one member of every chain, with the projections batched.
-
-    Each chain draws the member's support size (1 to max_atoms) and then
-    its sampler seeds from its own stream, as a restart run alone does; a
-    chain whose attempts all fail records the last SamplerFailed in
-    ``errors``.
-    """
-    sizes = {c: int(rng.integers(1, max_atoms + 1)) for c, rng in rngs.items()}
-    sampled: dict[int, _Member] = {}
-    pending = list(rngs)
-    for _ in range(SAMPLER_ATTEMPTS):
-        drafts = []
-        for c in pending:
-            seed = subseed(rngs[c])
-            try:
-                drafts.append((c, seed, _member_arrays(*_draw(n, sizes[c], cap, alpha, seed))))
-            except TracemaxError as exc:
-                errors[c] = exc
-        pending = []
-        if alpha in (0.0, 1.0):  # drawn on the shell, never projected
-            sampled.update((c, member) for c, _, member in drafts)
-            break
-        if not drafts:
-            break
-        probs, vecs, spectra, entries, counts = _padded([m for _, _, m in drafts], max_atoms)
-        status, spectra, entries, *_ = _project_batch(
-            vecs, spectra, entries, probs, counts, cap, alpha
-        )
-        for b, (c, seed, member) in enumerate(drafts):
-            if status[b] == FAILED:
-                errors[c] = _no_convergence(n, sizes[c], cap, alpha, seed)
-                pending.append(c)
-            else:
-                s = sizes[c]
-                sampled[c] = member._replace(spectra=spectra[b, :s], entries=entries[b, :s])
-                errors.pop(c, None)
-        if not pending:
-            break
-    return sampled
-
-
 class _Chains:
     """Restarts [start, stop) of the cell (n, params, p), held as stacked
     arrays and stepped in lockstep; config.seed is the cell's seed.
@@ -209,11 +155,18 @@ class _Chains:
             family = extremal_family(n, params)
             members[0] = [_member_arrays(m.probs, m.atoms) for m in family.members]
         for cap, alpha in zip(params.caps, params.alphas):
-            rngs = {c: self.rngs[c] for c in random if c not in self.errors}
-            for c, member in _sample_members(
-                n, cap, alpha, config.max_atoms, rngs, self.errors
-            ).items():
-                members[c].append(member)
+            # each chain draws the member's support size (1 to max_atoms),
+            # then its sampler seeds, from its own stream
+            sampled = [c for c in random if c not in self.errors]
+            requests = [
+                (n, int(self.rngs[c].integers(1, config.max_atoms + 1)), cap, alpha, self.rngs[c])
+                for c in sampled
+            ]
+            for c, member in zip(sampled, _sample(requests)):
+                if isinstance(member, TracemaxError):
+                    self.errors[c] = member
+                else:
+                    members[c].append(_member_arrays(member.probs, member.atoms))
         for c in range(chains):
             if c not in self.errors:
                 try:
@@ -282,16 +235,13 @@ class _Chains:
             lam = np.clip(lam, 0.0, np.array(params.caps)[members[b], None])
             vecs[b, i], spectra[b, i], entries[b, i] = q, lam, _spectral_entries(q, lam)
 
-        status = np.empty(len(rows), dtype=int)
-        sizes = self.sizes[rows, members]
-        targets = list(zip(params.caps, params.alphas))
-        for cap, alpha in set(targets):
-            g = np.flatnonzero([targets[k] == (cap, alpha) for k in members.tolist()])
-            status[g], spectra[g], entries[g], *_ = _project_batch(
-                vecs[g], spectra[g], entries[g], probs[g], sizes[g], cap, alpha
-            )
+        caps = [params.caps[k] for k in members.tolist()]
+        targets = [params.alphas[k] * params.caps[k] for k in members.tolist()]
+        status, spectra, entries, *_ = _project_batch(
+            vecs, spectra, entries, probs, self.sizes[rows, members], caps, targets
+        )
 
-        landed = np.flatnonzero(status != FAILED)
+        landed = np.flatnonzero(np.array(status) != FAILED)
         if landed.size == 0:
             return
         chains, changed = rows[landed], members[landed]
@@ -463,22 +413,34 @@ def _audit_sampled_families(
     """Audit trials [start, stop): sampled families against the closed-form maximum."""
     summary = LemmaSummary.empty(LemmaId.THEOREM_MAX)
     failures: list[dict] = []
-    for t in range(start, stop):
-        rng = stream(seed, 2, t)
-        n = int(rng.integers(1, _AUDIT_DIM + 1))
-        count = int(rng.integers(1, _AUDIT_MEMBERS + 1))
-        p = int(rng.integers(1, _AUDIT_POWER + 1))
-        members = tuple(
-            sample_with_retry(
-                n,
-                int(rng.integers(1, _AUDIT_ATOMS + 1)),
-                float(rng.uniform(0.5, 2.0)),
-                float(rng.uniform()),
-                rng,
+    rngs = [stream(seed, 2, t) for t in range(start, stop)]
+    shapes = [
+        tuple(int(rng.integers(1, top + 1)) for top in (_AUDIT_DIM, _AUDIT_MEMBERS, _AUDIT_POWER))
+        for rng in rngs
+    ]
+    # member k of every trial that has one, sampled together: a trial draws
+    # member k's parameters after its member k - 1 is sampled, as it does
+    # alone; its first sampler error is raised, in trial order
+    members: list[list] = [[] for _ in rngs]
+    for k in range(_AUDIT_MEMBERS):
+        rows = [i for i, (_, count, _) in enumerate(shapes) if k < count]
+        requests = [
+            (
+                shapes[i][0],
+                int(rngs[i].integers(1, _AUDIT_ATOMS + 1)),
+                float(rngs[i].uniform(0.5, 2.0)),
+                float(rngs[i].uniform()),
+                rngs[i],
             )
-            for _ in range(count)
-        )
-        family = EnsembleFamily(members=members)
+            for i in rows
+        ]
+        for i, member in zip(rows, _sample(requests)):
+            members[i].append(member)
+    for t, (n, count, p), sampled in zip(range(start, stop), shapes, members):
+        for member in sampled:
+            if isinstance(member, TracemaxError):
+                raise member
+        family = EnsembleFamily(members=tuple(sampled))
         report = check_theorem_max(family, p, digest=f"audit={t};n={n};N={count};p={p}")
         summary = summary.add(report)
         if not report.passed:

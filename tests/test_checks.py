@@ -19,6 +19,7 @@ from tracemax import (
     InvalidExponent,
     LemmaId,
     LemmaSummary,
+    SamplerFailed,
     SymMatrix,
     check_alt,
     check_alt_schatten,
@@ -35,6 +36,8 @@ from tracemax import (
     stream,
     to_alternating,
 )
+import tracemax.checks as checks
+import tracemax.ensembles as ensembles
 from tracemax.checks import run_trial
 
 
@@ -443,3 +446,68 @@ def test_sweep_worker_count_does_not_change_results(monkeypatch):
     monkeypatch.setenv("TMX_THREADS", "2")
     parallel = run_lemma_sweep(trials=260, dim_max=2, p_max=4, seed=3)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("block", [1, 7, 32, 256])
+def test_sweep_blocks_and_batches_change_no_summary(monkeypatch, block):
+    monkeypatch.setenv("TMX_THREADS", "1")
+    monkeypatch.setattr(checks, "_BATCH_TRIALS", 32)
+    monkeypatch.setattr(checks, "_BLOCK_TRIALS", 256)
+    expected = run_lemma_sweep(trials=45, dim_max=4, p_max=6, seed=8)
+    monkeypatch.setattr(checks, "_BLOCK_TRIALS", block)
+    for batch in (1, 7, 32, 256):
+        monkeypatch.setattr(checks, "_BATCH_TRIALS", batch)
+        assert run_lemma_sweep(trials=45, dim_max=4, p_max=6, seed=8) == expected, batch
+
+
+def _failing_projections(monkeypatch, caps):
+    """Make every projection of an ensemble with one of these caps fail."""
+    project = ensembles._project_batch
+
+    def failing(vecs, lam, entries, probs, sizes, row_caps, targets):
+        status, *arrays = project(vecs, lam, entries, probs, sizes, row_caps, targets)
+        status = [ensembles.FAILED if c in caps else st for st, c in zip(status, row_caps)]
+        return status, *arrays
+
+    monkeypatch.setattr(ensembles, "_project_batch", failing)
+
+
+def _trial_ensembles(seed, t, dim_max):
+    """Trial t's X ensemble, drawn one call at a time as a trial run alone
+    draws it, and the stream paused before its Y parameters."""
+    rng = stream(seed, t, 4)
+    n = int(rng.integers(1, dim_max + 1))
+    cap = float(rng.uniform(0.5, 2.0))
+    ex = sample_with_retry(n, int(rng.integers(1, 4)), cap, float(rng.uniform()), rng)
+    return n, cap, ex, rng
+
+
+def test_sweep_raises_the_first_sampler_failure_in_trial_order(monkeypatch):
+    # trial 5's Y ensemble and trial 12's X ensemble fail to sample; the
+    # batch samples every X before any Y, yet trial 5's error is raised,
+    # as running the trials one by one raises it
+    monkeypatch.setenv("TMX_THREADS", "1")
+    seed, dim_max, p_max = 9, 3, 4
+    n, _, _, rng = _trial_ensembles(seed, 5, dim_max)
+    y_params = (n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()))
+    x_cap_12 = _trial_ensembles(seed, 12, dim_max)[1]
+    _failing_projections(monkeypatch, {y_params[2], x_cap_12})
+
+    # the errors of trials 5 and 12 run alone
+    rng = _trial_ensembles(seed, 5, dim_max)[3]
+    redrawn = (n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()))
+    assert redrawn == y_params
+    with pytest.raises(SamplerFailed) as alone:
+        sample_with_retry(*y_params, rng)
+    with pytest.raises(SamplerFailed) as later:
+        _trial_ensembles(seed, 12, dim_max)
+    assert str(alone.value) != str(later.value)
+
+    for batch in (1, 7, 32):
+        monkeypatch.setattr(checks, "_BATCH_TRIALS", batch)
+        with pytest.raises(SamplerFailed) as raised:
+            run_lemma_sweep(trials=20, dim_max=dim_max, p_max=p_max, seed=seed)
+        assert str(raised.value) == str(alone.value), batch
+        with pytest.raises(SamplerFailed) as raised:
+            checks._run_trials(seed, 6, 20, dim_max, p_max)
+        assert str(raised.value) == str(later.value), batch

@@ -32,6 +32,7 @@ from tracemax import (
     sample_constrained_ensemble,
     sample_with_retry,
     stream,
+    subseed,
     theorem_max_value,
 )
 import tracemax.ensembles as ensembles
@@ -210,16 +211,22 @@ def test_projection_falls_back_from_a_zero_mean():
 
 
 def _extreme_alpha_projections(monkeypatch):
-    """The projection calls of the 30 families sampled near alpha = 1."""
+    """The 30 families sampled near alpha = 1, and the project_mean_shell
+    arguments of the sampler's projection of each."""
     calls = []
-    project = ensembles._project  # the sampler's projection, which keeps the mean
+    project = ensembles._project_batch
 
-    def recorded(*args):
-        calls.append(args)
-        return project(*args)
+    def recorded(vecs, lam, entries, probs, sizes, caps, targets):
+        assert len(sizes) == 1  # sample_with_retry projects a batch of one
+        s = sizes[0]
+        atoms = tuple(
+            SymMatrix.seeded(*atom) for atom in zip(entries[0, :s], vecs[0, :s], lam[0, :s])
+        )
+        calls.append((atoms, tuple(probs[0, :s].tolist()), 0.75, 0.9985))
+        return project(vecs, lam, entries, probs, sizes, caps, targets)
 
     with monkeypatch.context() as patch:
-        patch.setattr(ensembles, "_project", recorded)
+        patch.setattr(ensembles, "_project_batch", recorded)
         rng = stream(55)
         members = [
             sample_with_retry(5, 3, 0.75, 0.9985, rng, attempts=1) for _ in range(30)
@@ -354,19 +361,22 @@ def test_projection_agrees_with_the_range_oracle(seed, n, s, alpha):
 
 
 def test_sample_with_retry_propagates_final_failure(monkeypatch):
-    import tracemax.ensembles as mod
+    # every projection reports FAILED, below the sampler: each attempt draws
+    # one fresh seed, and the last attempt's failure propagates
+    project = ensembles._project_batch
 
-    calls = []
+    def failing(*args):
+        status, *arrays = project(*args)
+        return [ensembles.FAILED] * len(status), *arrays
 
-    def always_fails(n, s, cap, alpha, seed):
-        calls.append(seed)
-        raise SamplerFailed(f"seed {seed}")
-
-    monkeypatch.setattr(mod, "sample_constrained_ensemble", always_fails)
-    with pytest.raises(SamplerFailed):
-        mod.sample_with_retry(2, 2, 1.0, 0.5, stream(0), attempts=4)
-    assert len(calls) == 4
-    assert len(set(calls)) == 4
+    monkeypatch.setattr(ensembles, "_project_batch", failing)
+    rng, twin = stream(0), stream(0)
+    with pytest.raises(SamplerFailed) as raised:
+        sample_with_retry(2, 2, 1.0, 0.5, rng, attempts=4)
+    seeds = [subseed(twin) for _ in range(4)]
+    assert len(set(seeds)) == 4
+    assert rng.random() == twin.random(), "exactly four seeds were drawn"
+    assert f"for seed {seeds[-1]} (" in str(raised.value)
 
 
 # Extremal family ---------------------------------------------------------------

@@ -27,6 +27,8 @@ from tracemax import (
     stream,
     trace_product,
 )
+import tracemax.linalg as linalg
+from tracemax.linalg import _spectral_build, _spectral_draw
 
 
 def test_entries_are_exactly_symmetric():
@@ -298,6 +300,91 @@ def test_random_rotation_matches_the_column_loop_bit_for_bit(n):
         assert np.array_equal(got, ref), seed
         assert got.tobytes() == ref.tobytes(), seed  # signed zeros and layout too
         assert got_rng.random() == ref_rng.random()
+
+
+class _ShiftedMath:
+    """math with cos and sin one ulp up.
+
+    On some numpy builds np.cos and np.sin differ from math.cos and math.sin
+    in the last bit, and on others they agree. Substituted for math in
+    both the builder and the oracle, this makes a builder that takes its
+    sines and cosines from numpy fail the comparison on every build.
+    """
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def cos(t):
+        return math.nextafter(math.cos(t), math.inf)
+
+    @staticmethod
+    def sin(t):
+        return math.nextafter(math.sin(t), math.inf)
+
+
+def _spectral_by_rows(n, rng, lo, hi, trig=math):
+    """random_spectral built one matrix at a time: the Givens rotation row by
+    row in Python floats, then from_eigensystem's sort, product and
+    symmetrisation. Returns (entries, eigenvectors, eigenvalues)."""
+    angles = iter(rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist())
+    rotations = [
+        (i, [(j, trig.cos(t), trig.sin(t)) for j, t in zip(range(i + 1, n), angles)])
+        for i in range(n - 1)
+    ]
+    rows = []
+    for r in range(n):
+        row = [0.0] * n
+        row[r] = 1.0
+        for i, pairs in rotations:
+            a = row[i]
+            for j, c, s in pairs:
+                b = row[j]
+                row[j] = -s * a + c * b
+                a = c * a + s * b
+            row[i] = a
+        rows.append(row)
+    q = np.array(rows)
+    spectrum = rng.uniform(lo, hi, size=n)
+    order = np.argsort(spectrum, kind="stable")
+    lam = np.ascontiguousarray(spectrum[order])
+    q = np.ascontiguousarray(q[:, order])
+    m = (q * lam) @ q.T
+    return 0.5 * (m + m.T), q, lam
+
+
+def _assert_built_like_the_row_loop(got, expected):
+    entries, q, lam = expected
+    assert got.entries.tobytes() == entries.tobytes()  # signed zeros too
+    assert got.eig.eigenvectors.tobytes() == q.tobytes()
+    assert got.eig.eigenvalues.tobytes() == lam.tobytes()
+    assert not got.entries.flags.writeable
+
+
+@pytest.mark.parametrize("trig", [math, _ShiftedMath()], ids=["math", "shifted"])
+@pytest.mark.parametrize("batch", [1, 7, 16])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_spectral_build_matches_the_row_loop_bit_for_bit(monkeypatch, n, batch, trig):
+    monkeypatch.setattr(linalg, "math", trig)
+    for seed in range(4):
+        got_rng, ref_rng = stream(seed, 109, n), stream(seed, 109, n)
+        draws = [_spectral_draw(n, got_rng, 0.0, 1.5) for _ in range(batch)]
+        got = _spectral_build(draws)
+        assert len(got) == batch
+        for m in got:
+            _assert_built_like_the_row_loop(m, _spectral_by_rows(n, ref_rng, 0.0, 1.5, trig))
+        assert got_rng.random() == ref_rng.random()
+
+
+def test_spectral_build_of_mixed_dimensions_keeps_the_draw_order():
+    got_rng, ref_rng = stream(3, 110), stream(3, 110)
+    dims_drawn = [int(got_rng.integers(1, 9)) for _ in range(40)]
+    draws = [_spectral_draw(n, got_rng, 0.5, 2.0) for n in dims_drawn]
+    assert [int(ref_rng.integers(1, 9)) for _ in range(40)] == dims_drawn
+    for n, m in zip(dims_drawn, _spectral_build(draws)):
+        assert m.dim == n
+        _assert_built_like_the_row_loop(m, _spectral_by_rows(n, ref_rng, 0.5, 2.0))
+    assert got_rng.random() == ref_rng.random()
 
 
 @given(seeds, dims)
