@@ -30,9 +30,6 @@ from .ensembles import (
     extremal_family,
     family_from_json,
     family_to_json,
-    project_mean_shell,
-    sample_constrained_ensemble,
-    sample_with_retry,
 )
 from .errors import (
     BudgetExceeded,
@@ -61,8 +58,6 @@ from .linalg import (
     psd_power,
     psd_trace_power,
     random_psd,
-    random_rotation,
-    random_spectral,
     schatten_norm,
     singular_values,
     trace_product,
@@ -70,11 +65,9 @@ from .linalg import (
 from .rng import stream, subseed
 from .search import (
     SearchConfig,
-    SearchResult,
     SweepOutcome,
     SweepRow,
     gap_sweep,
-    maximize,
 )
 from .words import (
     WORD_BUDGET,

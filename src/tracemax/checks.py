@@ -391,11 +391,6 @@ def _run_trials(
     return reports
 
 
-def run_trial(seed: int, t: int, dim_max: int, p_max: int) -> list[CheckReport]:
-    """All six lemma checks on fresh draws for trial index t: a batch of one."""
-    return _run_trials(seed, t, t + 1, dim_max, p_max)[0]
-
-
 def _run_trial_block(
     args: tuple[int, int, int, int, int],
 ) -> dict[LemmaId, LemmaSummary]:

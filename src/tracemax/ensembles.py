@@ -13,10 +13,9 @@ _project_batch, which rescales the atoms' spectra in their own
 eigenbases: a few compounded rounds, then a Newton solve for one scale
 factor, bracketed between the factors at which eigenvalues reach the cap.
 It projects a batch of atom stacks at once, each with its own cap and
-target: the search's lockstep restarts, and the batched sampler, which
-draws the ensembles of many requests, builds their atoms one dimension at
-a time and projects them together. project_mean_shell calls it on a batch
-of one, and so do sample_constrained_ensemble and sample_with_retry.
+target: the search's lockstep restarts, and the batched sampler (_sample
+and _attempt), which draws the ensembles of many requests, builds their
+atoms one dimension at a time and projects them together.
 """
 
 from __future__ import annotations
@@ -225,7 +224,7 @@ def _project_batch(
     caps: Sequence[float],
     targets: Sequence[float],
 ) -> tuple:
-    """project_mean_shell on B atom stacks at once.
+    """Rescale B atom stacks spectrally, under their caps, onto their mean-norm shells.
 
     Row b holds sizes[b] atoms: eigenbases vecs[b] (B, s, n, n), ascending
     spectra lam[b] (B, s, n), entries[b] (B, s, n, n) and probs[b] (B, s),
@@ -235,14 +234,25 @@ def _project_batch(
     terms add exact zeros to the means, so every row gets the bits it
     would get alone.
 
+    Scale factors multiply eigenvalues, clipped into [0, cap]; the
+    eigenbases never change, so the atoms' cached eigensystems stay valid.
+    A row is accepted once its mean norm is within 1e-9 * target of the
+    target. Rows already on the shell come back as they are. The others
+    take up to seven compounded rescale rounds, each scaling the current
+    spectra by target / norm. One round is exact when nothing clips, which
+    covers warm inputs near the shell. Near alpha = 1 compounding stalls,
+    because its rate degrades to the clipped-mass fraction; a row that
+    stalls, or whose mean is zero, takes the Newton fallback of
+    _solve_scale, one row at a time.
+
     Returns (status, spectra, entries, means, mean_lam, mean_vecs): the
     FAILED, ON_SHELL or RESCALED outcome of each row, the rows' spectra and
     entries on return (their eigenbases never change), and the final mean
-    of each row with its eigensystem. Rows leave the rescale rounds as they
-    land; rows that stall take the Newton fallback one at a time. A zero
-    target zeroes its row, which is then on the shell. Per-row scalars
-    live in Python lists, so a batch of one costs little more than a
-    single projection.
+    of each row with its eigensystem. FAILED means the target is
+    unreachable or the fallback ran out of steps; callers turn it into
+    SamplerFailed or a rejected proposal. A zero target zeroes its row,
+    which is then on the shell. Per-row scalars live in Python lists, so a
+    batch of one costs little more than a single projection.
     """
     zero = [target == 0.0 for target in targets]
     if any(zero):
@@ -322,9 +332,21 @@ def _solve_scale(
     target: float,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, SymMatrix] | None:
-    """The Newton fallback of project_mean_shell for one stack of s atoms.
+    """The Newton fallback of _project_batch for one stack of s atoms.
 
-    Returns the spectra, entries and mean on the shell, or None.
+    Solves g(t) = target for one factor t on the original spectra, where
+    g(t) = ||sum_i q_i Q_i clip(t Lambda_i, 0, cap) Q_i^T||. g is
+    nondecreasing, and between the breakpoints t = cap / lambda_ij it is
+    the top eigenvalue of an affine matrix function, hence convex. One
+    batched eigensolve over all breakpoints brackets the root within one
+    piece, or shows that the target exceeds the saturated value
+    g(last breakpoint) = cap * ||sum_i q_i P_i||, P_i the projector onto
+    the range of atom i. Newton's method then runs from the right end of
+    the piece, with slope v^T B v for the top eigenvector v and the
+    unclipped part B; a step that leaves the bracket bisects instead.
+
+    Returns the spectra, entries and mean on the shell, or None if the
+    target is unreachable or _PROJECTION_ROUNDS steps run out.
     """
     lam = np.maximum(lam, 0.0)
     with np.errstate(divide="ignore"):
@@ -365,63 +387,6 @@ def _solve_scale(
     return None
 
 
-def project_mean_shell(
-    atoms: tuple[SymMatrix, ...],
-    probs: tuple[float, ...],
-    cap: float,
-    alpha: float,
-) -> tuple[SymMatrix, ...] | None:
-    """Rescale atoms (spectrally, capped at ``cap``) until ||mean|| = alpha*cap.
-
-    Scale factors multiply eigenvalues, clipped into [0, cap]; the
-    eigenbasis never changes, so cached spectra stay valid. A result is
-    accepted once its mean norm is within 1e-9 * alpha * cap of the target.
-    A zero target maps every atom to zero.
-
-    Inputs already on the shell come back as they are. Otherwise up to
-    seven compounded rescale rounds follow, each scaling the current
-    spectra by target / norm. One round is exact when nothing clips, which
-    covers warm inputs near the shell. The rounds run on the stacked
-    (s, n, n) eigenbases and (s, n) spectra, and atoms are built only on
-    return. This is _project_batch on a batch of one, the same code that
-    steps the search's restarts together.
-
-    Near alpha = 1 compounding stalls, because its rate degrades to the
-    clipped-mass fraction. The fallback then solves g(t) = target for one
-    factor t on the original spectra, where
-    g(t) = ||sum_i q_i Q_i clip(t Lambda_i, 0, cap) Q_i^T||. g is
-    nondecreasing, and between the breakpoints t = cap / lambda_ij it is
-    the top eigenvalue of an affine matrix function, hence convex. One
-    batched eigensolve over all breakpoints brackets the root within one
-    piece, or shows that the target exceeds the saturated value
-    g(last breakpoint) = cap * ||sum_i q_i P_i||, P_i the projector onto
-    the range of atom i. Newton's method then runs from the right end of
-    the piece, with slope v^T B v for the top eigenvector v and the
-    unclipped part B; a step that leaves the bracket bisects instead.
-
-    Returns None if the target is unreachable or the fallback's
-    _PROJECTION_ROUNDS steps run out, which callers translate into
-    SamplerFailed or a rejected proposal.
-    """
-    if alpha * cap == 0.0:
-        return tuple(SymMatrix.zeros(a.dim) for a in atoms)
-    vecs = np.stack([a.eig.eigenvectors for a in atoms])
-    status, spectra, entries, *_ = _project_batch(
-        vecs[None],
-        np.stack([a.eig.eigenvalues for a in atoms])[None],
-        np.stack([a.entries for a in atoms])[None],
-        np.asarray(probs, dtype=float)[None],
-        (len(atoms),),
-        (cap,),
-        (alpha * cap,),
-    )
-    if status[0] == FAILED:
-        return None
-    if status[0] == ON_SHELL:
-        return atoms
-    return _atoms(vecs, spectra[0], entries[0])
-
-
 SAMPLER_ATTEMPTS = 10
 
 
@@ -447,8 +412,8 @@ def _attempt(
     """One sampler attempt for each row (n, s, cap, alpha, seed).
 
     Row b draws from stream(seed): its probabilities from a flat simplex,
-    then each atom's rotation and spectrum, uniform on [0, cap], as
-    random_spectral draws them. The atoms of all rows of one dimension are
+    then each atom's rotation angles and spectrum, uniform on [0, cap], by
+    linalg._spectral_draw. The atoms of all rows of one dimension are
     built together and projected onto their mean-norm shells by one
     _project_batch call, padded to the longest support; a projected
     ensemble keeps the projection's final mean as its cached mean.
@@ -512,8 +477,10 @@ def _sample(
     requests: Sequence[tuple[int, int, float, float, np.random.Generator]],
     attempts: int = SAMPLER_ATTEMPTS,
 ) -> list[FiniteEnsemble | TracemaxError]:
-    """sample_with_retry for every request (n, s, cap, alpha, rng), batched.
+    """A random admissible ensemble for every request (n, s, cap, alpha, rng).
 
+    Convergence failures are rare and seed-specific; retrying with the
+    next derived seed keeps sweeps deterministic without aborting them.
     Each attempt draws one sampler seed from the rng of every request
     still pending, that is, whose attempts so far ended in SamplerFailed,
     and runs _attempt on them all. A request thus draws from its own rng
@@ -531,43 +498,6 @@ def _sample(
         if not pending:
             break
     return results
-
-
-def _ensemble_or_raise(result: FiniteEnsemble | TracemaxError) -> FiniteEnsemble:
-    if isinstance(result, TracemaxError):
-        raise result
-    return result
-
-
-def sample_constrained_ensemble(
-    n: int, s: int, cap: float, alpha: float, seed: int
-) -> FiniteEnsemble:
-    """Random admissible ensemble: s atoms, norm cap, exact mean-norm target.
-
-    Atoms are drawn spectrally (random rotation, spectrum uniform on
-    [0, cap]) and probabilities from a flat simplex draw, then projected
-    onto the mean-norm shell. Deterministic in ``seed``. This is _attempt
-    on a batch of one.
-    """
-    return _ensemble_or_raise(_attempt([(n, s, cap, alpha, seed)])[0])
-
-
-def sample_with_retry(
-    n: int,
-    s: int,
-    cap: float,
-    alpha: float,
-    rng: np.random.Generator,
-    attempts: int = SAMPLER_ATTEMPTS,
-) -> FiniteEnsemble:
-    """Draw sampler seeds from ``rng`` until the projection converges.
-
-    Convergence failures are rare and seed-specific; retrying with the next
-    derived seed keeps sweeps deterministic without aborting them. The last
-    SamplerFailed propagates if every attempt fails. This is _sample on a
-    batch of one.
-    """
-    return _ensemble_or_raise(_sample([(n, s, cap, alpha, rng)], attempts)[0])
 
 
 def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:

@@ -36,11 +36,13 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
     def power(self, t: float) -> np.ndarray:
-        """Q diag(clamp(lam)^t) Q^T with negative eigenvalues clamped to 0."""
+        """Q diag(clamp(lam)^t) Q^T with negative eigenvalues clamped to 0.
+
+        The product is not symmetrised here: psd_power's SymMatrix does it.
+        """
         lam = np.maximum(self.eigenvalues, 0.0)
         q = self.eigenvectors
-        m = (q * lam**t) @ q.T
-        return 0.5 * (m + m.T)
+        return (q * lam**t) @ q.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,18 +99,6 @@ class SymMatrix:
     @staticmethod
     def zeros(n: int) -> "SymMatrix":
         return SymMatrix(np.zeros((n, n)))
-
-    @staticmethod
-    def from_eigensystem(q: np.ndarray, lam: np.ndarray) -> "SymMatrix":
-        """Build Q diag(lam) Q^T and seed the eigendecomposition cache.
-
-        Used by samplers that construct matrices spectrally and already
-        know (Q, lam); the cache is stored sorted, matching ``eig``.
-        """
-        q, lam, entries = _eigensystems(
-            np.asarray(q, dtype=float)[None], np.asarray(lam, dtype=float)[None]
-        )
-        return SymMatrix.seeded(entries[0], q[0], lam[0])
 
     @staticmethod
     def seeded(entries: np.ndarray, q: np.ndarray, lam: np.ndarray) -> "SymMatrix":
@@ -234,18 +224,19 @@ def _symmetrised(m: np.ndarray) -> np.ndarray:
 def _spectral_entries(vecs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Entries of Q diag(lam) Q^T for a (..., n, n) stack of eigenbases.
 
-    Stacked matmul gives every slice the bits it gets alone, so each slice
-    is what SymMatrix.from_eigensystem stores for an ascending spectrum,
-    and symmetrising it again leaves it unchanged.
+    Stacked matmul gives every slice the bits it gets alone, so a slice
+    does not depend on the stack it is built in, and symmetrising it again
+    leaves it unchanged.
     """
     return _symmetrised((vecs * spectra[..., None, :]) @ vecs.swapaxes(-1, -2))
 
 
 def _eigensystems(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """from_eigensystem for a (K, n, n) stack of bases and (K, n) spectra.
+    """Matrices Q diag(lam) Q^T from a (K, n, n) stack of bases and (K, n) spectra.
 
     Returns the eigenbases with their columns in ascending (stable) order
-    of the spectra, the sorted spectra and the entries.
+    of the spectra, the sorted spectra and the entries: the eigensystems
+    that SymMatrix.seeded caches, as ``eig`` would order them.
     """
     order = np.argsort(lam, axis=-1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=-1)
@@ -254,7 +245,9 @@ def _eigensystems(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _givens(n: int, angles: np.ndarray) -> np.ndarray:
-    """random_rotation's matrix for each row of a (K, n(n-1)/2) angle array.
+    """The rotation Q = G(0, 1) G(0, 2) ... G(n-2, n-1) for each row of a
+    (K, n(n-1)/2) angle array: one Givens rotation per pair i < j, in row
+    order, by that row's angles in turn.
 
     Rotation r of the pair (i, j) updates columns i and j of all K
     matrices at once, from a copy of column i taken before it is
@@ -277,21 +270,15 @@ def _givens(n: int, angles: np.ndarray) -> np.ndarray:
     return cols.swapaxes(1, 2)
 
 
-def random_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Orthogonal matrix from composed random plane rotations.
-
-    Q = G(0, 1) G(0, 2) ... G(n-2, n-1), one Givens rotation per pair i < j
-    in row order, each rotating columns i and j by an angle uniform on
-    [0, 2 pi). The angles are drawn in one call.
-    """
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2)
-    return np.ascontiguousarray(_givens(n, angles[None])[0])
-
-
 def _spectral_draw(
     n: int, rng: np.random.Generator, lo: float, hi: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """random_spectral's draws, recorded rather than built: its angles, then its spectrum."""
+    """A random symmetric matrix's draws, recorded rather than built.
+
+    First its n(n-1)/2 rotation angles, uniform on [0, 2 pi), in one call,
+    then its spectrum, uniform on [lo, hi]. _spectral_build builds the
+    matrix Q diag(spectrum) Q^T, with Q the _givens rotation of the angles.
+    """
     angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2)
     return angles, rng.uniform(lo, hi, size=n)
 
@@ -299,16 +286,19 @@ def _spectral_draw(
 def _spectral_arrays(
     n: int, draws: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_eigensystems of the n x n matrices random_spectral builds from these draws."""
+    """_eigensystems of the n x n matrices built from these _spectral_draw draws."""
     angles = np.array([angles for angles, _ in draws])
     return _eigensystems(_givens(n, angles), np.array([spectrum for _, spectrum in draws]))
 
 
 def _spectral_build(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[SymMatrix]:
-    """The matrices random_spectral builds from recorded draws, bit for bit.
+    """The SymMatrix of each _spectral_draw draw, in order.
 
-    The draws may mix dimensions; the matrices of each dimension are built
-    together, by one _spectral_arrays call.
+    The eigendecomposition is known by construction and seeded into the
+    cache, so norms and powers of sampled matrices cost no eigensolver
+    call. The draws may mix dimensions; the matrices of each dimension are
+    built together, by one _spectral_arrays call, and each is bit for bit
+    what it is when built alone.
     """
     built: list[SymMatrix] = [None] * len(draws)
     groups: dict[int, list[int]] = {}
@@ -321,17 +311,6 @@ def _spectral_build(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[SymM
     return built
 
 
-def random_spectral(
-    n: int, rng: np.random.Generator, lo: float, hi: float
-) -> SymMatrix:
-    """Random symmetric matrix Q^T diag(d) Q with d uniform on [lo, hi].
-
-    The eigendecomposition is known by construction and seeded into the
-    cache, so norms and powers of sampled matrices cost no eigensolver call.
-    """
-    return _spectral_build([_spectral_draw(n, rng, lo, hi)])[0]
-
-
 def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
     """Random PSD matrix with spectrum uniform on [0, scale]."""
-    return random_spectral(n, rng, 0.0, scale)
+    return _spectral_build([_spectral_draw(n, rng, 0.0, scale)])[0]

@@ -14,8 +14,9 @@ atoms, the mean-shell projections and the exact moments of small supports
 run batched over the block. Stacked eigh and matmul give every slice the
 bits it gets alone, so each restart follows the trajectory it follows on
 its own (the tests hold it to a one-restart oracle), and neither the block
-partition nor the worker count changes any result. gap_sweep maps every cell's blocks and the audit's blocks through
-one parallel_map, so a search starts at most one pool.
+partition nor the worker count changes any result. gap_sweep maps every
+cell's blocks and the audit's blocks through one parallel_map, so a search
+starts at most one pool.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ _TIE_TOL = 1e-12
 # Atom perturbations are normal with this standard deviation times the cap.
 _PROPOSAL_SCALE = 0.25
 
-# Largest problem maximize() accepts; theorem_max_value bounds the moment order.
+# Largest cell gap_sweep searches; theorem_max_value bounds the moment order.
 _MAX_DIM = 8
 _MAX_MEMBERS = 6
 
@@ -83,14 +84,6 @@ class SearchConfig:
         counts = (self.restarts, self.steps_per_restart, self.max_atoms)
         if any(c < 1 for c in counts):
             raise ConstraintViolated(f"all search counts must be positive: {counts}")
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best_value: float
-    best_family: EnsembleFamily
-    theorem_value: float
-    gap: float
 
 
 class _Member(NamedTuple):
@@ -229,7 +222,7 @@ class _Chains:
         if perturbed:
             # clip the perturbed atom's spectrum into [0, cap] in its own
             # eigenbasis; eigh ascends and clipping is monotone, so the
-            # spectrum stays sorted as SymMatrix.from_eigensystem sorts it
+            # spectrum stays ascending, as the seeded eigensystems must be
             b, i, noise = (np.array(v) for v in zip(*perturbed))
             lam, q = np.linalg.eigh(_symmetrised(entries[b, i] + noise))
             lam = np.clip(lam, 0.0, np.array(params.caps)[members[b], None])
@@ -340,8 +333,9 @@ def _theorem_value(n: int, params: BernoulliParams, p: int) -> float:
     return theorem_max_value(n, params, p)
 
 
-def _search_result(outcomes, theorem_value: float) -> SearchResult:
-    """Merge per-restart outcomes in restart order; the first error is raised.
+def _search_result(outcomes) -> tuple[float, EnsembleFamily]:
+    """Merge per-restart outcomes in restart order into (best_value,
+    best_family); the first error is raised.
 
     A later restart replaces the best only when it is higher by more than 1e-12.
     """
@@ -351,30 +345,7 @@ def _search_result(outcomes, theorem_value: float) -> SearchResult:
             raise outcome
         if best is None or outcome[0] > best[0] + _TIE_TOL:
             best = outcome
-    value, family = best
-    return SearchResult(
-        best_value=value,
-        best_family=family,
-        theorem_value=theorem_value,
-        gap=theorem_value - value,
-    )
-
-
-def maximize(
-    n: int,
-    params: BernoulliParams,
-    p: int,
-    config: SearchConfig,
-) -> SearchResult:
-    """Hill-climb with restarts; restart 0 starts at the conjectured maximizer.
-
-    Restarts own independent RNG streams keyed by (seed, restart) and run
-    in blocks, in parallel; the merge keeps the earlier restart on ties
-    within 1e-12.
-    """
-    theorem_value = _theorem_value(n, params, p)
-    blocks = parallel_map(_run_task, _restart_blocks(n, params, p, config, cells=1))
-    return _search_result(itertools.chain.from_iterable(blocks), theorem_value)
+    return best
 
 
 # Grid sweep ----------------------------------------------------------------
@@ -465,14 +436,21 @@ def gap_sweep(
     config: SearchConfig,
     sampler_trials: int = 0,
 ) -> SweepOutcome:
-    """maximize() on every (n, N, p, alpha, cap) grid cell, plus an audit.
+    """Hill-climb every (n, N, p, alpha, cap) grid cell, plus an audit of
+    ``sampler_trials`` sampled families.
 
-    Within a cell every member shares that cell's (alpha, cap). Each cell
-    derives its own seed from config.seed and its grid indices, so rows
-    only depend on the command line, not on execution order. Violations
-    and near-misses carry full family JSON for replay. The restart blocks
-    of every cell and the audit's blocks of trials run in one parallel_map.
+    Within a cell every member shares that cell's (alpha, cap). Restart 0
+    starts at the conjectured maximizer; each restart owns the stream
+    (cell seed, restart), and the merge keeps the earlier restart on ties
+    within 1e-12. Each cell derives its own seed from config.seed and its
+    grid indices, so rows only depend on the command line, not on
+    execution order. Violations and near-misses carry full family JSON for
+    replay. The restart blocks of every cell and the audit's blocks of
+    trials run in one parallel_map. A negative ``sampler_trials`` raises
+    ConstraintViolated.
     """
+    if sampler_trials < 0:
+        raise ConstraintViolated(f"sampler_trials must be >= 0, got {sampler_trials}")
     cells = []  # (label, n, count, p, params, cell seed, theorem value or error)
     for (i_n, n), (i_c, count), (i_p, p), (i_a, alpha), (i_l, cap) in itertools.product(
         enumerate(n_values),
@@ -511,31 +489,31 @@ def gap_sweep(
             if isinstance(theorem, TracemaxError):
                 raise theorem
             restarts = [next(outcomes) for _ in cell_blocks]
-            result = _search_result(itertools.chain(*restarts), theorem)
+            best_value, best_family = _search_result(itertools.chain(*restarts))
         except TracemaxError as exc:
             errors.append((label, str(exc)))
             continue
+        gap = theorem - best_value
         row = SweepRow(
             n=n, members=count, p=p,
             alphas=params.alphas, caps=params.caps,
-            best_value=result.best_value,
-            theorem_value=result.theorem_value,
-            gap=result.gap, seed=cell_seed,
+            best_value=best_value, theorem_value=theorem,
+            gap=gap, seed=cell_seed,
         )
         rows.append(row)
-        if not holds(result.best_value, result.theorem_value):
+        if not holds(best_value, theorem):
             dumps = violations
-        elif result.gap < NEAR_MISS_TOL * result.theorem_value:
+        elif gap < NEAR_MISS_TOL * theorem:
             dumps = near_misses
         else:
             continue
         dumps.append(
             {
                 "cell": label,
-                "gap": result.gap,
-                "best_value": result.best_value,
-                "theorem_value": result.theorem_value,
-                "family": family_to_json(result.best_family),
+                "gap": gap,
+                "best_value": best_value,
+                "theorem_value": theorem,
+                "family": family_to_json(best_family),
             }
         )
 

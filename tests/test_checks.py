@@ -31,14 +31,12 @@ from tracemax import (
     enumerate_binary_words,
     random_psd,
     run_lemma_sweep,
-    sample_constrained_ensemble,
-    sample_with_retry,
     stream,
     to_alternating,
 )
 import tracemax.checks as checks
 import tracemax.ensembles as ensembles
-from tracemax.checks import run_trial
+from tracemax.ensembles import _attempt, _sample
 
 
 def test_report_fields_are_consistent():
@@ -257,8 +255,10 @@ def test_expectation_word_bound_random_ensembles(seed):
     rng = stream(seed, 402)
     n = int(rng.integers(1, 4))
     cap = float(rng.uniform(0.5, 2.0))
-    ex = sample_with_retry(n, 2, cap, float(rng.uniform(0.1, 0.9)), rng)
-    ey = sample_with_retry(n, 2, 1.0, float(rng.uniform(0.1, 0.9)), rng)
+    ex, ey = _sample([
+        (n, 2, cap, float(rng.uniform(0.1, 0.9)), rng),
+        (n, 2, 1.0, float(rng.uniform(0.1, 0.9)), rng),
+    ])
     w = AlternatingWord(exponent_pairs=((1.0, 1.0), (2.0, 1.0)))
     assert check_expectation_word_bound(ex, ey, w, cap).passed
 
@@ -294,7 +294,7 @@ def test_binomial_reduction_commuting_equality():
 
 def test_binomial_reduction_zero_y_linear():
     n = 3
-    ex = sample_constrained_ensemble(n, 2, 1.0, 0.6, seed=77)
+    (ex,) = _attempt([(n, 2, 1.0, 0.6, 77)])
     ey = FiniteEnsemble(atoms=(SymMatrix.zeros(n),), probs=(1.0,), cap=1.0, alpha=0.0)
     rep = check_binomial_reduction(ex, ey, 1, 1.0)
     assert_close(rep.lhs, ex.mean.trace(), rel=1e-12, abs_tol=1e-12)
@@ -307,8 +307,10 @@ def test_binomial_reduction_random_passes(seed):
     rng = stream(seed, 403)
     n = int(rng.integers(1, 4))
     cap = float(rng.uniform(0.5, 2.0))
-    ex = sample_with_retry(n, 2, cap, float(rng.uniform(0.1, 0.9)), rng)
-    ey = sample_with_retry(n, 2, 1.0, float(rng.uniform(0.1, 0.9)), rng)
+    ex, ey = _sample([
+        (n, 2, cap, float(rng.uniform(0.1, 0.9)), rng),
+        (n, 2, 1.0, float(rng.uniform(0.1, 0.9)), rng),
+    ])
     assert check_binomial_reduction(ex, ey, 4, cap).passed
 
 
@@ -317,8 +319,10 @@ def test_binomial_reduction_matches_pairwise_oracle(seed, n, p):
     # both sides summed pair by pair with numpy powers, independent of
     # exact_trace_moment and of the surrogate ensemble
     rng = stream(seed, 405)
-    ex = sample_with_retry(n, int(rng.integers(1, 4)), 1.0, float(rng.uniform()), rng)
-    ey = sample_with_retry(n, int(rng.integers(1, 4)), 1.5, float(rng.uniform()), rng)
+    ex, ey = _sample([
+        (n, int(rng.integers(1, 4)), 1.0, float(rng.uniform()), rng),
+        (n, int(rng.integers(1, 4)), 1.5, float(rng.uniform()), rng),
+    ])
     cap = ex.cap * float(rng.uniform(1.1, 2.0))
     rep = check_binomial_reduction(ex, ey, p, cap)
 
@@ -363,14 +367,11 @@ def test_binomial_reduction_validation():
 def test_theorem_max_on_sampled_families(seed):
     rng = stream(seed, 404)
     n = int(rng.integers(1, 4))
-    members = tuple(
-        sample_with_retry(
-            n, int(rng.integers(1, 3)), float(rng.uniform(0.5, 1.5)),
-            float(rng.uniform(0.05, 0.95)), rng,
-        )
+    requests = [
+        (n, int(rng.integers(1, 3)), float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.05, 0.95)), rng)
         for _ in range(int(rng.integers(1, 3)))
-    )
-    family = EnsembleFamily(members=members)
+    ]
+    family = EnsembleFamily(members=tuple(_sample(requests)))
     rep = check_theorem_max(family, int(rng.integers(1, 7)))
     assert rep.lemma_id is LemmaId.THEOREM_MAX
     assert rep.passed
@@ -379,8 +380,8 @@ def test_theorem_max_on_sampled_families(seed):
 # Sweep driver ----------------------------------------------------------------
 
 def test_run_trial_is_deterministic():
-    a = run_trial(123, 5, 4, 6)
-    b = run_trial(123, 5, 4, 6)
+    (a,) = checks._run_trials(123, 5, 6, 4, 6)
+    (b,) = checks._run_trials(123, 5, 6, 4, 6)
     assert a == b
     assert [r.lemma_id for r in a] == [
         LemmaId.HOLDER, LemmaId.ALT, LemmaId.ALT_SCHATTEN,
@@ -473,12 +474,12 @@ def _failing_projections(monkeypatch, caps):
 
 
 def _trial_ensembles(seed, t, dim_max):
-    """Trial t's X ensemble, drawn one call at a time as a trial run alone
-    draws it, and the stream paused before its Y parameters."""
+    """Trial t's X ensemble (or its sampler error), sampled as a trial run
+    alone samples it, and the stream paused before its Y parameters."""
     rng = stream(seed, t, 4)
     n = int(rng.integers(1, dim_max + 1))
     cap = float(rng.uniform(0.5, 2.0))
-    ex = sample_with_retry(n, int(rng.integers(1, 4)), cap, float(rng.uniform()), rng)
+    (ex,) = _sample([(n, int(rng.integers(1, 4)), cap, float(rng.uniform()), rng)])
     return n, cap, ex, rng
 
 
@@ -497,17 +498,16 @@ def test_sweep_raises_the_first_sampler_failure_in_trial_order(monkeypatch):
     rng = _trial_ensembles(seed, 5, dim_max)[3]
     redrawn = (n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()))
     assert redrawn == y_params
-    with pytest.raises(SamplerFailed) as alone:
-        sample_with_retry(*y_params, rng)
-    with pytest.raises(SamplerFailed) as later:
-        _trial_ensembles(seed, 12, dim_max)
-    assert str(alone.value) != str(later.value)
+    (alone,) = _sample([(*y_params, rng)])
+    later = _trial_ensembles(seed, 12, dim_max)[2]
+    assert isinstance(alone, SamplerFailed) and isinstance(later, SamplerFailed)
+    assert str(alone) != str(later)
 
     for batch in (1, 7, 32):
         monkeypatch.setattr(checks, "_BATCH_TRIALS", batch)
         with pytest.raises(SamplerFailed) as raised:
             run_lemma_sweep(trials=20, dim_max=dim_max, p_max=p_max, seed=seed)
-        assert str(raised.value) == str(alone.value), batch
+        assert str(raised.value) == str(alone), batch
         with pytest.raises(SamplerFailed) as raised:
             checks._run_trials(seed, 6, 20, dim_max, p_max)
-        assert str(raised.value) == str(later.value), batch
+        assert str(raised.value) == str(later), batch

@@ -176,6 +176,16 @@ def test_search_worker_count_does_not_change_output_bytes(monkeypatch, tmp_path)
     assert outputs["1"] == outputs["2"]
 
 
+def test_search_rejects_negative_sampler_trials(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = run_cli([*_search_args(out), "--sampler-trials", "-7"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error:" in captured.err and "sampler_trials" in captured.err
+    assert "no violations" not in captured.out
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_near_miss_dumps_are_replayable(tmp_path):
     out = tmp_path / "sweep.csv"
     run_cli(_search_args(out))

@@ -20,15 +20,13 @@ from tracemax import (
     psd_power,
     psd_trace_power,
     random_psd,
-    random_rotation,
-    random_spectral,
     schatten_norm,
     singular_values,
     stream,
     trace_product,
 )
 import tracemax.linalg as linalg
-from tracemax.linalg import _spectral_build, _spectral_draw
+from tracemax.linalg import _givens, _spectral_build, _spectral_draw
 
 
 def test_entries_are_exactly_symmetric():
@@ -231,6 +229,11 @@ def test_batched_trace_power_matches_scalar_path(a, p):
     assert_close(got[1], 2.0**p * psd_trace_power(a, p), rel=1e-10, abs_tol=1e-10)
 
 
+def _rotation(n, rng):
+    # one rotation, its angles drawn in one call as _spectral_draw draws them
+    return _givens(n, rng.uniform(0.0, 2.0 * math.pi, size=(1, n * (n - 1) // 2)))[0]
+
+
 def test_batched_trace_power_matches_mpmath_at_every_parity():
     # rank-deficient 8x8 PSD matrices and the zero matrix, every p up to the
     # moment budget, so both the even and the odd half-power path are hit
@@ -239,8 +242,8 @@ def test_batched_trace_power_matches_mpmath_at_every_parity():
     for rank in (1, 3, 5, 7):
         spectrum = np.zeros(8)
         spectrum[:rank] = rng.uniform(0.2, 2.0, size=rank)
-        rotation = random_rotation(8, rng)
-        stack.append(SymMatrix.from_eigensystem(rotation, spectrum).entries)
+        rotation = _rotation(8, rng)
+        stack.append(SymMatrix((rotation * spectrum) @ rotation.T).entries)
     stack = np.stack(stack)
     with mpmath.workdps(50):
         bases = [mpmath.matrix(m.tolist()) for m in stack]
@@ -255,7 +258,7 @@ def test_batched_trace_power_matches_mpmath_at_every_parity():
 
 @given(seeds, dims)
 def test_random_rotation_is_orthogonal(seed, n):
-    q = random_rotation(n, stream(seed, 105))
+    q = _rotation(n, stream(seed, 105))
     assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-12
 
 
@@ -263,7 +266,7 @@ def test_random_rotation_is_orthogonal(seed, n):
 def test_random_rotation_is_a_product_of_givens_matrices(n):
     for seed in range(10):
         got_rng, ref_rng = stream(seed, 107), stream(seed, 107)
-        got = random_rotation(n, got_rng)
+        got = _rotation(n, got_rng)
         ref = np.eye(n)
         for i in range(n - 1):
             for j in range(i + 1, n):
@@ -295,7 +298,7 @@ def _rotation_by_columns(n, rng):
 def test_random_rotation_matches_the_column_loop_bit_for_bit(n):
     for seed in range(25):
         got_rng, ref_rng = stream(seed, 108), stream(seed, 108)
-        got = random_rotation(n, got_rng)
+        got = np.ascontiguousarray(_rotation(n, got_rng))
         ref = _rotation_by_columns(n, ref_rng)
         assert np.array_equal(got, ref), seed
         assert got.tobytes() == ref.tobytes(), seed  # signed zeros and layout too
@@ -324,8 +327,8 @@ class _ShiftedMath:
 
 
 def _spectral_by_rows(n, rng, lo, hi, trig=math):
-    """random_spectral built one matrix at a time: the Givens rotation row by
-    row in Python floats, then from_eigensystem's sort, product and
+    """A _spectral_draw matrix built one at a time: the Givens rotation row
+    by row in Python floats, then the spectrum's sort, the product and the
     symmetrisation. Returns (entries, eigenvectors, eigenvalues)."""
     angles = iter(rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2).tolist())
     rotations = [
@@ -389,7 +392,7 @@ def test_spectral_build_of_mixed_dimensions_keeps_the_draw_order():
 
 @given(seeds, dims)
 def test_random_spectral_cache_is_honest(seed, n):
-    m = random_spectral(n, stream(seed, 106), 0.0, 2.0)
+    (m,) = _spectral_build([_spectral_draw(n, stream(seed, 106), 0.0, 2.0)])
     cached = m.eig.eigenvalues
     fresh = np.linalg.eigvalsh(m.entries)
     assert np.max(np.abs(cached - fresh)) <= 1e-11 * (1.0 + m.opnorm)

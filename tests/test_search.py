@@ -12,25 +12,22 @@ import tracemax.search as search
 from conftest import assert_close
 from tracemax import (
     BernoulliParams,
-    BudgetExceeded,
     ConstraintViolated,
     EnsembleFamily,
     FiniteEnsemble,
     SearchConfig,
-    SearchResult,
     SymMatrix,
     TracemaxError,
     exact_trace_moment,
     extremal_family,
     family_to_json,
     gap_sweep,
-    maximize,
-    project_mean_shell,
-    sample_with_retry,
     stream,
     theorem_max_value,
 )
 from tracemax.checks import holds
+from tracemax.ensembles import FAILED, _project_batch, _sample
+from tracemax.linalg import _spectral_entries
 
 _FAST = dict(restarts=3, steps_per_restart=40, seed=0)
 
@@ -50,63 +47,74 @@ def test_config_rejects_nonpositive_counts():
         SearchConfig(max_atoms=0)
 
 
-# maximize ------------------------------------------------------------------------
+# one-cell sweeps ---------------------------------------------------------------------
+
+def _best_family(outcome):
+    """The family of a one-cell sweep's near-miss dump: its best family."""
+    (dump,) = outcome.near_misses
+    return dump["family"]
+
 
 def test_extremal_start_is_a_fixed_point():
     params = _params(alpha=0.4, cap=1.5)
-    result = maximize(2, params, 4, SearchConfig(**_FAST))
+    outcome = gap_sweep([2], [2], [4], [0.4], [1.5], SearchConfig(**_FAST))
+    (row,) = outcome.rows
     target = theorem_max_value(2, params, 4)
-    assert isinstance(result, SearchResult)
-    assert_close(result.theorem_value, target, rel=1e-15)
+    assert_close(row.theorem_value, target, rel=1e-15)
     # restart 0 starts at the conjectured maximizer, so the search can
     # never fall below it and hill climbing must never escape above it
-    assert result.best_value >= target - 1e-9 * (1.0 + target)
-    assert result.gap >= -1e-9 * (1.0 + target)
+    assert row.best_value >= target - 1e-9 * (1.0 + target)
+    assert row.gap >= -1e-9 * (1.0 + target)
 
 
 def test_linear_case_has_zero_gap():
     # p = 1 collapses to tr(E sum X) <= n * sum alpha L with equality at
     # the extremal family
-    params = _params(alpha=0.3, cap=2.0, members=3)
-    result = maximize(2, params, 1, SearchConfig(**_FAST))
-    assert abs(result.gap) <= 1e-9 * (1.0 + result.theorem_value)
+    outcome = gap_sweep([2], [3], [1], [0.3], [2.0], SearchConfig(**_FAST))
+    (row,) = outcome.rows
+    assert abs(row.gap) <= 1e-9 * (1.0 + row.theorem_value)
 
 
 def test_maximize_is_deterministic():
     config = SearchConfig(restarts=2, steps_per_restart=30, seed=123)
-    a = maximize(2, _params(), 3, config)
-    b = maximize(2, _params(), 3, config)
-    assert a.best_value == b.best_value
-    assert family_to_json(a.best_family) == family_to_json(b.best_family)
-    assert a.gap == b.gap
+    a = gap_sweep([2], [2], [3], [0.5], [1.0], config)
+    b = gap_sweep([2], [2], [3], [0.5], [1.0], config)
+    assert a.rows == b.rows
+    assert _best_family(a) == _best_family(b)
 
 
 def test_maximize_worker_count_does_not_change_results(monkeypatch):
     config = SearchConfig(restarts=3, steps_per_restart=30, seed=11)
     monkeypatch.setenv("TMX_THREADS", "1")
-    serial = maximize(2, _params(alpha=0.3), 3, config)
+    serial = gap_sweep([2], [2], [3], [0.3], [1.0], config)
     monkeypatch.setenv("TMX_THREADS", "2")
-    parallel = maximize(2, _params(alpha=0.3), 3, config)
-    assert serial.best_value == parallel.best_value
-    assert family_to_json(serial.best_family) == family_to_json(parallel.best_family)
+    parallel = gap_sweep([2], [2], [3], [0.3], [1.0], config)
+    assert serial.rows == parallel.rows
+    assert _best_family(serial) == _best_family(parallel)
 
 
 def test_random_starts_never_beat_the_theorem_value():
     params = _params(alpha=0.6, cap=1.2)
     config = SearchConfig(restarts=5, steps_per_restart=60, seed=5)
-    result = maximize(2, params, 3, config)
+    outcome = gap_sweep([2], [2], [3], [0.6], [1.2], config)
+    (row,) = outcome.rows
     target = theorem_max_value(2, params, 3)
-    assert result.best_value <= target + 1e-9 * (1.0 + target)
+    assert row.best_value <= target + 1e-9 * (1.0 + target)
+    assert outcome.violations == ()
 
 
 def test_budget_checks():
     config = SearchConfig(**_FAST)
-    with pytest.raises(BudgetExceeded):
-        maximize(9, _params(), 2, config)
-    with pytest.raises(BudgetExceeded):
-        maximize(2, _params(members=7), 2, config)
-    with pytest.raises(BudgetExceeded):
-        maximize(2, _params(), 31, config)
+    over_budget = [
+        (9, 2, 2, "search budget exceeded"),
+        (2, 7, 2, "search budget exceeded"),
+        (2, 2, 31, "moment order 31 exceeds budget 30"),
+    ]
+    for n, members, p, message in over_budget:
+        outcome = gap_sweep([n], [members], [p], [0.5], [1.0], config)
+        assert outcome.rows == ()
+        ((_, error),) = outcome.errors
+        assert message in error
 
 
 # lockstep restarts against a one-restart oracle -----------------------------------
@@ -129,11 +137,22 @@ def _oracle_propose(family, rng):
         i = int(rng.integers(member.support_size))
         noise = rng.normal(0.0, 0.25 * member.cap, size=(member.dim, member.dim))
         e = SymMatrix(atoms[i].entries + noise).eig  # clip the spectrum, keep the basis
-        atom = SymMatrix.from_eigensystem(e.eigenvectors, np.clip(e.eigenvalues, 0.0, member.cap))
-        atoms = atoms[:i] + (atom,) + atoms[i + 1:]
-    atoms = project_mean_shell(atoms, probs, member.cap, member.alpha)
-    if atoms is None:
+        q, lam = e.eigenvectors, np.clip(e.eigenvalues, 0.0, member.cap)
+        atoms = atoms[:i] + (SymMatrix.seeded(_spectral_entries(q, lam), q, lam),) + atoms[i + 1:]
+    # the member's projection onto its shell, as a batch of one
+    vecs = np.stack([a.eig.eigenvectors for a in atoms])
+    status, spectra, entries, *_ = _project_batch(
+        vecs[None],
+        np.stack([a.eig.eigenvalues for a in atoms])[None],
+        np.stack([a.entries for a in atoms])[None],
+        np.array([probs]),
+        [len(atoms)],
+        [member.cap],
+        [member.alpha * member.cap],
+    )
+    if status == [FAILED]:
         return None
+    atoms = tuple(SymMatrix.seeded(*atom) for atom in zip(entries[0], vecs, spectra[0]))
     try:
         moved = FiniteEnsemble(atoms=atoms, probs=probs, cap=member.cap, alpha=member.alpha)
     except ConstraintViolated:
@@ -147,10 +166,14 @@ def _oracle_restart(n, params, p, config, restart):
     if restart == 0:
         family = extremal_family(n, params)
     else:
-        family = EnsembleFamily(members=tuple(
-            sample_with_retry(n, int(rng.integers(1, config.max_atoms + 1)), cap, alpha, rng)
-            for cap, alpha in zip(params.caps, params.alphas)
-        ))
+        members = []
+        for cap, alpha in zip(params.caps, params.alphas):
+            # each member sampled alone, as a batch of one
+            (member,) = _sample([(n, int(rng.integers(1, config.max_atoms + 1)), cap, alpha, rng)])
+            if isinstance(member, TracemaxError):
+                raise member
+            members.append(member)
+        family = EnsembleFamily(members=tuple(members))
     value = exact_trace_moment(family, p)
     for _ in range(config.steps_per_restart):
         candidate = _oracle_propose(family, rng)
@@ -248,15 +271,15 @@ def test_block_partition_does_not_change_any_restart(monkeypatch):
     assert [v for v, _ in whole] == [v for v, _ in single]
     assert [family_to_json(f) for _, f in whole] == [family_to_json(f) for _, f in single]
 
-    # maximize: one lockstep block on one worker, one block per restart on
-    # many (the map itself stays serial)
+    # a one-cell sweep: one lockstep block on one worker, one block per
+    # restart on many (the map itself stays serial)
     monkeypatch.setenv("TMX_THREADS", "1")
-    one_block = maximize(2, params, 4, config)
+    one_block = gap_sweep([2], [2], [4], [0.4], [1.0], config)
     monkeypatch.setattr(search, "worker_count", lambda: 64)
     assert len(search._restart_blocks(2, params, 4, config, cells=1)) == 5
-    per_restart = maximize(2, params, 4, config)
-    assert one_block.best_value == per_restart.best_value
-    assert family_to_json(one_block.best_family) == family_to_json(per_restart.best_family)
+    per_restart = gap_sweep([2], [2], [4], [0.4], [1.0], config)
+    assert one_block.rows == per_restart.rows
+    assert _best_family(one_block) == _best_family(per_restart)
 
 
 # violation rule ------------------------------------------------------------------
