@@ -14,10 +14,12 @@ checker uses Monte Carlo, so there are no statistical false alarms.
 The randomized sweep runs its trials in batches, each in four phases:
 draw every trial's inputs from its own streams, recording random PSD
 matrices as numbers; build all recorded matrices, one call per dimension;
-sample the trials' ensembles through the batched sampler; evaluate the six
-checkers trial by trial. Every stream is drawn from in the order of a
-trial run alone and every matrix is built bit for bit as it is alone, so
-the batches change no output.
+sample the trials' ensembles through the batched sampler; evaluate each
+checker on all the batch's instances at once, with one stacked matmul or
+eigh per dimension where a trial alone makes one call per matrix. Every
+stream is drawn from in the order of a trial run alone, and every matrix,
+ensemble and report is computed bit for bit as it is alone, so the
+batches change no output.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,16 +36,19 @@ from .ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
     _sample,
+    _stacked_moments,
     bernoulli_member,
     exact_trace_moment,
     require_caps,
 )
 from .errors import DimensionError, InvalidExponent, TracemaxError
-from .extremal import theorem_max_value
+from .extremal import MOMENT_BUDGET, theorem_max_value
 from .linalg import (
     SymMatrix,
     _spectral_build,
     _spectral_draw,
+    _spectral_entries,
+    _symmetrised,
     psd_power,
     psd_trace_power,
     schatten_norm,
@@ -61,10 +66,10 @@ CHECK_TOL = 1e-9
 ALT_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 
 # The sweep runs trials in blocks of _BLOCK_TRIALS, one parallel task
-# each; a block runs its trials in batches of _BATCH_TRIALS. A batch holds
-# every matrix and ensemble of its trials at once, so its size trades
-# per-call overhead against peak memory: on the 512-trial benchmark sweep,
-# 256-trial batches raised the peak RSS by 16% and 32-trial batches by 2.4%.
+# each, in batches of _BATCH_TRIALS. A batch holds every matrix, ensemble
+# and check array of its trials at once, trading per-call overhead against
+# memory: at two workers the 512-trial benchmark sweep peaks at 36.2, 37.1
+# and 41.5 MB RSS with 32-, 64- and 256-trial batches (2-vCPU VM).
 _BLOCK_TRIALS = 256
 _BATCH_TRIALS = 32
 
@@ -138,32 +143,30 @@ def check_holder(
     return _report(LemmaId.HOLDER, lhs, math.prod(rhs_terms), digest)
 
 
-def _psd_sandwich(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    return SymMatrix(a.entries @ b.entries @ a.entries)
+def _alt_sides(a: SymMatrix, b: SymMatrix, alpha_exp: float) -> tuple[SymMatrix, float]:
+    """The sandwich ABA and tr(A^{2 alpha} B^alpha), which both ALT checks compare."""
+    if math.isnan(alpha_exp) or alpha_exp < 1:
+        raise InvalidExponent(f"need alpha >= 1, got {alpha_exp}")
+    sandwich = SymMatrix(a.entries @ b.entries @ a.entries)
+    return sandwich, trace_product([psd_power(a, 2.0 * alpha_exp), psd_power(b, alpha_exp)])
 
 
 def check_alt(
     a: SymMatrix, b: SymMatrix, alpha_exp: float, digest: str = ""
 ) -> CheckReport:
     """tr((ABA)^alpha) <= tr(A^{2 alpha} B^alpha) for PSD A, B, alpha >= 1."""
-    if math.isnan(alpha_exp) or alpha_exp < 1:
-        raise InvalidExponent(f"need alpha >= 1, got {alpha_exp}")
-    lhs = psd_trace_power(_psd_sandwich(a, b), alpha_exp)
-    rhs = trace_product([psd_power(a, 2.0 * alpha_exp), psd_power(b, alpha_exp)])
-    return _report(LemmaId.ALT, lhs, rhs, digest)
+    sandwich, rhs = _alt_sides(a, b, alpha_exp)
+    return _report(LemmaId.ALT, psd_trace_power(sandwich, alpha_exp), rhs, digest)
 
 
 def check_alt_schatten(
     a: SymMatrix, b: SymMatrix, alpha_exp: float, digest: str = ""
 ) -> CheckReport:
     """|ABA|_alpha <= tr(A^{2 alpha} B^alpha)^{1/alpha}."""
-    if math.isnan(alpha_exp) or alpha_exp < 1:
-        raise InvalidExponent(f"need alpha >= 1, got {alpha_exp}")
-    lhs = schatten_norm(_psd_sandwich(a, b), alpha_exp)
-    base = trace_product([psd_power(a, 2.0 * alpha_exp), psd_power(b, alpha_exp)])
+    sandwich, base = _alt_sides(a, b, alpha_exp)
     # The trace is nonnegative for PSD arguments; clamp roundoff before rooting.
     rhs = max(base, 0.0) ** (1.0 / alpha_exp)
-    return _report(LemmaId.ALT_SCHATTEN, lhs, rhs, digest)
+    return _report(LemmaId.ALT_SCHATTEN, schatten_norm(sandwich, alpha_exp), rhs, digest)
 
 
 def check_word_bound(
@@ -197,10 +200,12 @@ def check_expectation_word_bound(
     if ex.dim != ey.dim:
         raise DimensionError(f"dim mismatch: {ex.dim} vs {ey.dim}")
     require_caps(ex.atoms, cap)
+    # eval_word_trace of every pair of atoms, with each atom's powers taken once
+    xs = [[psd_power(a, l) for l, _ in w.exponent_pairs] for a in ex.atoms]
+    ys = [[psd_power(a, m) for _, m in w.exponent_pairs] for a in ey.atoms]
     lhs = math.fsum(
-        px * py * eval_word_trace(ax, ay, w)
-        for px, ax in zip(ex.probs, ex.atoms)
-        for py, ay in zip(ey.probs, ey.atoms)
+        px * py * trace_product([f for pair in zip(xp, yp) for f in pair])
+        for px, xp in zip(ex.probs, xs) for py, yp in zip(ey.probs, ys)
     )
     ef_l = _bernoulli_weight(ex, cap) * cap**w.x_degree
     ey_trace = math.fsum(
@@ -230,6 +235,197 @@ def check_theorem_max(family: EnsembleFamily, p: int, digest: str = "") -> Check
     lhs = exact_trace_moment(family, p)
     rhs = theorem_max_value(family.dim, family.params, p)
     return _report(LemmaId.THEOREM_MAX, lhs, rhs, digest)
+
+
+# Batched evaluation: a _batch_* function returns, bit for bit, what its
+# checker returns on each case (its positional arguments, digest last). The
+# cases are the sweep's, valid by construction (an ABA of PSD A and B stays
+# far above the PSD floor) except for a power above MOMENT_BUDGET.
+
+
+def _groups(keys: Iterable) -> dict:
+    """The positions of each distinct key, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _row_powers(base: np.ndarray, exps: Sequence[float]) -> np.ndarray:
+    """base[i] ** exps[i] along the first axis, one scalar exponent per slice
+    of rows sorted by exponent. numpy squares or roots for a scalar 2.0 or
+    0.5 but calls pow for an array exponent, which differs in the last bit."""
+    exps = np.asarray(exps, dtype=float)
+    order = np.argsort(exps, kind="stable")
+    ranked, ordered = exps[order], base[order]
+    cuts = [0, *(np.flatnonzero(np.diff(ranked)) + 1).tolist(), len(order)]
+    for lo, hi, t in zip(cuts, cuts[1:], ranked[cuts[:-1]].tolist()):
+        ordered[lo:hi] = ordered[lo:hi] ** t
+    return ordered[np.argsort(order)]
+
+
+def _power_sums(flat: np.ndarray, sizes: Sequence[int], exps: Sequence[float]) -> list[float]:
+    """math.fsum of each run of flat, sizes[i] values each raised to exps[i]."""
+    powered = _row_powers(flat, np.repeat(exps, sizes)).tolist()
+    stops = np.cumsum(sizes).tolist()
+    return [math.fsum(powered[stop - size : stop]) for size, stop in zip(sizes, stops)]
+
+
+def _spectral_sums(lams: Sequence[np.ndarray], exps: Sequence[float]) -> list[float]:
+    """psd_trace_power's sum of each spectrum at its exponent."""
+    if not lams:
+        return []
+    return _power_sums(np.maximum(np.concatenate(lams), 0.0), [len(lam) for lam in lams], exps)
+
+
+def _schatten_norms(sigmas: Sequence[np.ndarray], qs: Sequence[float]) -> list[float]:
+    """schatten_from_singulars of each singular-value vector at its finite q."""
+    sizes = [len(sigma) for sigma in sigmas]
+    flat = np.concatenate(sigmas)
+    tops = np.maximum.reduceat(flat, np.cumsum([0] + sizes[:-1]))
+    # a zero top returns before scaling, as in schatten_from_singulars
+    sums = _power_sums(flat / np.repeat(np.where(tops > 0.0, tops, 1.0), sizes), sizes, qs)
+    return [
+        top if top == 0.0 else top * total ** (1.0 / q)
+        for top, total, q in zip(tops.tolist(), sums, qs)
+    ]
+
+
+def _chain_traces(chains: Sequence[Sequence[tuple]]) -> list[float]:
+    """trace_product of each chain of factors (m, t), psd_power(m, t) or m if
+    t is None: per dimension, each distinct factor is powered once, in one
+    stacked call, and the chains of each length are multiplied as stacks."""
+    out: list = [None] * len(chains)
+    for n, idx in _groups(chain[0][0].dim for chain in chains).items():
+        slots: dict = {}  # factor -> its row in the stack
+        rows = [[slots.setdefault(f, len(slots)) for f in chains[i]] for i in idx]
+        stack = np.empty((len(slots), n, n))
+        powers = [(k, m, t) for (m, t), k in slots.items() if t is not None]
+        if powers:
+            q = np.array([m.eig.eigenvectors for _, m, _ in powers])
+            lam = np.maximum(np.array([m.eig.eigenvalues for _, m, _ in powers]), 0.0)
+            lam = _row_powers(lam, [t for *_, t in powers])
+            stack[[k for k, *_ in powers]] = _spectral_entries(q, lam)
+        for (m, t), k in slots.items():
+            if t is None:
+                stack[k] = m.entries
+        for length, group in _groups(len(row) for row in rows).items():
+            factors = stack[np.array([rows[g] for g in group])]
+            product = reduce(np.matmul, (factors[:, j] for j in range(length)))
+            for g, diagonal in zip(group, product.diagonal(axis1=1, axis2=2).tolist()):
+                out[idx[g]] = math.fsum(diagonal)
+    return out
+
+
+def _batch_holder(cases: Sequence[tuple]) -> list[CheckReport]:
+    """check_holder on each case (factors, exponents, digest)."""
+    # per case: the product's singular values, then each factor's |spectrum|
+    sigmas: list = [None] * len(cases)
+    for (_, r), idx in _groups((c[0][0].dim, len(c[0])) for c in cases).items():
+        columns = [[cases[i][0][j] for i in idx] for j in range(r)]
+        spectra = [np.abs(np.array([f.eig.eigenvalues for f in c])) for c in columns]
+        product_sigma = spectra[0]
+        if r > 1:
+            product = reduce(np.matmul, (np.array([f.entries for f in c]) for c in columns))
+            gram = _symmetrised(product.swapaxes(1, 2) @ product)
+            product_sigma = np.sqrt(np.maximum(np.linalg.eigh(gram)[0], 0.0))
+        for k, i in enumerate(idx):
+            sigmas[i] = [product_sigma[k], *(spectrum[k] for spectrum in spectra)]
+    norms = iter(_schatten_norms(
+        [sigma for row in sigmas for sigma in row], [q for c in cases for q in (1, *c[1])]
+    ))
+    return [
+        _report(LemmaId.HOLDER, next(norms), math.prod(next(norms) for _ in factors), digest)
+        for factors, _, digest in cases
+    ]
+
+
+def _batch_alt(cases: Sequence[tuple]) -> list[CheckReport]:
+    """Each case (check, a, b, alpha, digest) through check_alt or
+    check_alt_schatten, both on _alt_sides' sandwich and trace."""
+    traces = _chain_traces([((a, 2.0 * alpha), (b, alpha)) for _, a, b, alpha, _ in cases])
+    spectra: list = [None] * len(cases)
+    for _, idx in _groups(c[1].dim for c in cases).items():
+        a = np.array([cases[i][1].entries for i in idx])
+        sandwich = _symmetrised(a @ np.array([cases[i][2].entries for i in idx]) @ a)
+        for i, lam in zip(idx, np.linalg.eigh(sandwich)[0]):
+            spectra[i] = lam
+    alphas = [c[3] for c in cases]
+    sums = _spectral_sums(spectra, alphas)
+    norms = _schatten_norms([np.abs(lam) for lam in spectra], alphas)
+    out = []
+    for (check, _, _, alpha, digest), trace, total, norm in zip(cases, traces, sums, norms):
+        if check is check_alt:
+            out.append(_report(LemmaId.ALT, total, trace, digest))
+        else:
+            rhs = max(trace, 0.0) ** (1.0 / alpha)
+            out.append(_report(LemmaId.ALT_SCHATTEN, norm, rhs, digest))
+    return out
+
+
+def _word_chain(x: SymMatrix, y: SymMatrix, w: AlternatingWord) -> list[tuple]:
+    """eval_word_trace's factors, as _chain_traces takes them."""
+    return [f for l, m in w.exponent_pairs for f in ((x, l), (y, m))]
+
+
+def _batch_word_bound(cases: Sequence[tuple]) -> list[CheckReport]:
+    """check_word_bound on each case (x, y, w, digest)."""
+    words = [_word_chain(x, y, w) for x, y, w, _ in cases]
+    traces = _chain_traces(words + [((x, None), (y, w.y_degree)) for x, y, w, _ in cases])
+    return [
+        _report(LemmaId.WORD_BOUND, abs(lhs), x.opnorm ** (w.x_degree - 1.0) * collapsed, digest)
+        for (x, _, w, digest), lhs, collapsed in zip(cases, traces, traces[len(cases) :])
+    ]
+
+
+def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[CheckReport]:
+    """check_expectation_word_bound on each case (ex, ey, w, cap, digest)."""
+    traces = iter(_chain_traces([
+        _word_chain(ax, ay, w) for ex, ey, w, *_ in cases for ax in ex.atoms for ay in ey.atoms
+    ]))
+    y_atoms = [(a.eig.eigenvalues, c[2].y_degree) for c in cases for a in c[1].atoms]
+    y_traces = iter(_spectral_sums([lam for lam, _ in y_atoms], [t for _, t in y_atoms]))
+    out = []
+    for ex, ey, w, cap, digest in cases:
+        lhs = math.fsum(px * py * next(traces) for px in ex.probs for py in ey.probs)
+        ef_l = _bernoulli_weight(ex, cap) * cap**w.x_degree
+        ey_trace = math.fsum(py * next(y_traces) for py in ey.probs)
+        out.append(_report(LemmaId.EXPECTATION_WORD_BOUND, lhs, ef_l * ey_trace, digest))
+    return out
+
+
+def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[CheckReport | TracemaxError]:
+    """check_binomial_reduction on each case (ex, ey, p, cap, digest): the
+    cases of one (n, p) go through one _stacked_moments call, as two
+    families each, (X, Y) and (f I, Y), with f I as bernoulli_member has it."""
+    out: list = [None] * len(cases)
+    for (n, p), idx in _groups((c[0].dim, c[2]) for c in cases).items():
+        if p > MOMENT_BUDGET:
+            for i in idx:  # the checker's own error
+                try:
+                    out[i] = check_binomial_reduction(*cases[i])
+                except TracemaxError as exc:
+                    out[i] = exc
+            continue
+        members = []
+        for i in idx:
+            ex, ey, _, cap, _ = cases[i]
+            alpha = _bernoulli_weight(ex, cap)
+            y = [a.entries for a in ey.atoms], ey.probs
+            surrogate = [cap * np.eye(n), np.zeros((n, n))], (alpha, 1.0 - alpha)
+            members += [([a.entries for a in ex.atoms], ex.probs), y, surrogate, y]
+        sizes = np.array([len(q) for _, q in members]).reshape(-1, 2)
+        entries = np.zeros(sizes.shape + (sizes.max(), n, n))
+        probs = np.zeros(sizes.shape + (sizes.max(),))
+        for m, (atoms, member_probs) in enumerate(members):
+            entries[m // 2, m % 2, : len(atoms)] = atoms
+            probs[m // 2, m % 2, : len(atoms)] = member_probs
+        values = _stacked_moments(entries, probs, sizes, p)
+        for k, i in enumerate(idx):
+            out[i] = _report(
+                LemmaId.BINOMIAL_REDUCTION, values[2 * k], values[2 * k + 1], cases[i][4]
+            )
+    return out
 
 
 # Randomized sweep ---------------------------------------------------------
@@ -310,12 +506,12 @@ def _draw_trial(
     exponents = [1.0 / u for u in inverses]
     holder = ([psd(n, rng) for _ in range(r)], exponents, f"trial={t};n={n};r={r}")
     alts = []
-    for k in (1, 2):
+    for k, check in ((1, check_alt), (2, check_alt_schatten)):
         rng = stream(seed, t, k)
         n = int(rng.integers(1, dim_max + 1))
         alpha_exp = float(rng.choice(ALT_EXPONENTS))
         a, b = psd(n, rng), psd(n, rng)
-        alts.append((a, b, alpha_exp, f"trial={t};n={n};alpha={alpha_exp}"))
+        alts.append((check, a, b, alpha_exp, f"trial={t};n={n};alpha={alpha_exp}"))
     rng = stream(seed, t, 3)
     n = int(rng.integers(1, dim_max + 1))
     x, y = psd(n, rng), psd(n, rng)
@@ -340,16 +536,17 @@ def _run_trials(
        per dimension.
     3. Sample: the X ensembles of all trials go through the batched
        sampler; then each trial draws its Y parameters from stream 4, and
-       the Y ensembles go through it too.
-    4. Evaluate: in trial order, each trial runs its first four checkers,
-       raises its X or else its Y sampler error if it has one, draws its
-       word and power from stream 4 and runs the last two. So the error
-       raised is the first in trial order; a Y ensemble sampled after its
-       X failed is never used.
+       the Y ensembles go through it too. Each trial whose ensembles were
+       sampled draws its word and power from stream 4.
+    4. Evaluate: each checker runs once, through its _batch_* function, on
+       the batch's cases of it. Results are read in trial order: a trial's
+       first four reports, its X and then its Y sampler error, its last
+       two reports. So the error raised is the first in trial order; a Y
+       ensemble sampled after its X failed is never used.
 
     Every stream is drawn from in the order a trial run alone draws from
-    it, and each matrix and ensemble is built bit for bit as it is alone,
-    so the batch changes no report.
+    it, and each matrix, ensemble and report is computed bit for bit as it
+    is alone, so the batch changes no report.
     """
     draws: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -368,26 +565,34 @@ def _run_trials(
         )
     ys = _sample(y_requests)
 
+    holder, alt, word, expectation, binomial, sampled = ([] for _ in range(6))
+    for t, (holder_draw, alt_draws, word_draw, request), ex, ey in zip(
+        range(start, stop), trials, xs, ys
+    ):
+        factors, exponents, digest = holder_draw
+        holder.append(([matrices[i] for i in factors], exponents, digest))
+        alt += [(check, matrices[a], matrices[b], *rest) for check, a, b, *rest in alt_draws]
+        x, y, w, digest = word_draw
+        word.append((matrices[x], matrices[y], w, digest))
+        sampled.append(not isinstance(ex, TracemaxError) and not isinstance(ey, TracemaxError))
+        if sampled[-1]:
+            n, _, cap, _, rng = request
+            w = _random_word(rng, p_max)
+            p = int(rng.integers(1, p_max + 1))
+            digest = f"trial={t};n={n};cap={cap}"
+            expectation.append((ex, ey, w, cap, f"{digest};word={w.exponent_pairs}"))
+            binomial.append((ex, ey, p, cap, f"{digest};p={p}"))
+
+    alts = _batch_alt(alt)
+    first = zip(_batch_holder(holder), alts[0::2], alts[1::2], _batch_word_bound(word), xs, ys)
+    last = zip(_batch_expectation_word_bound(expectation), _batch_binomial_reduction(binomial))
     reports = []
-    for t, (holder, alts, word, request), ex, ey in zip(range(start, stop), trials, xs, ys):
-        factors, exponents, digest = holder
-        out = [check_holder([matrices[i] for i in factors], exponents, digest=digest)]
-        for check, (a, b, alpha_exp, digest) in zip((check_alt, check_alt_schatten), alts):
-            out.append(check(matrices[a], matrices[b], alpha_exp, digest=digest))
-        x, y, w, digest = word
-        out.append(check_word_bound(matrices[x], matrices[y], w, digest=digest))
-        for ensemble in (ex, ey):
-            if isinstance(ensemble, TracemaxError):
-                raise ensemble
-        n, _, cap, _, rng = request
-        w = _random_word(rng, p_max)
-        p = int(rng.integers(1, p_max + 1))
-        digest = f"trial={t};n={n};cap={cap}"
-        out.append(
-            check_expectation_word_bound(ex, ey, w, cap, digest=f"{digest};word={w.exponent_pairs}")
-        )
-        out.append(check_binomial_reduction(ex, ey, p, cap, digest=f"{digest};p={p}"))
-        reports.append(out)
+    for row, ok in zip(first, sampled):
+        row += next(last) if ok else ()
+        for result in row:
+            if isinstance(result, TracemaxError):
+                raise result
+        reports.append([*row[:4], *row[6:]])
     return reports
 
 

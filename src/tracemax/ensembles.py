@@ -475,22 +475,21 @@ def _attempt(
 
 def _sample(
     requests: Sequence[tuple[int, int, float, float, np.random.Generator]],
-    attempts: int = SAMPLER_ATTEMPTS,
 ) -> list[FiniteEnsemble | TracemaxError]:
     """A random admissible ensemble for every request (n, s, cap, alpha, rng).
 
     Convergence failures are rare and seed-specific; retrying with the
     next derived seed keeps sweeps deterministic without aborting them.
-    Each attempt draws one sampler seed from the rng of every request
-    still pending, that is, whose attempts so far ended in SamplerFailed,
-    and runs _attempt on them all. A request thus draws from its own rng
-    exactly as it does alone. Each result is the ensemble, the last
-    SamplerFailed if every attempt fails, or any other error, which ends
-    the request's attempts at once.
+    Each attempt, at most SAMPLER_ATTEMPTS, draws one sampler seed from
+    the rng of every request still pending, that is, whose attempts so far
+    ended in SamplerFailed, and runs _attempt on them all. A request thus draws
+    from its own rng exactly as it does alone. Each result is the
+    ensemble, the last SamplerFailed if every attempt fails, or any other
+    error, which ends the request's attempts at once.
     """
     results: list[FiniteEnsemble | TracemaxError] = [None] * len(requests)
     pending = list(range(len(requests)))
-    for _ in range(attempts):
+    for _ in range(SAMPLER_ATTEMPTS):
         rows = [(*requests[i][:4], subseed(requests[i][4])) for i in pending]
         for i, result in zip(pending, _attempt(rows)):
             results[i] = result

@@ -97,10 +97,6 @@ class SymMatrix:
     # Convenience constructors -------------------------------------------
 
     @staticmethod
-    def zeros(n: int) -> "SymMatrix":
-        return SymMatrix(np.zeros((n, n)))
-
-    @staticmethod
     def seeded(entries: np.ndarray, q: np.ndarray, lam: np.ndarray) -> "SymMatrix":
         """A SymMatrix holding ``entries``, with the eigendecomposition cache set to (lam, q).
 

@@ -37,6 +37,8 @@ from tracemax import (
 import tracemax.checks as checks
 import tracemax.ensembles as ensembles
 from tracemax.ensembles import _attempt, _sample
+from tracemax.errors import TracemaxError
+from tracemax.extremal import MOMENT_BUDGET
 
 
 def test_report_fields_are_consistent():
@@ -151,7 +153,7 @@ def test_alt_schatten_identity_case():
 
 def test_alt_schatten_zero_b():
     a = random_psd(3, stream(44), 1.0)
-    rep = check_alt_schatten(a, SymMatrix.zeros(3), 1.5)
+    rep = check_alt_schatten(a, SymMatrix(np.zeros((3, 3))), 1.5)
     assert rep.lhs == 0.0
     assert rep.rhs == 0.0
     assert rep.passed
@@ -238,7 +240,7 @@ def test_expectation_word_bound_deterministic_equality():
 def test_expectation_word_bound_zero_x():
     n = 2
     ex = FiniteEnsemble(
-        atoms=(SymMatrix.zeros(n),), probs=(1.0,), cap=1.0, alpha=0.0
+        atoms=(SymMatrix(np.zeros((n, n))),), probs=(1.0,), cap=1.0, alpha=0.0
     )
     y = random_psd(n, stream(48), 1.0)
     ey = FiniteEnsemble(atoms=(y,), probs=(1.0,), cap=max(y.opnorm, 1e-9), alpha=1.0)
@@ -281,7 +283,7 @@ def test_binomial_reduction_commuting_equality():
     cap = 1.5
     alpha = 0.4
     ex = FiniteEnsemble(
-        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix.zeros(n)),
+        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix(np.zeros((n, n)))),
         probs=(alpha, 1.0 - alpha),
         cap=cap,
         alpha=alpha,
@@ -295,7 +297,7 @@ def test_binomial_reduction_commuting_equality():
 def test_binomial_reduction_zero_y_linear():
     n = 3
     (ex,) = _attempt([(n, 2, 1.0, 0.6, 77)])
-    ey = FiniteEnsemble(atoms=(SymMatrix.zeros(n),), probs=(1.0,), cap=1.0, alpha=0.0)
+    ey = FiniteEnsemble(atoms=(SymMatrix(np.zeros((n, n))),), probs=(1.0,), cap=1.0, alpha=0.0)
     rep = check_binomial_reduction(ex, ey, 1, 1.0)
     assert_close(rep.lhs, ex.mean.trace(), rel=1e-12, abs_tol=1e-12)
     assert_close(rep.rhs, n * ex.mean_norm, rel=1e-12, abs_tol=1e-12)
@@ -388,6 +390,86 @@ def test_run_trial_is_deterministic():
         LemmaId.WORD_BOUND, LemmaId.EXPECTATION_WORD_BOUND,
         LemmaId.BINOMIAL_REDUCTION,
     ]
+
+
+_EXPORTED = {
+    "_batch_holder": check_holder,
+    "_batch_alt": lambda check, *case: check(*case),
+    "_batch_word_bound": check_word_bound,
+    "_batch_expectation_word_bound": check_expectation_word_bound,
+    "_batch_binomial_reduction": check_binomial_reduction,
+}
+
+
+def _recorded_batches(monkeypatch):
+    """Make the sweep record the cases and results of each batched checker."""
+    recorded = {name: [] for name in _EXPORTED}
+    for name in _EXPORTED:
+        def recording(cases, batched=getattr(checks, name), name=name):
+            results = batched(cases)
+            recorded[name].append((cases, results))
+            return results
+
+        monkeypatch.setattr(checks, name, recording)
+    return recorded
+
+
+def test_batched_checkers_match_the_exported_checkers(monkeypatch):
+    # in the sweep, each batched report equals the exported checker's on the
+    # same inputs; the batches cover every dimension, both Holder shapes,
+    # the exponents 1.0 and 2.0 on which numpy takes a fast path, integer
+    # and fractional words and both ends of the power range
+    recorded = _recorded_batches(monkeypatch)
+    for seed in (0, 7000, 7001):
+        for lo in range(0, 96, 32):
+            checks._run_trials(seed, lo, lo + 32, 5, 8)
+    seen = set()
+    for name, check in _EXPORTED.items():
+        for cases, results in recorded[name]:
+            assert results == [check(*case) for case in cases], name
+            for case in cases:
+                if name == "_batch_holder":
+                    seen.add((name, case[0][0].dim, len(case[0])))
+                elif name == "_batch_alt":
+                    seen.add((name, case[1].dim, case[3]))
+                elif name == "_batch_binomial_reduction":
+                    seen.add((name, case[0].dim, case[2]))
+                else:
+                    seen.add((name, case[0].dim, case[2].exponent_pairs[0][0].is_integer()))
+    for name in _EXPORTED:
+        assert {n for kind, n, _ in seen if kind == name} == {1, 2, 3, 4, 5}, name
+    required = [
+        ("_batch_holder", 1), ("_batch_holder", 3), ("_batch_alt", 1.0), ("_batch_alt", 2.0),
+        ("_batch_word_bound", True), ("_batch_word_bound", False),
+        ("_batch_expectation_word_bound", True), ("_batch_expectation_word_bound", False),
+        ("_batch_binomial_reduction", 1), ("_batch_binomial_reduction", 8),
+    ]
+    for name, value in required:
+        assert any(kind == name and v == value for kind, _, v in seen), (name, value)
+
+
+def _outcome(check, case):
+    """check(*case), or the type and message of the error it raises."""
+    try:
+        return check(*case)
+    except TracemaxError as exc:
+        return type(exc), str(exc)
+
+
+def _outcomes(results):
+    return [(type(r), str(r)) if isinstance(r, TracemaxError) else r for r in results]
+
+
+def test_batched_binomial_reduction_returns_the_checkers_errors(monkeypatch):
+    # a power above MOMENT_BUDGET goes to the exported checker, and the batch
+    # holds the error it raises; the sweep raises the first one
+    recorded = _recorded_batches(monkeypatch)
+    with pytest.raises(BudgetExceeded):
+        checks._run_trials(3, 0, 32, 3, 40)
+    ((cases, results),) = recorded["_batch_binomial_reduction"]
+    assert any(p > MOMENT_BUDGET for _, _, p, _, _ in cases)
+    assert any(isinstance(r, CheckReport) for r in results)
+    assert _outcomes(results) == [_outcome(check_binomial_reduction, c) for c in cases]
 
 
 def _tally_report(slack, rhs, digest):

@@ -37,12 +37,12 @@ from tracemax.linalg import (
 )
 
 _EYE2 = SymMatrix(np.eye(2))
-_ZERO2 = SymMatrix.zeros(2)
+_ZERO2 = SymMatrix(np.zeros((2, 2)))
 
 
 def _bernoulli_member(cap, alpha, n=2):
     return FiniteEnsemble(
-        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix.zeros(n)),
+        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix(np.zeros((n, n)))),
         probs=(alpha, 1.0 - alpha),
         cap=cap,
         alpha=alpha,
@@ -88,7 +88,7 @@ def test_rejects_mean_norm_mismatch():
 def test_rejects_mixed_dimensions():
     with pytest.raises(DimensionError):
         FiniteEnsemble(
-            atoms=(_EYE2, SymMatrix.zeros(3)), probs=(0.5, 0.5), cap=1.0, alpha=0.5
+            atoms=(_EYE2, SymMatrix(np.zeros((3, 3)))), probs=(0.5, 0.5), cap=1.0, alpha=0.5
         )
 
 
@@ -233,7 +233,8 @@ def _extreme_alpha_projections(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(ensembles, "_project_batch", recorded)
-        members = _sample([(5, 3, 0.75, 0.9985, stream(55))] * 30, attempts=1)
+        patch.setattr(ensembles, "SAMPLER_ATTEMPTS", 1)
+        members = _sample([(5, 3, 0.75, 0.9985, stream(55))] * 30)
     return members, rows
 
 
@@ -390,8 +391,9 @@ def test_sample_with_retry_propagates_final_failure(monkeypatch):
         return [FAILED] * len(status), *arrays
 
     monkeypatch.setattr(ensembles, "_project_batch", failing)
+    monkeypatch.setattr(ensembles, "SAMPLER_ATTEMPTS", 4)
     rng, twin = stream(0), stream(0)
-    (result,) = _sample([(2, 2, 1.0, 0.5, rng)], attempts=4)
+    (result,) = _sample([(2, 2, 1.0, 0.5, rng)])
     assert isinstance(result, SamplerFailed)
     seeds = [subseed(twin) for _ in range(4)]
     assert len(set(seeds)) == 4

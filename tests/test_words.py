@@ -136,7 +136,7 @@ def test_expand_matches_direct_power(pair, p):
 
 def test_expand_degenerate_summands():
     x = random_psd(3, stream(17), 1.0)
-    zero = SymMatrix.zeros(3)
+    zero = SymMatrix(np.zeros((3, 3)))
     assert_close(
         expand_trace_power(x, zero, 3),
         float(np.trace(np.linalg.matrix_power(x.entries, 3))),
