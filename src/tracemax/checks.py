@@ -11,15 +11,15 @@ failure as build-breaking.
 Expectations are always exact sums over finite product supports; no
 checker uses Monte Carlo, so there are no statistical false alarms.
 
-The randomized sweep runs its trials in batches, each in four phases:
-draw every trial's inputs from its own streams, recording random PSD
-matrices as numbers; build all recorded matrices, one call per dimension;
-sample the trials' ensembles through the batched sampler; evaluate each
-checker on all the batch's instances at once, with one stacked matmul or
-eigh per dimension where a trial alone makes one call per matrix. Every
-stream is drawn from in the order of a trial run alone, and every matrix,
-ensemble and report is computed bit for bit as it is alone, so the
-batches change no output.
+The randomized sweep runs one lemma at a time over a block of trials,
+each drawing that lemma's inputs from its own stream, so one lemma's
+matrices are alive at a time; the two lemmas on sampled ensembles run in
+smaller batches. Random PSD matrices are built one call per dimension,
+and each checker runs on all its instances at once, with one stacked
+matmul or eigh per dimension, returning arrays of both sides that the
+lemma's summary is tallied from. Streams are drawn from in the order of
+a trial run alone, and every matrix, ensemble and side is computed bit
+for bit as it is alone, so neither blocks nor batches change any output.
 """
 
 from __future__ import annotations
@@ -65,13 +65,14 @@ CHECK_TOL = 1e-9
 # Exponent grid exercised by the randomized sweep.
 ALT_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 
-# The sweep runs trials in blocks of _BLOCK_TRIALS, one parallel task
-# each, in batches of _BATCH_TRIALS. A batch holds every matrix, ensemble
-# and check array of its trials at once, trading per-call overhead against
-# memory: at two workers the 512-trial benchmark sweep peaks at 36.2, 37.1
-# and 41.5 MB RSS with 32-, 64- and 256-trial batches (2-vCPU VM).
+# The sweep runs trials in blocks of _BLOCK_TRIALS, one parallel task each.
+# The sampled lemmas run batches of _SAMPLED_TRIALS, trading per-call
+# overhead against memory: with 32, 64, 96 and 128 the 512-trial benchmark
+# sweep takes 0.44, 0.39, 0.35 and 0.35 s in-process and peaks at 36.4,
+# 36.4, 36.6 and 37.1 MB RSS at two workers (2-vCPU VM). At 64 a block's
+# traced peak is the other lemmas' own, 0.8 MB.
 _BLOCK_TRIALS = 256
-_BATCH_TRIALS = 32
+_SAMPLED_TRIALS = 64
 
 
 class LemmaId(str, Enum):
@@ -237,8 +238,8 @@ def check_theorem_max(family: EnsembleFamily, p: int, digest: str = "") -> Check
     return _report(LemmaId.THEOREM_MAX, lhs, rhs, digest)
 
 
-# Batched evaluation: a _batch_* function returns, bit for bit, what its
-# checker returns on each case (its positional arguments, digest last). The
+# Batched evaluation: a _batch_* function returns, bit for bit, the (lhs,
+# rhs) its checker reports on each case (its arguments but the digest). The
 # cases are the sweep's, valid by construction (an ABA of PSD A and B stays
 # far above the PSD floor) except for a power above MOMENT_BUDGET.
 
@@ -317,8 +318,8 @@ def _chain_traces(chains: Sequence[Sequence[tuple]]) -> list[float]:
     return out
 
 
-def _batch_holder(cases: Sequence[tuple]) -> list[CheckReport]:
-    """check_holder on each case (factors, exponents, digest)."""
+def _batch_holder(cases: Sequence[tuple]) -> list[tuple[float, float]]:
+    """check_holder on each case (factors, exponents)."""
     # per case: the product's singular values, then each factor's |spectrum|
     sigmas: list = [None] * len(cases)
     for (_, r), idx in _groups((c[0][0].dim, len(c[0])) for c in cases).items():
@@ -334,16 +335,13 @@ def _batch_holder(cases: Sequence[tuple]) -> list[CheckReport]:
     norms = iter(_schatten_norms(
         [sigma for row in sigmas for sigma in row], [q for c in cases for q in (1, *c[1])]
     ))
-    return [
-        _report(LemmaId.HOLDER, next(norms), math.prod(next(norms) for _ in factors), digest)
-        for factors, _, digest in cases
-    ]
+    return [(next(norms), math.prod(next(norms) for _ in factors)) for factors, _ in cases]
 
 
-def _batch_alt(cases: Sequence[tuple]) -> list[CheckReport]:
-    """Each case (check, a, b, alpha, digest) through check_alt or
+def _batch_alt(cases: Sequence[tuple]) -> list[tuple[float, float]]:
+    """Each case (check, a, b, alpha) through check_alt or
     check_alt_schatten, both on _alt_sides' sandwich and trace."""
-    traces = _chain_traces([((a, 2.0 * alpha), (b, alpha)) for _, a, b, alpha, _ in cases])
+    traces = _chain_traces([((a, 2.0 * alpha), (b, alpha)) for _, a, b, alpha in cases])
     spectra: list = [None] * len(cases)
     for _, idx in _groups(c[1].dim for c in cases).items():
         a = np.array([cases[i][1].entries for i in idx])
@@ -353,14 +351,10 @@ def _batch_alt(cases: Sequence[tuple]) -> list[CheckReport]:
     alphas = [c[3] for c in cases]
     sums = _spectral_sums(spectra, alphas)
     norms = _schatten_norms([np.abs(lam) for lam in spectra], alphas)
-    out = []
-    for (check, _, _, alpha, digest), trace, total, norm in zip(cases, traces, sums, norms):
-        if check is check_alt:
-            out.append(_report(LemmaId.ALT, total, trace, digest))
-        else:
-            rhs = max(trace, 0.0) ** (1.0 / alpha)
-            out.append(_report(LemmaId.ALT_SCHATTEN, norm, rhs, digest))
-    return out
+    return [
+        (total, trace) if check is check_alt else (norm, max(trace, 0.0) ** (1.0 / alpha))
+        for (check, _, _, alpha), trace, total, norm in zip(cases, traces, sums, norms)
+    ]
 
 
 def _word_chain(x: SymMatrix, y: SymMatrix, w: AlternatingWord) -> list[tuple]:
@@ -368,34 +362,33 @@ def _word_chain(x: SymMatrix, y: SymMatrix, w: AlternatingWord) -> list[tuple]:
     return [f for l, m in w.exponent_pairs for f in ((x, l), (y, m))]
 
 
-def _batch_word_bound(cases: Sequence[tuple]) -> list[CheckReport]:
-    """check_word_bound on each case (x, y, w, digest)."""
-    words = [_word_chain(x, y, w) for x, y, w, _ in cases]
-    traces = _chain_traces(words + [((x, None), (y, w.y_degree)) for x, y, w, _ in cases])
+def _batch_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
+    """check_word_bound on each case (x, y, w)."""
+    words = [_word_chain(x, y, w) for x, y, w in cases]
+    traces = _chain_traces(words + [((x, None), (y, w.y_degree)) for x, y, w in cases])
     return [
-        _report(LemmaId.WORD_BOUND, abs(lhs), x.opnorm ** (w.x_degree - 1.0) * collapsed, digest)
-        for (x, _, w, digest), lhs, collapsed in zip(cases, traces, traces[len(cases) :])
+        (abs(lhs), x.opnorm ** (w.x_degree - 1.0) * collapsed)
+        for (x, _, w), lhs, collapsed in zip(cases, traces, traces[len(cases) :])
     ]
 
 
-def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[CheckReport]:
-    """check_expectation_word_bound on each case (ex, ey, w, cap, digest)."""
+def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
+    """check_expectation_word_bound on each case (ex, ey, w, cap)."""
     traces = iter(_chain_traces([
         _word_chain(ax, ay, w) for ex, ey, w, *_ in cases for ax in ex.atoms for ay in ey.atoms
     ]))
     y_atoms = [(a.eig.eigenvalues, c[2].y_degree) for c in cases for a in c[1].atoms]
     y_traces = iter(_spectral_sums([lam for lam, _ in y_atoms], [t for _, t in y_atoms]))
     out = []
-    for ex, ey, w, cap, digest in cases:
+    for ex, ey, w, cap in cases:
         lhs = math.fsum(px * py * next(traces) for px in ex.probs for py in ey.probs)
         ef_l = _bernoulli_weight(ex, cap) * cap**w.x_degree
-        ey_trace = math.fsum(py * next(y_traces) for py in ey.probs)
-        out.append(_report(LemmaId.EXPECTATION_WORD_BOUND, lhs, ef_l * ey_trace, digest))
+        out.append((lhs, ef_l * math.fsum(py * next(y_traces) for py in ey.probs)))
     return out
 
 
-def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[CheckReport | TracemaxError]:
-    """check_binomial_reduction on each case (ex, ey, p, cap, digest): the
+def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
+    """check_binomial_reduction on each case (ex, ey, p, cap): the
     cases of one (n, p) go through one _stacked_moments call, as two
     families each, (X, Y) and (f I, Y), with f I as bernoulli_member has it."""
     out: list = [None] * len(cases)
@@ -403,13 +396,14 @@ def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[CheckReport | Trac
         if p > MOMENT_BUDGET:
             for i in idx:  # the checker's own error
                 try:
-                    out[i] = check_binomial_reduction(*cases[i])
+                    report = check_binomial_reduction(*cases[i])
+                    out[i] = report.lhs, report.rhs
                 except TracemaxError as exc:
                     out[i] = exc
             continue
         members = []
         for i in idx:
-            ex, ey, _, cap, _ = cases[i]
+            ex, ey, _, cap = cases[i]
             alpha = _bernoulli_weight(ex, cap)
             y = [a.entries for a in ey.atoms], ey.probs
             surrogate = [cap * np.eye(n), np.zeros((n, n))], (alpha, 1.0 - alpha)
@@ -422,9 +416,7 @@ def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[CheckReport | Trac
             probs[m // 2, m % 2, : len(atoms)] = member_probs
         values = _stacked_moments(entries, probs, sizes, p)
         for k, i in enumerate(idx):
-            out[i] = _report(
-                LemmaId.BINOMIAL_REDUCTION, values[2 * k], values[2 * k + 1], cases[i][4]
-            )
+            out[i] = values[2 * k], values[2 * k + 1]
     return out
 
 
@@ -492,62 +484,32 @@ def _random_word(rng: np.random.Generator, p_max: int) -> AlternatingWord:
     return AlternatingWord(exponent_pairs=pairs)
 
 
-def _draw_trial(
-    seed: int, t: int, dim_max: int, p_max: int, psd
-) -> tuple:
-    """Trial t's draws up to its sampler: the inputs of the first four checks,
-    with each matrix given by the index ``psd(n, rng)`` returns for it, and
-    the request for its X ensemble. Stream 4 pauses there."""
-    rng = stream(seed, t, 0)
-    n = int(rng.integers(1, dim_max + 1))
-    r = int(rng.integers(1, 4))
-    weights = rng.uniform(0.5, 2.0, size=r)
-    inverses = weights / math.fsum(weights.tolist())
-    exponents = [1.0 / u for u in inverses]
-    holder = ([psd(n, rng) for _ in range(r)], exponents, f"trial={t};n={n};r={r}")
-    alts = []
-    for k, check in ((1, check_alt), (2, check_alt_schatten)):
-        rng = stream(seed, t, k)
-        n = int(rng.integers(1, dim_max + 1))
-        alpha_exp = float(rng.choice(ALT_EXPONENTS))
-        a, b = psd(n, rng), psd(n, rng)
-        alts.append((check, a, b, alpha_exp, f"trial={t};n={n};alpha={alpha_exp}"))
-    rng = stream(seed, t, 3)
-    n = int(rng.integers(1, dim_max + 1))
-    x, y = psd(n, rng), psd(n, rng)
-    w = _random_word(rng, p_max)
-    word = (x, y, w, f"trial={t};n={n};word={w.exponent_pairs}")
-    rng = stream(seed, t, 4)
-    n = int(rng.integers(1, dim_max + 1))
-    cap = float(rng.uniform(0.5, 2.0))
-    request = (n, int(rng.integers(1, 4)), cap, float(rng.uniform()), rng)
-    return holder, alts, word, request
+def _summary(lemma_id: LemmaId, sides: Sequence[tuple], digest) -> LemmaSummary:
+    """LemmaSummary.add folded, in order, over _report of each (lhs, rhs), on
+    arrays: digest(i) is formatted for the worst pair i alone. The fold
+    skips a NaN slack and moves only on a strictly smaller one, and argmin
+    returns the first of equal minima, so ties keep the earliest pair."""
+    lhs, rhs = np.array(sides, dtype=float).T
+    slack = rhs - lhs
+    scale = 1.0 + np.abs(rhs)
+    norm = np.where(np.isnan(slack / scale), math.inf, slack / scale)
+    slack = np.where(np.isnan(slack), math.inf, slack)
+    worst = int(np.argmin(norm))
+    return LemmaSummary(
+        lemma_id=lemma_id,
+        trials=len(sides),
+        passes=int(np.count_nonzero(lhs <= rhs + CHECK_TOL * scale)),
+        min_slack=float(slack[np.argmin(slack)]),
+        min_norm_slack=float(norm[worst]),
+        worst_digest=digest(worst) if norm[worst] < math.inf else "",
+    )
 
 
-def _run_trials(
-    seed: int, start: int, stop: int, dim_max: int, p_max: int
-) -> list[list[CheckReport]]:
-    """The six reports of each trial in [start, stop), in four phases.
-
-    1. Draw: each trial draws from its five streams stream(seed, t, k) in
-       the order of its checks. A random PSD matrix draws its scale, its
-       angles and its spectrum, and is recorded, not built.
-    2. Build: every recorded matrix is built by _spectral_build, one call
-       per dimension.
-    3. Sample: the X ensembles of all trials go through the batched
-       sampler; then each trial draws its Y parameters from stream 4, and
-       the Y ensembles go through it too. Each trial whose ensembles were
-       sampled draws its word and power from stream 4.
-    4. Evaluate: each checker runs once, through its _batch_* function, on
-       the batch's cases of it. Results are read in trial order: a trial's
-       first four reports, its X and then its Y sampler error, its last
-       two reports. So the error raised is the first in trial order; a Y
-       ensemble sampled after its X failed is never used.
-
-    Every stream is drawn from in the order a trial run alone draws from
-    it, and each matrix, ensemble and report is computed bit for bit as it
-    is alone, so the batch changes no report.
-    """
+def _drawn(seed: int, trials: range, k: int, dim_max: int, draw) -> tuple[list, list]:
+    """(t, n, *draw(rng, n, psd)) for each trial t, from its stream k after
+    its dimension n, and the matrices psd recorded, built in one
+    _spectral_build call. psd(n, rng) draws a random PSD matrix's scale,
+    angles and spectrum and returns the index of the matrix it records."""
     draws: list[tuple[np.ndarray, np.ndarray]] = []
 
     def psd(n: int, rng: np.random.Generator) -> int:
@@ -555,58 +517,114 @@ def _run_trials(
         draws.append(_spectral_draw(n, rng, 0.0, scale))
         return len(draws) - 1
 
-    trials = [_draw_trial(seed, t, dim_max, p_max, psd) for t in range(start, stop)]
-    matrices = _spectral_build(draws)
-    xs = _sample([request for *_, request in trials])
-    y_requests = []
-    for *_, (n, _, _, _, rng) in trials:
-        y_requests.append(
-            (n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng)
-        )
-    ys = _sample(y_requests)
+    rows = []
+    for t in trials:
+        rng = stream(seed, t, k)
+        n = int(rng.integers(1, dim_max + 1))
+        rows.append((t, n, *draw(rng, n, psd)))
+    return rows, _spectral_build(draws)
 
-    holder, alt, word, expectation, binomial, sampled = ([] for _ in range(6))
-    for t, (holder_draw, alt_draws, word_draw, request), ex, ey in zip(
-        range(start, stop), trials, xs, ys
-    ):
-        factors, exponents, digest = holder_draw
-        holder.append(([matrices[i] for i in factors], exponents, digest))
-        alt += [(check, matrices[a], matrices[b], *rest) for check, a, b, *rest in alt_draws]
-        x, y, w, digest = word_draw
-        word.append((matrices[x], matrices[y], w, digest))
-        sampled.append(not isinstance(ex, TracemaxError) and not isinstance(ey, TracemaxError))
-        if sampled[-1]:
-            n, _, cap, _, rng = request
+
+def _holder_tally(seed: int, trials: range, dim_max: int, p_max: int) -> LemmaSummary:
+    def draw(rng, n, psd):
+        r = int(rng.integers(1, 4))
+        weights = rng.uniform(0.5, 2.0, size=r)
+        inverses = weights / math.fsum(weights.tolist())
+        return r, [psd(n, rng) for _ in range(r)], [1.0 / u for u in inverses]
+
+    rows, m = _drawn(seed, trials, 0, dim_max, draw)
+    sides = _batch_holder([([m[i] for i in factors], q) for *_, factors, q in rows])
+    return _summary(LemmaId.HOLDER, sides, lambda i: "trial={};n={};r={}".format(*rows[i]))
+
+
+def _alt_tally(seed: int, trials: range, dim_max: int, p_max: int, k: int) -> LemmaSummary:
+    """check_alt on stream 1, check_alt_schatten on stream 2."""
+    def draw(rng, n, psd):
+        return float(rng.choice(ALT_EXPONENTS)), psd(n, rng), psd(n, rng)
+
+    rows, m = _drawn(seed, trials, k, dim_max, draw)
+    check = check_alt if k == 1 else check_alt_schatten
+    sides = _batch_alt([(check, m[a], m[b], alpha) for _, _, alpha, a, b in rows])
+    lemma = LemmaId.ALT if k == 1 else LemmaId.ALT_SCHATTEN
+    return _summary(lemma, sides, lambda i: "trial={};n={};alpha={}".format(*rows[i]))
+
+
+def _word_tally(seed: int, trials: range, dim_max: int, p_max: int) -> LemmaSummary:
+    def draw(rng, n, psd):
+        return psd(n, rng), psd(n, rng), _random_word(rng, p_max)
+
+    rows, m = _drawn(seed, trials, 3, dim_max, draw)
+    sides = _batch_word_bound([(m[x], m[y], w) for _, _, x, y, w in rows])
+    label = "trial={};n={};word={}".format
+    return _summary(
+        LemmaId.WORD_BOUND, sides, lambda i: label(*rows[i][:2], rows[i][4].exponent_pairs)
+    )
+
+
+def _sampled_batch(seed: int, trials: range, dim_max: int, p_max: int) -> tuple:
+    """The expectation word bound's and the binomial reduction's sides on
+    each trial's stream 4, and their digests' parts (t, n, cap, word, p).
+
+    The X ensembles of all trials go through the batched sampler; then each
+    trial draws its Y parameters, and the Y ensembles go through it too.
+    Each trial whose ensembles were sampled draws its word and power. The
+    first error in trial order is raised: a trial's X, then its Y sampler
+    error, then its binomial reduction's, as the trial alone raises it.
+    """
+    requests = []
+    for t in trials:
+        rng = stream(seed, t, 4)
+        n = int(rng.integers(1, dim_max + 1))
+        cap = float(rng.uniform(0.5, 2.0))
+        requests.append((n, int(rng.integers(1, 4)), cap, float(rng.uniform()), rng))
+    xs = _sample(requests)
+    ys = _sample([
+        (n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng)
+        for n, *_, rng in requests
+    ])
+    errors, cases, parts = [], [], []
+    for t, (n, _, cap, _, rng), ex, ey in zip(trials, requests, xs, ys):
+        errors.append(next((e for e in (ex, ey) if isinstance(e, TracemaxError)), None))
+        if errors[-1] is None:
             w = _random_word(rng, p_max)
             p = int(rng.integers(1, p_max + 1))
-            digest = f"trial={t};n={n};cap={cap}"
-            expectation.append((ex, ey, w, cap, f"{digest};word={w.exponent_pairs}"))
-            binomial.append((ex, ey, p, cap, f"{digest};p={p}"))
-
-    alts = _batch_alt(alt)
-    first = zip(_batch_holder(holder), alts[0::2], alts[1::2], _batch_word_bound(word), xs, ys)
-    last = zip(_batch_expectation_word_bound(expectation), _batch_binomial_reduction(binomial))
-    reports = []
-    for row, ok in zip(first, sampled):
-        row += next(last) if ok else ()
-        for result in row:
-            if isinstance(result, TracemaxError):
-                raise result
-        reports.append([*row[:4], *row[6:]])
-    return reports
+            cases.append((ex, ey, w, p, cap))
+            parts.append((t, n, cap, w.exponent_pairs, p))
+    expectation = _batch_expectation_word_bound([(ex, ey, w, cap) for ex, ey, w, _, cap in cases])
+    binomial = _batch_binomial_reduction([(ex, ey, p, cap) for ex, ey, _, p, cap in cases])
+    outcomes = iter(binomial)
+    for result in [error or next(outcomes) for error in errors]:
+        if isinstance(result, TracemaxError):
+            raise result
+    return expectation, binomial, parts
 
 
-def _run_trial_block(
-    args: tuple[int, int, int, int, int],
-) -> dict[LemmaId, LemmaSummary]:
+def _sampled_tallies(seed: int, trials: range, dim_max: int, p_max: int) -> list[LemmaSummary]:
+    """The tallies of the two lemmas on sampled ensembles, whose trials run
+    in batches of _SAMPLED_TRIALS (see _sampled_batch)."""
+    expectation, binomial, parts = [], [], []
+    for lo in range(0, len(trials), _SAMPLED_TRIALS):
+        batch = _sampled_batch(seed, trials[lo : lo + _SAMPLED_TRIALS], dim_max, p_max)
+        for out, sides in zip((expectation, binomial, parts), batch):
+            out += sides
+    def label(i: int, key: str, k: int) -> str:
+        return "trial={};n={};cap={};{}={}".format(*parts[i][:3], key, parts[i][k])
+
+    return [
+        _summary(LemmaId.EXPECTATION_WORD_BOUND, expectation, lambda i: label(i, "word", 3)),
+        _summary(LemmaId.BINOMIAL_REDUCTION, binomial, lambda i: label(i, "p", 4)),
+    ]
+
+
+def _run_trial_block(args: tuple[int, int, int, int, int]) -> dict[LemmaId, LemmaSummary]:
+    """The tallies of trials [start, stop), one lemma at a time over them all."""
     seed, start, stop, dim_max, p_max = args
-    tallies: dict[LemmaId, LemmaSummary] = {}
-    for lo in range(start, stop, _BATCH_TRIALS):
-        for reports in _run_trials(seed, lo, min(lo + _BATCH_TRIALS, stop), dim_max, p_max):
-            for rep in reports:
-                prior = tallies.get(rep.lemma_id) or LemmaSummary.empty(rep.lemma_id)
-                tallies[rep.lemma_id] = prior.add(rep)
-    return tallies
+    block = (seed, range(start, stop), dim_max, p_max)
+    tallies = [
+        _holder_tally(*block), _alt_tally(*block, 1), _alt_tally(*block, 2),
+        _word_tally(*block), *_sampled_tallies(*block),
+    ]
+    return {tally.lemma_id: tally for tally in tallies}
 
 
 def run_lemma_sweep(
@@ -617,8 +635,9 @@ def run_lemma_sweep(
     Every trial owns counter-derived RNG streams keyed by (seed, trial), so
     results are independent of blocks, batches and worker count. Trials
     run in blocks of _BLOCK_TRIALS, one parallel task each, and a block
-    runs its trials in batches of _BATCH_TRIALS (see _run_trials). Each
-    block is tallied in its worker; the tallies are merged in block order.
+    runs one lemma at a time over all its trials (see _run_trial_block).
+    Each block is tallied in its worker; the tallies are merged in block
+    order.
     """
     if trials < 1 or dim_max < 1 or p_max < 1:
         raise InvalidExponent(

@@ -28,6 +28,7 @@ from .extremal import (
     bernoulli_sum_moment_enum,
     corollary_growth,
     partial_sum_moments,
+    theorem_max_value,
 )
 from .search import SearchConfig, gap_sweep
 
@@ -115,7 +116,7 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         raise TracemaxError(f"dimension must be positive, got {args.n}")
     history = partial_sum_moments(params, args.p)
     scalar_moment = history[-1][args.p]
-    value = args.n * scalar_moment
+    value = theorem_max_value(args.n, params, args.p)
     steps = []
     for k, (cap, alpha) in enumerate(zip(params.caps, params.alphas), start=1):
         partial = history[k][args.p]

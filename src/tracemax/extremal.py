@@ -28,7 +28,7 @@ _BINOM = [[float(math.comb(j, i)) for i in range(MOMENT_BUDGET + 1)]
 
 @dataclass(frozen=True)
 class BernoulliParams:
-    """Norm caps L_k > 0 and expectation fractions alpha_k in [0, 1]."""
+    """Finite norm caps L_k > 0 and expectation fractions alpha_k in [0, 1]."""
 
     caps: tuple[float, ...]
     alphas: tuple[float, ...]
@@ -41,8 +41,8 @@ class BernoulliParams:
                 f"need equal, nonempty cap/alpha lists, got {len(caps)}/{len(alphas)}"
             )
         for v in caps:
-            if not v > 0:
-                raise InvalidExponent(f"caps must be positive, got {v}")
+            if not 0 < v < math.inf:
+                raise InvalidExponent(f"caps must be positive and finite, got {v}")
         for v in alphas:
             if not 0.0 <= v <= 1.0:
                 raise InvalidExponent(f"alphas must lie in [0, 1], got {v}")
@@ -66,19 +66,25 @@ def partial_sum_moments(params: BernoulliParams, p: int) -> list[list[float]]:
     """Raw moments E S_k^j (j = 0..p) of each partial sum S_k = f_1+...+f_k.
 
     Element [k] is the moment vector after incorporating the first k
-    summands; element [0] belongs to the empty sum.
+    summands; element [0] belongs to the empty sum. Raises BudgetExceeded
+    if a moment overflows float64.
     """
     p = _validate_p(p)
     mu = [1.0] + [0.0] * p
     history = [list(mu)]
-    for cap, alpha in zip(params.caps, params.alphas):
-        fpow = [1.0] + [alpha * cap**s for s in range(1, p + 1)]
-        binom = _BINOM
-        mu = [
-            math.fsum(binom[j][j - i] * mu[i] * fpow[j - i] for i in range(j + 1))
-            for j in range(p + 1)
-        ]
-        history.append(list(mu))
+    try:
+        for cap, alpha in zip(params.caps, params.alphas):
+            fpow = [1.0] + [alpha * cap**s for s in range(1, p + 1)]
+            binom = _BINOM
+            mu = [
+                math.fsum(binom[j][j - i] * mu[i] * fpow[j - i] for i in range(j + 1))
+                for j in range(p + 1)
+            ]
+            history.append(list(mu))
+    except OverflowError:
+        mu = [math.inf]
+    if not all(map(math.isfinite, mu)):  # an infinite moment stays inf or NaN
+        raise BudgetExceeded(f"moment of order {p} overflows, largest cap {max(params.caps)}")
     return history
 
 
@@ -112,7 +118,10 @@ def theorem_max_value(n: int, params: BernoulliParams, p: int) -> float:
     """
     if n < 1 or n != int(n):
         raise DimensionError(f"dimension must be a positive integer, got {n}")
-    return n * bernoulli_sum_moment(params, p)
+    value = n * bernoulli_sum_moment(params, p)
+    if math.isinf(value):
+        raise BudgetExceeded(f"the maximum at n={n}, p={p} overflows float64")
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 passes, and independent numpy oracles for both sides where feasible."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import assert_close, psd_pairs, seeds
 from tracemax import (
@@ -382,14 +383,15 @@ def test_theorem_max_on_sampled_families(seed):
 # Sweep driver ----------------------------------------------------------------
 
 def test_run_trial_is_deterministic():
-    (a,) = checks._run_trials(123, 5, 6, 4, 6)
-    (b,) = checks._run_trials(123, 5, 6, 4, 6)
+    a = checks._run_trial_block((123, 5, 6, 4, 6))
+    b = checks._run_trial_block((123, 5, 6, 4, 6))
     assert a == b
-    assert [r.lemma_id for r in a] == [
+    assert list(a) == [
         LemmaId.HOLDER, LemmaId.ALT, LemmaId.ALT_SCHATTEN,
         LemmaId.WORD_BOUND, LemmaId.EXPECTATION_WORD_BOUND,
         LemmaId.BINOMIAL_REDUCTION,
     ]
+    assert all(s.trials == 1 and s.worst_digest.startswith("trial=5;") for s in a.values())
 
 
 _EXPORTED = {
@@ -399,6 +401,10 @@ _EXPORTED = {
     "_batch_expectation_word_bound": check_expectation_word_bound,
     "_batch_binomial_reduction": check_binomial_reduction,
 }
+
+
+def _sides(report):
+    return report.lhs, report.rhs
 
 
 def _recorded_batches(monkeypatch):
@@ -421,12 +427,11 @@ def test_batched_checkers_match_the_exported_checkers(monkeypatch):
     # and fractional words and both ends of the power range
     recorded = _recorded_batches(monkeypatch)
     for seed in (0, 7000, 7001):
-        for lo in range(0, 96, 32):
-            checks._run_trials(seed, lo, lo + 32, 5, 8)
+        checks._run_trial_block((seed, 0, 96, 5, 8))
     seen = set()
     for name, check in _EXPORTED.items():
         for cases, results in recorded[name]:
-            assert results == [check(*case) for case in cases], name
+            assert results == [_sides(check(*case)) for case in cases], name
             for case in cases:
                 if name == "_batch_holder":
                     seen.add((name, case[0][0].dim, len(case[0])))
@@ -449,9 +454,9 @@ def test_batched_checkers_match_the_exported_checkers(monkeypatch):
 
 
 def _outcome(check, case):
-    """check(*case), or the type and message of the error it raises."""
+    """check(*case)'s sides, or the type and message of the error it raises."""
     try:
-        return check(*case)
+        return _sides(check(*case))
     except TracemaxError as exc:
         return type(exc), str(exc)
 
@@ -465,10 +470,10 @@ def test_batched_binomial_reduction_returns_the_checkers_errors(monkeypatch):
     # holds the error it raises; the sweep raises the first one
     recorded = _recorded_batches(monkeypatch)
     with pytest.raises(BudgetExceeded):
-        checks._run_trials(3, 0, 32, 3, 40)
+        checks._run_trial_block((3, 0, 32, 3, 40))
     ((cases, results),) = recorded["_batch_binomial_reduction"]
-    assert any(p > MOMENT_BUDGET for _, _, p, _, _ in cases)
-    assert any(isinstance(r, CheckReport) for r in results)
+    assert any(p > MOMENT_BUDGET for _, _, p, _ in cases)
+    assert any(isinstance(r, tuple) for r in results)
     assert _outcomes(results) == [_outcome(check_binomial_reduction, c) for c in cases]
 
 
@@ -503,6 +508,30 @@ def test_summary_tally_rule():
         assert head.merge(tail) == sequential
 
 
+_tally_values = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([-0.0, math.nan]),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+
+
+@given(st.lists(st.tuples(_tally_values, _tally_values), min_size=1, max_size=12))
+@example([(1.0, 0.0), (3.0, 2.0), (0.5, 1.0)])  # a tie at -1.0: the earliest wins
+@example([(0.0, 0.0), (-0.0, -0.0), (0.0, -0.0)])  # equal zero slacks of either sign
+def test_array_tally_equals_folding_add(sides):
+    # the sweep tallies each lemma from its arrays of sides, formatting only
+    # the worst digest; field for field, that is the fold of add over the
+    # same reports
+    folded = LemmaSummary.empty(LemmaId.HOLDER)
+    for i, (lhs, rhs) in enumerate(sides):
+        folded = folded.add(checks._report(LemmaId.HOLDER, lhs, rhs, f"t{i}"))
+    formatted = []
+    tally = checks._summary(LemmaId.HOLDER, sides, lambda i: formatted.append(i) or f"t{i}")
+    for name in ("lemma_id", "trials", "passes", "min_slack", "min_norm_slack", "worst_digest"):
+        assert repr(getattr(tally, name)) == repr(getattr(folded, name)), name
+    assert len(formatted) == (folded.worst_digest != "")
+
+
 def test_sweep_small_scale():
     summaries = run_lemma_sweep(trials=40, dim_max=3, p_max=6, seed=0)
     assert set(summaries) == {
@@ -534,13 +563,28 @@ def test_sweep_worker_count_does_not_change_results(monkeypatch):
 @pytest.mark.parametrize("block", [1, 7, 32, 256])
 def test_sweep_blocks_and_batches_change_no_summary(monkeypatch, block):
     monkeypatch.setenv("TMX_THREADS", "1")
-    monkeypatch.setattr(checks, "_BATCH_TRIALS", 32)
+    monkeypatch.setattr(checks, "_SAMPLED_TRIALS", 32)
     monkeypatch.setattr(checks, "_BLOCK_TRIALS", 256)
     expected = run_lemma_sweep(trials=45, dim_max=4, p_max=6, seed=8)
     monkeypatch.setattr(checks, "_BLOCK_TRIALS", block)
     for batch in (1, 7, 32, 256):
-        monkeypatch.setattr(checks, "_BATCH_TRIALS", batch)
+        monkeypatch.setattr(checks, "_SAMPLED_TRIALS", batch)
         assert run_lemma_sweep(trials=45, dim_max=4, p_max=6, seed=8) == expected, batch
+
+
+def test_a_block_holds_one_lemma_at_a_time():
+    # one lemma's matrices over the block, or one batch of sampled
+    # ensembles, are alive at a time: the block's traced peak stays near
+    # 0.8 MB, where a block holding every lemma's inputs for all its 256
+    # trials at once peaks at about 5.5 MB
+    checks._run_trial_block((7000, 0, 256, 5, 8))  # warm lazy imports and caches
+    tracemalloc.start()
+    try:
+        checks._run_trial_block((7000, 0, 256, 5, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def _failing_projections(monkeypatch, caps):
@@ -585,11 +629,47 @@ def test_sweep_raises_the_first_sampler_failure_in_trial_order(monkeypatch):
     assert isinstance(alone, SamplerFailed) and isinstance(later, SamplerFailed)
     assert str(alone) != str(later)
 
-    for batch in (1, 7, 32):
-        monkeypatch.setattr(checks, "_BATCH_TRIALS", batch)
+    for batch in (1, 7, 32, 256):
+        monkeypatch.setattr(checks, "_SAMPLED_TRIALS", batch)
         with pytest.raises(SamplerFailed) as raised:
             run_lemma_sweep(trials=20, dim_max=dim_max, p_max=p_max, seed=seed)
         assert str(raised.value) == str(alone), batch
         with pytest.raises(SamplerFailed) as raised:
-            checks._run_trials(seed, 6, 20, dim_max, p_max)
+            checks._run_trial_block((seed, 6, 20, dim_max, p_max))
         assert str(raised.value) == str(later), batch
+
+
+def _trial_power(seed, t, dim_max, p_max):
+    """Trial t's X cap and binomial power, drawn as a trial run alone draws them."""
+    n, cap, _, rng = _trial_ensembles(seed, t, dim_max)
+    _sample([(n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng)])
+    checks._random_word(rng, p_max)
+    return cap, int(rng.integers(1, p_max + 1))
+
+
+@pytest.mark.parametrize("failing", [2, 9])
+def test_sweep_orders_budget_and_sampler_errors_by_trial(monkeypatch, failing):
+    # trial 6 draws p = 40 > MOMENT_BUDGET, its first such power; the X
+    # ensemble of trial 2 or 9 fails to sample; whichever trial comes first
+    # raises, in every batch size
+    monkeypatch.setenv("TMX_THREADS", "1")
+    seed, dim_max, p_max = 0, 3, 40
+    powers = [_trial_power(seed, t, dim_max, p_max) for t in range(20)]
+    assert [t for t, (_, p) in enumerate(powers) if p > MOMENT_BUDGET][0] == 6
+    assert powers[6][1] == 40
+    _failing_projections(monkeypatch, {powers[failing][0]})
+    alone = _trial_ensembles(seed, failing, dim_max)[2]
+    assert isinstance(alone, SamplerFailed)
+    for batch in (1, 7, 32, 256):
+        monkeypatch.setattr(checks, "_SAMPLED_TRIALS", batch)
+        for run in (
+            lambda: run_lemma_sweep(trials=20, dim_max=dim_max, p_max=p_max, seed=seed),
+            lambda: checks._run_trial_block((seed, 0, 20, dim_max, p_max)),
+        ):
+            with pytest.raises(TracemaxError) as raised:
+                run()
+            if failing < 6:
+                assert (type(raised.value), str(raised.value)) == (SamplerFailed, str(alone))
+            else:
+                assert type(raised.value) is BudgetExceeded
+                assert str(raised.value) == f"moment order 40 exceeds budget {MOMENT_BUDGET}"

@@ -116,6 +116,24 @@ def test_extremal_rejects_mismatched_lists(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("caps, n, message", [
+    ("inf", "2", "finite"),
+    ("nan", "2", "finite"),
+    ("1e300", "2", "overflows"),
+    ("1e300,1.0", "2", "overflows"),
+    ("1e102", "1000", "overflows"),
+])
+def test_extremal_rejects_non_finite_and_overflowing_caps(capsys, caps, n, message):
+    # an infinite cap printed a NaN maximum and exited 0; a huge one raised
+    # an OverflowError traceback, or overflowed n * E S^p to inf
+    alphas = ",".join("0.5" for _ in caps.split(","))
+    code = run_cli(["extremal", "--n", n, "--L", caps, "--alpha", alphas, "--p", "3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "maximum:" not in captured.out and "nan" not in captured.out
+
+
 # search ----------------------------------------------------------------------------
 
 def _search_args(out):
@@ -184,6 +202,33 @@ def test_search_rejects_negative_sampler_trials(capsys, tmp_path):
     assert "error:" in captured.err and "sampler_trials" in captured.err
     assert "no violations" not in captured.out
     assert list(tmp_path.iterdir()) == []
+
+
+def test_search_rejects_an_infinite_cap(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    args = _search_args(out)
+    args[args.index("--L") + 1] = "inf"
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_search_records_an_overflowing_cell_as_an_error(capsys, tmp_path):
+    # p = 1 stays finite at L = 1e200 and is searched; p = 2 overflows
+    out = tmp_path / "sweep.csv"
+    args = _search_args(out)
+    args[args.index("--L") + 1] = "1e200"
+    assert run_cli(args) == 2
+    assert "sweep incomplete: 2 cells errored" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert [e["cell"] for e in manifest["errors"]] == [
+        "n=1;N=1;p=2;alpha=0.5;L=1e+200", "n=2;N=1;p=2;alpha=0.5;L=1e+200",
+    ]
+    assert all("overflows" in e["message"] for e in manifest["errors"])
+    rows = list(csv.DictReader(out.open()))
+    assert [row["p"] for row in rows] == ["1", "1"]
+    assert all(float(row["theorem_value"]) < float("inf") for row in rows)
 
 
 def test_search_near_miss_dumps_are_replayable(tmp_path):
