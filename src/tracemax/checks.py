@@ -35,7 +35,9 @@ import numpy as np
 from .ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
+    _bernoulli_atoms,
     _sample,
+    _stack,
     _stacked_moments,
     bernoulli_member,
     exact_trace_moment,
@@ -390,7 +392,7 @@ def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, f
 def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
     """check_binomial_reduction on each case (ex, ey, p, cap): the
     cases of one (n, p) go through one _stacked_moments call, as two
-    families each, (X, Y) and (f I, Y), with f I as bernoulli_member has it."""
+    families each, (X, Y) and (f I, Y), with f I's atoms as bernoulli_member has them."""
     out: list = [None] * len(cases)
     for (n, p), idx in _groups((c[0].dim, c[2]) for c in cases).items():
         if p > MOMENT_BUDGET:
@@ -401,19 +403,14 @@ def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxEr
                 except TracemaxError as exc:
                     out[i] = exc
             continue
-        members = []
+        families = []
         for i in idx:
             ex, ey, _, cap = cases[i]
             alpha = _bernoulli_weight(ex, cap)
-            y = [a.entries for a in ey.atoms], ey.probs
-            surrogate = [cap * np.eye(n), np.zeros((n, n))], (alpha, 1.0 - alpha)
-            members += [([a.entries for a in ex.atoms], ex.probs), y, surrogate, y]
-        sizes = np.array([len(q) for _, q in members]).reshape(-1, 2)
-        entries = np.zeros(sizes.shape + (sizes.max(), n, n))
-        probs = np.zeros(sizes.shape + (sizes.max(),))
-        for m, (atoms, member_probs) in enumerate(members):
-            entries[m // 2, m % 2, : len(atoms)] = atoms
-            probs[m // 2, m % 2, : len(atoms)] = member_probs
+            y = ey.atoms, ey.probs
+            surrogate = _bernoulli_atoms(n, cap), (alpha, 1.0 - alpha)
+            families += [((ex.atoms, ex.probs), y), (surrogate, y)]
+        probs, _, _, entries, sizes = _stack(families)
         values = _stacked_moments(entries, probs, sizes, p)
         for k, i in enumerate(idx):
             out[i] = values[2 * k], values[2 * k + 1]
@@ -498,7 +495,7 @@ def _summary(lemma_id: LemmaId, sides: Sequence[tuple], digest) -> LemmaSummary:
     return LemmaSummary(
         lemma_id=lemma_id,
         trials=len(sides),
-        passes=int(np.count_nonzero(lhs <= rhs + CHECK_TOL * scale)),
+        passes=int(np.count_nonzero(holds(lhs, rhs))),
         min_slack=float(slack[np.argmin(slack)]),
         min_norm_slack=float(norm[worst]),
         worst_digest=digest(worst) if norm[worst] < math.inf else "",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +32,18 @@ from .ensembles import (
     FAILED,
     EnsembleFamily,
     FiniteEnsemble,
+    _atoms,
     _project_batch,
     _require_support,
     _sample,
+    _stack,
     _stacked_moments,
     extremal_family,
     family_to_json,
 )
 from .errors import BudgetExceeded, ConstraintViolated, TracemaxError
 from .extremal import BernoulliParams, theorem_max_value
-from .linalg import SymMatrix, _spectral_entries, _symmetrised
+from .linalg import _spectral_entries, _symmetrised
 from .parallel import parallel_map, worker_count
 from .rng import stream, subseed
 
@@ -86,38 +87,6 @@ class SearchConfig:
             raise ConstraintViolated(f"all search counts must be positive: {counts}")
 
 
-class _Member(NamedTuple):
-    """One member's atoms as arrays: (s,) probs, (s, n, n) eigenbases and entries, (s, n) spectra."""
-
-    probs: np.ndarray
-    vecs: np.ndarray
-    spectra: np.ndarray
-    entries: np.ndarray
-
-
-def _member_arrays(probs: tuple[float, ...], atoms: tuple[SymMatrix, ...]) -> _Member:
-    return _Member(
-        np.asarray(probs, dtype=float),
-        np.stack([a.eig.eigenvectors for a in atoms]),
-        np.stack([a.eig.eigenvalues for a in atoms]),
-        np.stack([a.entries for a in atoms]),
-    )
-
-
-def _padded(members: list[_Member], slots: int) -> tuple[np.ndarray, ...]:
-    """(probs, vecs, spectra, entries, sizes) of the members, zero-padded to ``slots`` atoms."""
-    n = members[0].entries.shape[-1]
-    count = len(members)
-    probs = np.zeros((count, slots))
-    vecs = np.zeros((count, slots, n, n))
-    spectra = np.zeros((count, slots, n))
-    entries = np.zeros((count, slots, n, n))
-    sizes = np.array([len(m.probs) for m in members])
-    for b, (m, s) in enumerate(zip(members, sizes.tolist())):
-        probs[b, :s], vecs[b, :s], spectra[b, :s], entries[b, :s] = m
-    return probs, vecs, spectra, entries, sizes
-
-
 class _Chains:
     """Restarts [start, stop) of the cell (n, params, p), held as stacked
     arrays and stepped in lockstep; config.seed is the cell's seed.
@@ -125,8 +94,8 @@ class _Chains:
     Member k of chain c has sizes[c, k] atoms: entries[c, k, i] and
     eigenbases vecs[c, k, i] (C, N, s, n, n), ascending spectra
     spectra[c, k, i] (C, N, s, n) and probabilities probs[c, k, i]
-    (C, N, s). Later slots are zero padding with zero probability. A chain
-    whose start raised keeps the error and takes no step.
+    (C, N, s), in the layout of ensembles._stack. Later slots are zero
+    padding with zero probability.
 
     Every proposal that lands on the shell is admissible: spectra stay in
     [0, cap], probabilities stay nonnegative and sum to 1 within a few
@@ -138,54 +107,42 @@ class _Chains:
     def __init__(
         self, n: int, params: BernoulliParams, p: int, config: SearchConfig, start: int, stop: int
     ):
+        """Start every chain, or raise the error of the lowest-numbered
+        restart whose start failed, as that restart raises it alone."""
         self.n, self.params, self.p = n, params, p
         chains = stop - start
         self.rngs = [stream(config.seed, r) for r in range(start, stop)]
-        self.errors: dict[int, TracemaxError] = {}
-        members: list[list[_Member]] = [[] for _ in range(chains)]
+        errors: dict[int, TracemaxError] = {}
+        members: list[list[FiniteEnsemble]] = [[] for _ in range(chains)]
         random = range(1, chains) if start == 0 else range(chains)
         if start == 0:  # restart 0 starts at the conjectured maximizer
-            family = extremal_family(n, params)
-            members[0] = [_member_arrays(m.probs, m.atoms) for m in family.members]
+            members[0] = list(extremal_family(n, params).members)
         for cap, alpha in zip(params.caps, params.alphas):
             # each chain draws the member's support size (1 to max_atoms),
             # then its sampler seeds, from its own stream
-            sampled = [c for c in random if c not in self.errors]
+            sampled = [c for c in random if c not in errors]
             requests = [
                 (n, int(self.rngs[c].integers(1, config.max_atoms + 1)), cap, alpha, self.rngs[c])
                 for c in sampled
             ]
             for c, member in zip(sampled, _sample(requests)):
                 if isinstance(member, TracemaxError):
-                    self.errors[c] = member
+                    errors[c] = member
                 else:
-                    members[c].append(_member_arrays(member.probs, member.atoms))
-        for c in range(chains):
-            if c not in self.errors:
-                try:
-                    _require_support(tuple(len(m.probs) for m in members[c]))
-                except BudgetExceeded as exc:
-                    self.errors[c] = exc
-        self.live = [c for c in range(chains) if c not in self.errors]
+                    members[c].append(member)
+        for c, family in enumerate(members):  # every earlier chain has started
+            if c in errors:
+                raise errors[c]
+            _require_support(tuple(m.support_size for m in family))
 
         slots = max(config.max_atoms, 2)  # the extremal members have two atoms
-        self.probs = np.zeros((chains, params.count, slots))
-        self.vecs = np.zeros((chains, params.count, slots, n, n))
-        self.spectra = np.zeros((chains, params.count, slots, n))
-        self.entries = np.zeros((chains, params.count, slots, n, n))
-        self.sizes = np.zeros((chains, params.count), dtype=int)
-        for c in self.live:
-            arrays = _padded(members[c], slots)
-            self.probs[c], self.vecs[c], self.spectra[c], self.entries[c], self.sizes[c] = arrays
-        self.values = [0.0] * chains
-        if self.live:
-            live = np.array(self.live)
-            moments = _stacked_moments(self.entries[live], self.probs[live], self.sizes[live], p)
-            for c, value in zip(self.live, moments):
-                self.values[c] = value
+        self.probs, self.vecs, self.spectra, self.entries, self.sizes = _stack(
+            [[(m.atoms, m.probs) for m in family] for family in members], slots
+        )
+        self.values = _stacked_moments(self.entries, self.probs, self.sizes, p)
 
     def step(self) -> None:
-        """One proposal per live chain, then keep each strict improvement.
+        """One proposal per chain, then keep each strict improvement.
 
         A proposal picks a member, then either moves probability mass
         between two of its atoms or perturbs one atom with Gaussian noise
@@ -193,9 +150,8 @@ class _Chains:
         onto the mean-norm shell. Each chain draws from its own stream.
         """
         n, params = self.n, self.params
-        rows, members, shifted, perturbed = [], [], {}, []
-        for c in self.live:
-            rng = self.rngs[c]
+        members, shifted, perturbed = [], {}, []
+        for c, rng in enumerate(self.rngs):
             k = int(rng.integers(params.count))
             s = int(self.sizes[c, k])
             if s >= 2 and rng.random() < 0.5:
@@ -205,14 +161,13 @@ class _Chains:
                 moved[i] -= delta
                 moved[j] += delta
                 total = math.fsum(moved)
-                shifted[len(rows)] = [q / total for q in moved]
+                shifted[c] = [q / total for q in moved]
             else:
                 i = int(rng.integers(s))
                 noise = rng.normal(0.0, _PROPOSAL_SCALE * params.caps[k], size=(n, n))
-                perturbed.append((len(rows), i, noise))
-            rows.append(c)
+                perturbed.append((c, i, noise))
             members.append(k)
-        rows, members = np.array(rows), np.array(members)
+        rows, members = np.arange(len(self.rngs)), np.array(members)
         probs = self.probs[rows, members]
         vecs = self.vecs[rows, members]
         spectra = self.spectra[rows, members]
@@ -237,35 +192,32 @@ class _Chains:
         landed = np.flatnonzero(np.array(status) != FAILED)
         if landed.size == 0:
             return
-        chains, changed = rows[landed], members[landed]
-        family_entries = self.entries[chains]
-        family_probs = self.probs[chains]
+        changed = members[landed]
+        family_entries = self.entries[landed]
+        family_probs = self.probs[landed]
         family_entries[np.arange(landed.size), changed] = entries[landed]
         family_probs[np.arange(landed.size), changed] = probs[landed]
-        moments = _stacked_moments(family_entries, family_probs, self.sizes[chains], self.p)
+        moments = _stacked_moments(family_entries, family_probs, self.sizes[landed], self.p)
         better = []
-        for b, value in zip(landed.tolist(), moments):
-            if value > self.values[rows[b]]:
-                self.values[rows[b]] = value
-                better.append(b)
+        for c, value in zip(landed.tolist(), moments):
+            if value > self.values[c]:
+                self.values[c] = value
+                better.append(c)
         if better:
-            c, k = rows[better], members[better]
-            self.probs[c, k], self.vecs[c, k] = probs[better], vecs[better]
-            self.spectra[c, k], self.entries[c, k] = spectra[better], entries[better]
+            k = members[better]
+            self.probs[better, k], self.vecs[better, k] = probs[better], vecs[better]
+            self.spectra[better, k], self.entries[better, k] = spectra[better], entries[better]
 
-    def results(self) -> list[tuple[float, EnsembleFamily | None] | TracemaxError]:
-        """Per restart, in order: (value, family), or the error its start raised.
+    def results(self) -> list[tuple[float, EnsembleFamily | None]]:
+        """Per restart, in order: (value, family).
 
         A restart that a later one of the block beats by more than 1e-12
         can never be the cell's best (see _search_result), so its family
         is left out (None) rather than built and checked.
         """
-        outcomes: list[tuple[float, EnsembleFamily | None] | TracemaxError] = []
+        outcomes: list[tuple[float, EnsembleFamily | None]] = []
         later = -math.inf
         for c in reversed(range(len(self.values))):
-            if c in self.errors:
-                outcomes.append(self.errors[c])
-                continue
             value = self.values[c]
             family = None if later > value + _TIE_TOL else self.family(c)
             outcomes.append((value, family))
@@ -278,11 +230,8 @@ class _Chains:
         return EnsembleFamily(
             members=tuple(
                 FiniteEnsemble(
-                    atoms=tuple(
-                        SymMatrix.seeded(*atom)
-                        for atom in zip(
-                            self.entries[c, k, :s], self.vecs[c, k, :s], self.spectra[c, k, :s]
-                        )
+                    atoms=_atoms(
+                        self.vecs[c, k, :s], self.spectra[c, k, :s], self.entries[c, k, :s]
                     ),
                     probs=tuple(self.probs[c, k, :s].tolist()),
                     cap=cap,
@@ -298,11 +247,13 @@ class _Chains:
 def _run_block(
     n: int, params: BernoulliParams, p: int, config: SearchConfig, start: int, stop: int
 ) -> list[tuple[float, EnsembleFamily | None] | TracemaxError]:
-    """Hill-climb restarts [start, stop) of the cell (n, params, p) in lockstep."""
-    chains = _Chains(n, params, p, config, start, stop)
+    """Hill-climb restarts [start, stop) of the cell (n, params, p) in
+    lockstep: their outcomes, or [the error] if a start failed."""
+    try:
+        chains = _Chains(n, params, p, config, start, stop)
+    except TracemaxError as exc:
+        return [exc]
     for _ in range(config.steps_per_restart):
-        if not chains.live:
-            break
         chains.step()
     return chains.results()
 

@@ -106,6 +106,21 @@ def test_rejects_bad_cap_and_alpha():
         FiniteEnsemble(atoms=(_EYE2,), probs=(1.0,), cap=1.0, alpha=1.5)
 
 
+@pytest.mark.parametrize("cap", [math.inf, math.nan])
+def test_rejects_non_finite_cap(cap):
+    # an infinite cap would let the cap and mean-norm checks pass any PSD atoms
+    atom = SymMatrix(np.diag([5.0, 1e6]))
+    with pytest.raises(ConstraintViolated, match="positive and finite"):
+        FiniteEnsemble(atoms=(atom,), probs=(1.0,), cap=cap, alpha=0.5)
+
+
+def test_json_rejects_an_infinite_cap():
+    doc = family_to_json(extremal_family(2, BernoulliParams(caps=(1.0,), alphas=(0.5,))))
+    text = json.dumps(doc).replace('"L_cap": 1.0', '"L_cap": Infinity')
+    with pytest.raises(ConstraintViolated, match="positive and finite"):
+        family_from_json(json.loads(text))
+
+
 def test_family_consistency():
     family = EnsembleFamily(members=(_bernoulli_member(1.0, 0.5),))
     assert family.dim == 2
@@ -161,9 +176,14 @@ def test_sampler_validation():
     # invalid rows get their error; the valid row between them is sampled
     results = _attempt([
         (0, 2, 1.0, 0.5, 0), (2, 2, -1.0, 0.5, 0), (2, 2, 1.0, 0.5, 0), (2, 2, 1.0, 1.5, 0),
+        (2, 2, math.inf, 0.5, 0), (2, 2, math.inf, 1.0, 0),
     ])
     kinds = [type(result) for result in results]
-    assert kinds == [DimensionError, ConstraintViolated, FiniteEnsemble, ConstraintViolated]
+    assert kinds == [
+        DimensionError, ConstraintViolated, FiniteEnsemble, ConstraintViolated,
+        ConstraintViolated, ConstraintViolated,
+    ]
+    assert "positive and finite" in str(results[4]) and str(results[4]) == str(results[5])
 
 
 @given(seeds, st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
@@ -585,9 +605,35 @@ def test_stacked_moments_match_exact_trace_moment_bit_for_bit(n):
         for k, member in enumerate(family.members):
             entries[b, k, : member.support_size] = [a.entries for a in member.atoms]
             probs[b, k, : member.support_size] = member.probs
+    stacked = ensembles._stack([[(m.atoms, m.probs) for m in f.members] for f in families])
+    assert stacked[0].tobytes() == probs.tobytes()
+    assert stacked[3].tobytes() == entries.tobytes()
     for p in (1, 2, 7, 30):
         got = ensembles._stacked_moments(entries, probs, np.array(shapes), p)
         assert got == [exact_trace_moment(family, p) for family in families], (n, p)
+
+
+@pytest.mark.parametrize("slots", [0, 2, 5])
+def test_stack_pads_with_exact_zeros(slots):
+    # sampled members next to the surrogate's atoms, under and over ``slots``
+    families = [_mixed_family(3, sizes, seed=410 + i) for i, sizes in enumerate([(1, 3), (2, 1)])]
+    members = [[(m.atoms, m.probs) for m in f.members] for f in families]
+    members.append([(ensembles._bernoulli_atoms(3, 1.5), (0.25, 0.75)), members[0][1]])
+    probs, vecs, spectra, entries, sizes = ensembles._stack(members, slots)
+    assert sizes.tolist() == [[1, 3], [2, 1], [2, 3]]
+    assert probs.shape == (3, 2, max(slots, 3)) and spectra.shape == probs.shape + (3,)
+    assert vecs.shape == entries.shape == probs.shape + (3, 3)
+    for b, family in enumerate(members):
+        for k, (atoms, member_probs) in enumerate(family):
+            s = len(atoms)
+            assert probs[b, k, :s].tolist() == list(member_probs)
+            for i, atom in enumerate(atoms):
+                assert entries[b, k, i].tobytes() == atom.entries.tobytes()
+                assert vecs[b, k, i].tobytes() == atom.eig.eigenvectors.tobytes()
+                assert spectra[b, k, i].tobytes() == atom.eig.eigenvalues.tobytes()
+            # padding is +0.0 bit for bit
+            for array in (probs, vecs, spectra, entries):
+                assert not array[b, k, s:].view(np.uint64).any()
 
 
 def test_sampled_mean_is_the_recomputed_mean_bit_for_bit():

@@ -186,28 +186,55 @@ def _oracle_restart(n, params, p, config, restart):
 
 
 def _lockstep(n, params, p, config, start, stop):
-    """Each restart's (value, family) or error, from one block stepped in lockstep."""
-    chains = search._Chains(n, params, p, config, start, stop)
+    """Each restart's (value, family) from one block stepped in lockstep, or
+    the error the block's start raised."""
+    try:
+        chains = search._Chains(n, params, p, config, start, stop)
+    except TracemaxError as exc:
+        return exc
     for _ in range(config.steps_per_restart):
         chains.step()
-    return [
-        chains.errors[c] if c in chains.errors else (value, chains.family(c))
-        for c, value in enumerate(chains.values)
-    ]
+    return [(value, chains.family(c)) for c, value in enumerate(chains.values)]
+
+
+def _assert_same_error(got, expected):
+    assert isinstance(got, TracemaxError), got
+    assert type(got) is type(expected) and str(got) == str(expected)
 
 
 def _assert_lockstep_matches_oracle(n, params, p, config):
-    outcomes = _lockstep(n, params, p, config, 0, config.restarts)
-    assert len(outcomes) == config.restarts
-    for restart, outcome in enumerate(outcomes):
+    """Hold every restart of the cell to the one-restart oracle.
+
+    A block fails with the error of its lowest-numbered failing restart, so
+    each failing restart's error must be that of the block from just past
+    the previous failing restart to the last one. Every restart that starts
+    is compared in the block of restarts between two failing ones. Returns
+    each restart's outcome: (value, family), or the error.
+    """
+    oracle = []
+    for restart in range(config.restarts):
         try:
-            value, family = _oracle_restart(n, params, p, config, restart)
+            oracle.append(_oracle_restart(n, params, p, config, restart))
         except TracemaxError as exc:
-            assert type(outcome) is type(exc) and str(outcome) == str(exc)
+            oracle.append(exc)
+    failed = [r for r, outcome in enumerate(oracle) if isinstance(outcome, TracemaxError)]
+    outcomes = [None] * config.restarts
+    bounds = [-1, *failed, config.restarts]
+    for before, failing in zip(bounds, failed):
+        error = _lockstep(n, params, p, config, before + 1, config.restarts)
+        _assert_same_error(error, oracle[failing])
+        outcomes[failing] = error
+    for before, after in zip(bounds, bounds[1:]):
+        if after - before == 1:
             continue
-        assert not isinstance(outcome, TracemaxError), outcome
-        assert outcome[0] == value, (restart, outcome[0], value)
-        assert family_to_json(outcome[1]) == family_to_json(family), restart
+        block = _lockstep(n, params, p, config, before + 1, after)
+        assert not isinstance(block, TracemaxError), block
+        for restart, outcome in zip(range(before + 1, after), block):
+            value, family = oracle[restart]
+            assert outcome[0] == value, (restart, outcome[0], value)
+            assert family_to_json(outcome[1]) == family_to_json(family), restart
+            outcomes[restart] = outcome
+    assert None not in outcomes
     return outcomes
 
 
@@ -261,6 +288,28 @@ def test_lockstep_restarts_follow_the_oracle_through_projection_failures(monkeyp
     outcomes = _assert_lockstep_matches_oracle(2, params, 4, config)
     failed = [type(o).__name__ for o in outcomes if isinstance(o, TracemaxError)]
     assert failed == ["SamplerFailed"]
+
+
+def test_a_block_fails_with_its_lowest_numbered_failing_restart(monkeypatch):
+    # restart 1's support exceeds the budget and restart 2's sampler gives
+    # up: the sampler error comes first in member-major order, the budget
+    # check after every member, yet the block reports restart 1's error
+    solve = ensembles._solve_scale
+
+    def flaky(vecs, lam, *args):
+        if int(np.sum(lam) * 1e6) % 4:
+            return None
+        return solve(vecs, lam, *args)
+
+    monkeypatch.setattr(ensembles, "_solve_scale", flaky)
+    monkeypatch.setattr(ensembles, "SUPPORT_BUDGET", 4)
+    params = BernoulliParams(caps=(1.0, 1.5), alphas=(0.9995, 0.999))
+    config = SearchConfig(restarts=6, steps_per_restart=10, seed=23, max_atoms=3)
+    outcomes = _assert_lockstep_matches_oracle(2, params, 4, config)
+    kinds = [type(o).__name__ if isinstance(o, TracemaxError) else None for o in outcomes]
+    assert kinds == [None, "BudgetExceeded", "SamplerFailed", "BudgetExceeded", None, None]
+    (error,) = search._run_block(2, params, 4, config, 0, 6)
+    _assert_same_error(error, outcomes[1])
 
 
 def test_block_partition_does_not_change_any_restart(monkeypatch):
