@@ -14,13 +14,7 @@ from .checks import (
     CheckReport,
     LemmaId,
     LemmaSummary,
-    check_alt,
-    check_alt_schatten,
-    check_binomial_reduction,
-    check_expectation_word_bound,
-    check_holder,
     check_theorem_max,
-    check_word_bound,
     run_lemma_sweep,
 )
 from .ensembles import (
@@ -55,12 +49,7 @@ from .linalg import (
     EigenDecomposition,
     SymMatrix,
     batched_trace_power,
-    psd_power,
-    psd_trace_power,
     random_psd,
-    schatten_norm,
-    singular_values,
-    trace_product,
 )
 from .rng import stream, subseed
 from .search import (
@@ -69,13 +58,4 @@ from .search import (
     SweepRow,
     gap_sweep,
 )
-from .words import (
-    WORD_BUDGET,
-    AlternatingWord,
-    BinaryWord,
-    PurePower,
-    enumerate_binary_words,
-    eval_word_trace,
-    expand_trace_power,
-    to_alternating,
-)
+from .words import AlternatingWord

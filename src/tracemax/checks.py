@@ -1,25 +1,30 @@
-"""Executable checkers for the trace-inequality chain.
+"""Executable checks of the trace-inequality chain.
 
-Each checker evaluates both sides of one inequality on concrete inputs
-and returns a CheckReport with the raw numbers. The chain runs from the
-generalized Holder bound through the Araki-Lieb-Thirring step, word
-bounds, their expectation versions, the Bernoulli reduction, and finally
-the extremal theorem itself. A single failing report on admissible inputs
-means an implementation bug, never a counterexample, so sweeps treat any
-failure as build-breaking.
+The chain runs from the generalized Holder bound through the
+Araki-Lieb-Thirring step, word bounds, their expectation versions and the
+Bernoulli reduction to the extremal theorem itself. A single failing
+check on admissible inputs means an implementation bug, never a
+counterexample, so sweeps treat any failure as build-breaking.
 
 Expectations are always exact sums over finite product supports; no
-checker uses Monte Carlo, so there are no statistical false alarms.
+check uses Monte Carlo, so there are no statistical false alarms.
 
-The randomized sweep runs one lemma at a time over a block of trials,
-each drawing that lemma's inputs from its own stream, so one lemma's
-matrices are alive at a time; the two lemmas on sampled ensembles run in
-smaller batches. Random PSD matrices are built one call per dimension,
-and each checker runs on all its instances at once, with one stacked
-matmul or eigh per dimension, returning arrays of both sides that the
-lemma's summary is tallied from. Streams are drawn from in the order of
-a trial run alone, and every matrix, ensemble and side is computed bit
-for bit as it is alone, so neither blocks nor batches change any output.
+The randomized lemma sweep is the program's only evaluation of the first
+six links, and it is batched. It runs one lemma at a time over a block of
+trials, each drawing that lemma's inputs from its own stream, so one
+lemma's matrices are alive at a time; the two lemmas on sampled
+ensembles run in smaller batches. Random PSD matrices are built one call
+per dimension, and each _batch_* function evaluates both sides of all
+its lemma's instances at once, with one stacked matmul or eigh per
+dimension; _summary tallies the lemma from the resulting arrays. Streams
+are drawn from in the order of a trial run alone, and every matrix,
+ensemble and side is computed bit for bit as it is alone, so neither
+blocks nor batches change any output. The tests hold every batched side,
+bit for bit, to a per-case reference checker (tests/oracles.py).
+
+check_theorem_max, the last link, compares one family's exact moment
+with the closed-form maximum; the search's audit of sampled families
+calls it.
 """
 
 from __future__ import annotations
@@ -36,31 +41,23 @@ from .ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
     _bernoulli_atoms,
-    _sample,
+    _ensembles,
     _stack,
     _stacked_moments,
-    bernoulli_member,
     exact_trace_moment,
-    require_caps,
 )
-from .errors import DimensionError, InvalidExponent, TracemaxError
-from .extremal import MOMENT_BUDGET, theorem_max_value
+from .errors import InvalidExponent, TracemaxError
+from .extremal import _validate_p, theorem_max_value
 from .linalg import (
     SymMatrix,
     _spectral_build,
     _spectral_draw,
     _spectral_entries,
     _symmetrised,
-    psd_power,
-    psd_trace_power,
-    schatten_norm,
-    schatten_from_singulars,
-    singular_values,
-    trace_product,
 )
 from .parallel import parallel_map
 from .rng import stream
-from .words import AlternatingWord, eval_word_trace
+from .words import AlternatingWord
 
 CHECK_TOL = 1e-9
 
@@ -119,118 +116,10 @@ def _report(lemma_id: LemmaId, lhs: float, rhs: float, digest: str) -> CheckRepo
     )
 
 
-def check_holder(
-    factors: Sequence[SymMatrix], exponents: Sequence[float], digest: str = ""
-) -> CheckReport:
-    """|A_1 ... A_r|_1 <= prod |A_i|_{p_i} with sum 1/p_i = 1."""
-    if len(factors) != len(exponents) or not factors:
-        raise DimensionError(
-            f"need matching nonempty factors/exponents, got {len(factors)}/{len(exponents)}"
-        )
-    for q in exponents:
-        if math.isnan(q) or q < 1:
-            raise InvalidExponent(f"Holder exponents must be >= 1, got {q}")
-    inverse_sum = math.fsum(0.0 if math.isinf(q) else 1.0 / q for q in exponents)
-    if abs(inverse_sum - 1.0) > 1e-12:
-        raise InvalidExponent(f"exponent inverses sum to {inverse_sum!r}, not 1")
-    dims = {f.dim for f in factors}
-    if len(dims) != 1:
-        raise DimensionError(f"factor dims differ: {sorted(dims)}")
-
-    if len(factors) == 1:
-        lhs = schatten_norm(factors[0], 1)
-    else:
-        product = reduce(np.matmul, (f.entries for f in factors))
-        lhs = schatten_from_singulars(singular_values(product), 1)
-    rhs_terms = [schatten_norm(f, q) for f, q in zip(factors, exponents)]
-    return _report(LemmaId.HOLDER, lhs, math.prod(rhs_terms), digest)
-
-
-def _alt_sides(a: SymMatrix, b: SymMatrix, alpha_exp: float) -> tuple[SymMatrix, float]:
-    """The sandwich ABA and tr(A^{2 alpha} B^alpha), which both ALT checks compare."""
-    if math.isnan(alpha_exp) or alpha_exp < 1:
-        raise InvalidExponent(f"need alpha >= 1, got {alpha_exp}")
-    sandwich = SymMatrix(a.entries @ b.entries @ a.entries)
-    return sandwich, trace_product([psd_power(a, 2.0 * alpha_exp), psd_power(b, alpha_exp)])
-
-
-def check_alt(
-    a: SymMatrix, b: SymMatrix, alpha_exp: float, digest: str = ""
-) -> CheckReport:
-    """tr((ABA)^alpha) <= tr(A^{2 alpha} B^alpha) for PSD A, B, alpha >= 1."""
-    sandwich, rhs = _alt_sides(a, b, alpha_exp)
-    return _report(LemmaId.ALT, psd_trace_power(sandwich, alpha_exp), rhs, digest)
-
-
-def check_alt_schatten(
-    a: SymMatrix, b: SymMatrix, alpha_exp: float, digest: str = ""
-) -> CheckReport:
-    """|ABA|_alpha <= tr(A^{2 alpha} B^alpha)^{1/alpha}."""
-    sandwich, base = _alt_sides(a, b, alpha_exp)
-    # The trace is nonnegative for PSD arguments; clamp roundoff before rooting.
-    rhs = max(base, 0.0) ** (1.0 / alpha_exp)
-    return _report(LemmaId.ALT_SCHATTEN, schatten_norm(sandwich, alpha_exp), rhs, digest)
-
-
-def check_word_bound(
-    x: SymMatrix, y: SymMatrix, w: AlternatingWord, digest: str = ""
-) -> CheckReport:
-    """|tr X^{l1} Y^{m1} ...| <= ||X||^{l-1} tr(X Y^m), degrees l, m summed."""
-    lhs = abs(eval_word_trace(x, y, w))
-    collapsed = trace_product([x, psd_power(y, w.y_degree)])
-    rhs = x.opnorm ** (w.x_degree - 1.0) * collapsed
-    return _report(LemmaId.WORD_BOUND, lhs, rhs, digest)
-
-
 def _bernoulli_weight(ex: FiniteEnsemble, cap: float) -> float:
     # ||E X|| <= cap holds whenever all atoms respect the cap; clamp the
     # quotient so roundoff cannot produce a probability above 1.
     return min(ex.mean_norm / cap, 1.0)
-
-
-def check_expectation_word_bound(
-    ex: FiniteEnsemble,
-    ey: FiniteEnsemble,
-    w: AlternatingWord,
-    cap: float,
-    digest: str = "",
-) -> CheckReport:
-    """E tr X^{l1} Y^{m1} ... <= E f^l * E tr Y^m.
-
-    f is the {0, cap} Bernoulli surrogate with P(f = cap) = ||E X|| / cap;
-    both expectations are exact sums over the product support.
-    """
-    if ex.dim != ey.dim:
-        raise DimensionError(f"dim mismatch: {ex.dim} vs {ey.dim}")
-    require_caps(ex.atoms, cap)
-    # eval_word_trace of every pair of atoms, with each atom's powers taken once
-    xs = [[psd_power(a, l) for l, _ in w.exponent_pairs] for a in ex.atoms]
-    ys = [[psd_power(a, m) for _, m in w.exponent_pairs] for a in ey.atoms]
-    lhs = math.fsum(
-        px * py * trace_product([f for pair in zip(xp, yp) for f in pair])
-        for px, xp in zip(ex.probs, xs) for py, yp in zip(ey.probs, ys)
-    )
-    ef_l = _bernoulli_weight(ex, cap) * cap**w.x_degree
-    ey_trace = math.fsum(
-        py * psd_trace_power(ay, w.y_degree) for py, ay in zip(ey.probs, ey.atoms)
-    )
-    return _report(LemmaId.EXPECTATION_WORD_BOUND, lhs, ef_l * ey_trace, digest)
-
-
-def check_binomial_reduction(
-    ex: FiniteEnsemble, ey: FiniteEnsemble, p: int, cap: float, digest: str = ""
-) -> CheckReport:
-    """E tr(X + Y)^p <= E tr(f I + Y)^p with the Bernoulli surrogate f.
-
-    Both sides are exact_trace_moment over a two-member family; the right
-    one swaps X for bernoulli_member at the stated cap. The power limit is
-    exact_trace_moment's, MOMENT_BUDGET.
-    """
-    require_caps(ex.atoms, cap)
-    surrogate = bernoulli_member(ex.dim, cap, _bernoulli_weight(ex, cap))
-    lhs = exact_trace_moment(EnsembleFamily((ex, ey)), p)
-    rhs = exact_trace_moment(EnsembleFamily((surrogate, ey)), p)
-    return _report(LemmaId.BINOMIAL_REDUCTION, lhs, rhs, digest)
 
 
 def check_theorem_max(family: EnsembleFamily, p: int, digest: str = "") -> CheckReport:
@@ -240,10 +129,12 @@ def check_theorem_max(family: EnsembleFamily, p: int, digest: str = "") -> Check
     return _report(LemmaId.THEOREM_MAX, lhs, rhs, digest)
 
 
-# Batched evaluation: a _batch_* function returns, bit for bit, the (lhs,
-# rhs) its checker reports on each case (its arguments but the digest). The
-# cases are the sweep's, valid by construction (an ABA of PSD A and B stays
-# far above the PSD floor) except for a power above MOMENT_BUDGET.
+# Batched evaluation: a _batch_* function returns the (lhs, rhs) of each of
+# its lemma's cases, bit for bit those that its per-case reference checker
+# in tests/oracles.py (check_holder for _batch_holder, and so on) reports
+# on the case's arguments. The cases are the sweep's, valid by construction
+# (an ABA of PSD A and B stays far above the PSD floor) except for a power
+# above MOMENT_BUDGET.
 
 
 def _groups(keys: Iterable) -> dict:
@@ -275,18 +166,19 @@ def _power_sums(flat: np.ndarray, sizes: Sequence[int], exps: Sequence[float]) -
 
 
 def _spectral_sums(lams: Sequence[np.ndarray], exps: Sequence[float]) -> list[float]:
-    """psd_trace_power's sum of each spectrum at its exponent."""
+    """tr(A^t) of each spectrum at its exponent: math.fsum of max(lam, 0)^t."""
     if not lams:
         return []
     return _power_sums(np.maximum(np.concatenate(lams), 0.0), [len(lam) for lam in lams], exps)
 
 
 def _schatten_norms(sigmas: Sequence[np.ndarray], qs: Sequence[float]) -> list[float]:
-    """schatten_from_singulars of each singular-value vector at its finite q."""
+    """The Schatten q-norm of each singular-value vector at its finite q,
+    with the largest value factored out so that sigma^q cannot overflow."""
     sizes = [len(sigma) for sigma in sigmas]
     flat = np.concatenate(sigmas)
     tops = np.maximum.reduceat(flat, np.cumsum([0] + sizes[:-1]))
-    # a zero top returns before scaling, as in schatten_from_singulars
+    # a zero top is the norm, and is not divided by
     sums = _power_sums(flat / np.repeat(np.where(tops > 0.0, tops, 1.0), sizes), sizes, qs)
     return [
         top if top == 0.0 else top * total ** (1.0 / q)
@@ -295,9 +187,10 @@ def _schatten_norms(sigmas: Sequence[np.ndarray], qs: Sequence[float]) -> list[f
 
 
 def _chain_traces(chains: Sequence[Sequence[tuple]]) -> list[float]:
-    """trace_product of each chain of factors (m, t), psd_power(m, t) or m if
-    t is None: per dimension, each distinct factor is powered once, in one
-    stacked call, and the chains of each length are multiplied as stacks."""
+    """tr(F1 F2 ... Fk) of each chain of factors (m, t): F = m^t, the PSD power
+    on m's clamped spectrum, or m itself if t is None. Per dimension, each
+    distinct factor is powered once, in one stacked call, and the chains of
+    each length are multiplied as stacks."""
     out: list = [None] * len(chains)
     for n, idx in _groups(chain[0][0].dim for chain in chains).items():
         slots: dict = {}  # factor -> its row in the stack
@@ -321,7 +214,7 @@ def _chain_traces(chains: Sequence[Sequence[tuple]]) -> list[float]:
 
 
 def _batch_holder(cases: Sequence[tuple]) -> list[tuple[float, float]]:
-    """check_holder on each case (factors, exponents)."""
+    """|A_1 ... A_r|_1 and prod |A_i|_{q_i} of each case (factors, exponents)."""
     # per case: the product's singular values, then each factor's |spectrum|
     sigmas: list = [None] * len(cases)
     for (_, r), idx in _groups((c[0][0].dim, len(c[0])) for c in cases).items():
@@ -341,8 +234,10 @@ def _batch_holder(cases: Sequence[tuple]) -> list[tuple[float, float]]:
 
 
 def _batch_alt(cases: Sequence[tuple]) -> list[tuple[float, float]]:
-    """Each case (check, a, b, alpha) through check_alt or
-    check_alt_schatten, both on _alt_sides' sandwich and trace."""
+    """The ALT sides of each case (lemma, a, b, alpha), both from the
+    sandwich ABA and tr(A^{2 alpha} B^alpha): tr((ABA)^alpha) and the trace
+    for LemmaId.ALT, |ABA|_alpha and the trace's alpha-th root for
+    LemmaId.ALT_SCHATTEN."""
     traces = _chain_traces([((a, 2.0 * alpha), (b, alpha)) for _, a, b, alpha in cases])
     spectra: list = [None] * len(cases)
     for _, idx in _groups(c[1].dim for c in cases).items():
@@ -354,18 +249,18 @@ def _batch_alt(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     sums = _spectral_sums(spectra, alphas)
     norms = _schatten_norms([np.abs(lam) for lam in spectra], alphas)
     return [
-        (total, trace) if check is check_alt else (norm, max(trace, 0.0) ** (1.0 / alpha))
-        for (check, _, _, alpha), trace, total, norm in zip(cases, traces, sums, norms)
+        (total, trace) if lemma is LemmaId.ALT else (norm, max(trace, 0.0) ** (1.0 / alpha))
+        for (lemma, _, _, alpha), trace, total, norm in zip(cases, traces, sums, norms)
     ]
 
 
 def _word_chain(x: SymMatrix, y: SymMatrix, w: AlternatingWord) -> list[tuple]:
-    """eval_word_trace's factors, as _chain_traces takes them."""
+    """The factors of tr(X^l1 Y^m1 ... X^lr Y^mr), as _chain_traces takes them."""
     return [f for l, m in w.exponent_pairs for f in ((x, l), (y, m))]
 
 
 def _batch_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
-    """check_word_bound on each case (x, y, w)."""
+    """|tr X^l1 Y^m1 ...| and ||X||^{l-1} tr(X Y^m) of each case (x, y, w)."""
     words = [_word_chain(x, y, w) for x, y, w in cases]
     traces = _chain_traces(words + [((x, None), (y, w.y_degree)) for x, y, w in cases])
     return [
@@ -375,7 +270,8 @@ def _batch_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
 
 
 def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
-    """check_expectation_word_bound on each case (ex, ey, w, cap)."""
+    """E tr X^l1 Y^m1 ... and E f^l * E tr Y^m of each case (ex, ey, w, cap),
+    f the {0, cap} Bernoulli surrogate with P(f = cap) = ||E X|| / cap."""
     traces = iter(_chain_traces([
         _word_chain(ax, ay, w) for ex, ey, w, *_ in cases for ax in ex.atoms for ay in ey.atoms
     ]))
@@ -390,18 +286,17 @@ def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, f
 
 
 def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
-    """check_binomial_reduction on each case (ex, ey, p, cap): the
-    cases of one (n, p) go through one _stacked_moments call, as two
-    families each, (X, Y) and (f I, Y), with f I's atoms as bernoulli_member has them."""
+    """E tr(X + Y)^p and E tr(f I + Y)^p of each case (ex, ey, p, cap), f
+    the Bernoulli surrogate, or the error of an invalid power p: the cases
+    of one (n, p) go through one _stacked_moments call, as two families
+    each, (X, Y) and (f I, Y), with f I's atoms as bernoulli_member has them."""
     out: list = [None] * len(cases)
     for (n, p), idx in _groups((c[0].dim, c[2]) for c in cases).items():
-        if p > MOMENT_BUDGET:
-            for i in idx:  # the checker's own error
-                try:
-                    report = check_binomial_reduction(*cases[i])
-                    out[i] = report.lhs, report.rhs
-                except TracemaxError as exc:
-                    out[i] = exc
+        try:
+            _validate_p(p)
+        except TracemaxError as exc:
+            for i in idx:
+                out[i] = exc
             continue
         families = []
         for i in idx:
@@ -455,18 +350,6 @@ class LemmaSummary:
             worst_digest=later.worst_digest if worse else self.worst_digest,
         )
 
-    def add(self, report: CheckReport) -> "LemmaSummary":
-        return self.merge(
-            LemmaSummary(
-                lemma_id=report.lemma_id,
-                trials=1,
-                passes=int(report.passed),
-                min_slack=report.slack,
-                min_norm_slack=report.norm_slack,
-                worst_digest=report.input_digest,
-            )
-        )
-
 
 def _random_word(rng: np.random.Generator, p_max: int) -> AlternatingWord:
     # Half the draws use fractional exponents: the word bound is stated for
@@ -482,10 +365,13 @@ def _random_word(rng: np.random.Generator, p_max: int) -> AlternatingWord:
 
 
 def _summary(lemma_id: LemmaId, sides: Sequence[tuple], digest) -> LemmaSummary:
-    """LemmaSummary.add folded, in order, over _report of each (lhs, rhs), on
-    arrays: digest(i) is formatted for the worst pair i alone. The fold
-    skips a NaN slack and moves only on a strictly smaller one, and argmin
-    returns the first of equal minima, so ties keep the earliest pair."""
+    """The tally of the pairs (lhs, rhs), in order, on arrays: passes by
+    holds, the smallest slack rhs - lhs and the smallest normalized slack
+    (CheckReport.norm_slack), with digest(i) formatted for the worst pair i
+    alone. A NaN slack is skipped and the worst pair moves only on a
+    strictly smaller slack (argmin returns the first of equal minima), so
+    ties keep the earliest pair and merging the tallies of consecutive runs
+    of pairs gives the tally of them all."""
     lhs, rhs = np.array(sides, dtype=float).T
     slack = rhs - lhs
     scale = 1.0 + np.abs(rhs)
@@ -535,14 +421,13 @@ def _holder_tally(seed: int, trials: range, dim_max: int, p_max: int) -> LemmaSu
 
 
 def _alt_tally(seed: int, trials: range, dim_max: int, p_max: int, k: int) -> LemmaSummary:
-    """check_alt on stream 1, check_alt_schatten on stream 2."""
+    """The ALT lemma on stream 1, its Schatten form on stream 2."""
     def draw(rng, n, psd):
         return float(rng.choice(ALT_EXPONENTS)), psd(n, rng), psd(n, rng)
 
     rows, m = _drawn(seed, trials, k, dim_max, draw)
-    check = check_alt if k == 1 else check_alt_schatten
-    sides = _batch_alt([(check, m[a], m[b], alpha) for _, _, alpha, a, b in rows])
     lemma = LemmaId.ALT if k == 1 else LemmaId.ALT_SCHATTEN
+    sides = _batch_alt([(lemma, m[a], m[b], alpha) for _, _, alpha, a, b in rows])
     return _summary(lemma, sides, lambda i: "trial={};n={};alpha={}".format(*rows[i]))
 
 
@@ -562,27 +447,31 @@ def _sampled_batch(seed: int, trials: range, dim_max: int, p_max: int) -> tuple:
     """The expectation word bound's and the binomial reduction's sides on
     each trial's stream 4, and their digests' parts (t, n, cap, word, p).
 
-    The X ensembles of all trials go through the batched sampler; then each
-    trial draws its Y parameters, and the Y ensembles go through it too.
-    Each trial whose ensembles were sampled draws its word and power. The
-    first error in trial order is raised: a trial's X, then its Y sampler
-    error, then its binomial reduction's, as the trial alone raises it.
+    Each trial draws its dimension and X cap, then its X and its Y
+    ensemble are sampled, the ensembles of all trials together, by
+    ensembles._ensembles. Each trial whose ensembles were sampled draws its
+    word and power. The first error in trial order is raised: a trial's
+    first sampler error, then its binomial reduction's, as the trial alone
+    raises it.
     """
-    requests = []
+    heads = []  # (n, cap, rng) of each trial
     for t in trials:
         rng = stream(seed, t, 4)
-        n = int(rng.integers(1, dim_max + 1))
-        cap = float(rng.uniform(0.5, 2.0))
-        requests.append((n, int(rng.integers(1, 4)), cap, float(rng.uniform()), rng))
-    xs = _sample(requests)
-    ys = _sample([
-        (n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng)
-        for n, *_, rng in requests
-    ])
+        heads.append((int(rng.integers(1, dim_max + 1)), float(rng.uniform(0.5, 2.0)), rng))
+
+    def request(i: int, k: int) -> tuple:
+        """X (k = 0) at the trial's cap, or Y (k = 1) at a cap of its own."""
+        n, cap, rng = heads[i]
+        s = int(rng.integers(1, 4))
+        if k == 1:
+            cap = float(rng.uniform(0.5, 2.0))
+        return n, s, cap, float(rng.uniform()), rng
+
     errors, cases, parts = [], [], []
-    for t, (n, _, cap, _, rng), ex, ey in zip(trials, requests, xs, ys):
-        errors.append(next((e for e in (ex, ey) if isinstance(e, TracemaxError)), None))
+    for t, (n, cap, rng), members in zip(trials, heads, _ensembles([2] * len(heads), request)):
+        errors.append(members if isinstance(members, TracemaxError) else None)
         if errors[-1] is None:
+            ex, ey = members
             w = _random_word(rng, p_max)
             p = int(rng.integers(1, p_max + 1))
             cases.append((ex, ey, w, p, cap))
@@ -627,7 +516,7 @@ def _run_trial_block(args: tuple[int, int, int, int, int]) -> dict[LemmaId, Lemm
 def run_lemma_sweep(
     trials: int, dim_max: int, p_max: int, seed: int
 ) -> dict[LemmaId, LemmaSummary]:
-    """Randomized constrained sweep over all six lemma checkers.
+    """Randomized constrained sweep over all six lemmas.
 
     Every trial owns counter-derived RNG streams keyed by (seed, trial), so
     results are independent of blocks, batches and worker count. Trials

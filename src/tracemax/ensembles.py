@@ -15,7 +15,8 @@ factor, bracketed between the factors at which eigenvalues reach the cap.
 It projects a batch of atom stacks at once, each with its own cap and
 target: the search's lockstep restarts, and the batched sampler (_sample
 and _attempt), which draws the ensembles of many requests, builds their
-atoms one dimension at a time and projects them together.
+atoms one dimension at a time and projects them together. _ensembles
+samples batches of families through it, member by member.
 
 _stack alone packs batches of families into the zero-padded (B, N, S, ...)
 layout, with (B, N) support sizes, that _stacked_moments enumerates.
@@ -27,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -509,6 +510,29 @@ def _sample(
     return results
 
 
+def _ensembles(
+    counts: Sequence[int], request: Callable[[int, int], tuple]
+) -> list[list[FiniteEnsemble] | TracemaxError]:
+    """Members 0 .. counts[i] - 1 of each row i, or the row's first error.
+
+    request(i, k) draws member k's _sample request (n, s, cap, alpha, rng)
+    from row i's own stream. Member k of every row still free of errors is
+    sampled in one _sample call, and request(i, k + 1) is called only after
+    it, so each row draws from its stream exactly as it does alone. A row
+    draws nothing after its first error; callers raise the first error in
+    row order, which such draws could not change.
+    """
+    members: list = [[] for _ in counts]
+    for k in range(max(counts, default=0)):
+        rows = [i for i, count in enumerate(counts) if k < count and isinstance(members[i], list)]
+        for i, member in zip(rows, _sample([request(i, k) for i in rows])):
+            if isinstance(member, TracemaxError):
+                members[i] = member
+            else:
+                members[i].append(member)
+    return members
+
+
 def _bernoulli_atoms(n: int, cap: float) -> tuple[SymMatrix, SymMatrix]:
     """The atoms cap * I and 0 of the scalar surrogate f I, seeded with the identity eigenbasis."""
     eye = np.eye(n)
@@ -522,8 +546,12 @@ def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:
     """The scalar surrogate f I: cap * I with probability alpha, else 0.
 
     Its mean alpha * cap * I is seeded with the identity eigenbasis; it is
-    the left-to-right mean of the two atoms bit for bit.
+    the left-to-right mean of the two atoms bit for bit. A cap that is not
+    positive and finite, or an alpha outside [0, 1], raises
+    ConstraintViolated before any atom is built.
     """
+    if error := _target_error(cap, alpha):
+        raise error
     eye = np.eye(n)
     mean = SymMatrix.seeded(alpha * cap * eye, eye, np.full(n, alpha * cap))
     return FiniteEnsemble.seeded(_bernoulli_atoms(n, cap), (alpha, 1.0 - alpha), cap, alpha, mean)

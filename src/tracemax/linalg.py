@@ -5,20 +5,18 @@ Everything operates on exact-symmetric float64 matrices at desk scale
 numpy.linalg.eigh, whose eigenvalues are accurate to a small multiple of
 machine epsilon times ||A||; every PSD test here is absolute, of the form
 lambda_min >= -PSD_TOL * (1 + ||A||), so that accuracy is all it needs.
-Traces are accumulated with exact compensated summation (math.fsum)
-because downstream moment computations raise them to powers up to 30.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InvalidExponent, NotPSD
+from .errors import DimensionError, InvalidExponent
 
 # Eigenvalues are accepted as nonnegative down to -PSD_TOL * (1 + opnorm).
 PSD_TOL = 1e-10
@@ -34,15 +32,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def power(self, t: float) -> np.ndarray:
-        """Q diag(clamp(lam)^t) Q^T with negative eigenvalues clamped to 0.
-
-        The product is not symmetrised here: psd_power's SymMatrix does it.
-        """
-        lam = np.maximum(self.eigenvalues, 0.0)
-        q = self.eigenvectors
-        return (q * lam**t) @ q.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,9 +69,6 @@ class SymMatrix:
         lam = self.eig.eigenvalues
         return max(abs(float(lam[0])), abs(float(lam[-1])))
 
-    def trace(self) -> float:
-        return math.fsum(self.entries.diagonal().tolist())
-
     def min_eigenvalue(self) -> float:
         return float(self.eig.eigenvalues[0])
 
@@ -112,75 +98,6 @@ class SymMatrix:
         object.__setattr__(m, "entries", view)
         m.__dict__["eig"] = EigenDecomposition(lam, q)
         return m
-
-
-def psd_power(a: SymMatrix, t: float) -> SymMatrix:
-    """Fractional matrix power A^t of a PSD matrix, t >= 0.
-
-    Eigenvalues below the PSD tolerance raise NotPSD; tiny negatives from
-    roundoff are clamped to 0 before powering.
-    """
-    if t < 0:
-        raise InvalidExponent(f"psd_power requires t >= 0, got {t}")
-    _require_psd(a)
-    return SymMatrix(a.eig.power(float(t)))
-
-
-def psd_trace_power(a: SymMatrix, t: float) -> float:
-    """tr(A^t) for PSD A, evaluated on the (clamped) spectrum."""
-    if t < 0:
-        raise InvalidExponent(f"psd_trace_power requires t >= 0, got {t}")
-    _require_psd(a)
-    lam = np.maximum(a.eig.eigenvalues, 0.0)
-    return math.fsum((lam ** float(t)).tolist())
-
-
-def _require_psd(a: SymMatrix) -> None:
-    if not a.is_psd():
-        raise NotPSD(
-            f"min eigenvalue {a.min_eigenvalue():.6e} below tolerance {a.psd_floor:.6e}"
-        )
-
-
-def schatten_norm(a: SymMatrix, q: float) -> float:
-    """Schatten q-norm (singular-value l_q norm) of a symmetric matrix.
-
-    q = inf gives the operator norm; q = 1 the trace norm; q = 2 Frobenius.
-    """
-    sigma = np.abs(a.eig.eigenvalues)
-    return schatten_from_singulars(sigma, q)
-
-
-def schatten_from_singulars(sigma: np.ndarray, q: float) -> float:
-    if math.isnan(q) or q < 1:
-        raise InvalidExponent(f"Schatten exponent must be >= 1 or inf, got {q}")
-    top = float(np.max(sigma)) if sigma.size else 0.0
-    if math.isinf(q) or top == 0.0:
-        return top
-    # Factor out the largest singular value so sigma**q cannot overflow.
-    scaled = (sigma / top) ** q
-    return top * math.fsum(scaled.tolist()) ** (1.0 / q)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values of a general square matrix, via the spectrum of M^T M."""
-    m = np.asarray(m, dtype=float)
-    gram = SymMatrix(m.T @ m)
-    lam = np.maximum(gram.eig.eigenvalues, 0.0)
-    return np.sqrt(lam)
-
-
-def trace_product(factors: Sequence[SymMatrix]) -> float:
-    """tr(F1 F2 ... Fk); invariant under cyclic rotation of the factors."""
-    if not factors:
-        raise DimensionError("trace_product requires at least one factor")
-    dims = {f.dim for f in factors}
-    if len(dims) != 1:
-        raise DimensionError(f"factor dims differ: {sorted(dims)}")
-    if len(factors) == 1:
-        return factors[0].trace()
-    prod = reduce(np.matmul, (f.entries for f in factors))
-    return math.fsum(prod.diagonal().tolist())
 
 
 def batched_trace_power(stack: np.ndarray, p: int) -> np.ndarray:

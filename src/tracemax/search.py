@@ -27,15 +27,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import LemmaId, LemmaSummary, check_theorem_max, holds
+from .checks import CheckReport, LemmaId, LemmaSummary, _summary, check_theorem_max, holds
 from .ensembles import (
     FAILED,
     EnsembleFamily,
     FiniteEnsemble,
     _atoms,
+    _ensembles,
     _project_batch,
     _require_support,
-    _sample,
     _stack,
     _stacked_moments,
     extremal_family,
@@ -110,29 +110,22 @@ class _Chains:
         """Start every chain, or raise the error of the lowest-numbered
         restart whose start failed, as that restart raises it alone."""
         self.n, self.params, self.p = n, params, p
-        chains = stop - start
         self.rngs = [stream(config.seed, r) for r in range(start, stop)]
-        errors: dict[int, TracemaxError] = {}
-        members: list[list[FiniteEnsemble]] = [[] for _ in range(chains)]
-        random = range(1, chains) if start == 0 else range(chains)
-        if start == 0:  # restart 0 starts at the conjectured maximizer
-            members[0] = list(extremal_family(n, params).members)
-        for cap, alpha in zip(params.caps, params.alphas):
-            # each chain draws the member's support size (1 to max_atoms),
-            # then its sampler seeds, from its own stream
-            sampled = [c for c in random if c not in errors]
-            requests = [
-                (n, int(self.rngs[c].integers(1, config.max_atoms + 1)), cap, alpha, self.rngs[c])
-                for c in sampled
-            ]
-            for c, member in zip(sampled, _sample(requests)):
-                if isinstance(member, TracemaxError):
-                    errors[c] = member
-                else:
-                    members[c].append(member)
-        for c, family in enumerate(members):  # every earlier chain has started
-            if c in errors:
-                raise errors[c]
+        # restart 0 starts at the conjectured maximizer; each other chain
+        # draws member k's support size (1 to max_atoms), then its sampler
+        # seeds, from its own stream
+        drawn = self.rngs[1:] if start == 0 else self.rngs
+
+        def request(c: int, k: int) -> tuple:
+            rng = drawn[c]
+            size = int(rng.integers(1, config.max_atoms + 1))
+            return n, size, params.caps[k], params.alphas[k], rng
+
+        members = [extremal_family(n, params).members] if start == 0 else []
+        members += _ensembles([params.count] * len(drawn), request)
+        for family in members:  # every earlier chain has started
+            if isinstance(family, TracemaxError):
+                raise family
             _require_support(tuple(m.support_size for m in family))
 
         slots = max(config.max_atoms, 2)  # the extremal members have two atoms
@@ -333,38 +326,26 @@ def _audit_sampled_families(
     seed: int, start: int, stop: int
 ) -> tuple[LemmaSummary, list[dict]]:
     """Audit trials [start, stop): sampled families against the closed-form maximum."""
-    summary = LemmaSummary.empty(LemmaId.THEOREM_MAX)
-    failures: list[dict] = []
     rngs = [stream(seed, 2, t) for t in range(start, stop)]
     shapes = [
         tuple(int(rng.integers(1, top + 1)) for top in (_AUDIT_DIM, _AUDIT_MEMBERS, _AUDIT_POWER))
         for rng in rngs
     ]
-    # member k of every trial that has one, sampled together: a trial draws
-    # member k's parameters after its member k - 1 is sampled, as it does
-    # alone; its first sampler error is raised, in trial order
-    members: list[list] = [[] for _ in rngs]
-    for k in range(_AUDIT_MEMBERS):
-        rows = [i for i, (_, count, _) in enumerate(shapes) if k < count]
-        requests = [
-            (
-                shapes[i][0],
-                int(rngs[i].integers(1, _AUDIT_ATOMS + 1)),
-                float(rngs[i].uniform(0.5, 2.0)),
-                float(rngs[i].uniform()),
-                rngs[i],
-            )
-            for i in rows
-        ]
-        for i, member in zip(rows, _sample(requests)):
-            members[i].append(member)
-    for t, (n, count, p), sampled in zip(range(start, stop), shapes, members):
-        for member in sampled:
-            if isinstance(member, TracemaxError):
-                raise member
-        family = EnsembleFamily(members=tuple(sampled))
+
+    def request(i: int, k: int) -> tuple:
+        rng = rngs[i]
+        size = int(rng.integers(1, _AUDIT_ATOMS + 1))
+        return shapes[i][0], size, float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng
+
+    reports: list[CheckReport] = []
+    failures: list[dict] = []
+    sampled = _ensembles([count for _, count, _ in shapes], request)
+    for t, (n, count, p), members in zip(range(start, stop), shapes, sampled):
+        if isinstance(members, TracemaxError):  # the first sampler error, in trial order
+            raise members
+        family = EnsembleFamily(members=tuple(members))
         report = check_theorem_max(family, p, digest=f"audit={t};n={n};N={count};p={p}")
-        summary = summary.add(report)
+        reports.append(report)
         if not report.passed:
             failures.append(
                 {
@@ -375,7 +356,8 @@ def _audit_sampled_families(
                     "family": family_to_json(family),
                 }
             )
-    return summary, failures
+    sides = [(report.lhs, report.rhs) for report in reports]
+    return _summary(LemmaId.THEOREM_MAX, sides, lambda i: reports[i].input_digest), failures
 
 
 def gap_sweep(

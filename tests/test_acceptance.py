@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 
 import conftest
+from oracles import expand_trace_power
 import tracemax.cli as cli
 from tracemax import (
     BernoulliParams,
     bernoulli_sum_moment,
     exact_trace_moment,
-    expand_trace_power,
     extremal_family,
     random_psd,
     stream,

@@ -9,6 +9,18 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from conftest import assert_close, psd_pairs, seeds
+from oracles import (
+    add,
+    check_alt,
+    check_alt_schatten,
+    check_binomial_reduction,
+    check_expectation_word_bound,
+    check_holder,
+    check_word_bound,
+    enumerate_binary_words,
+    to_alternating,
+    trace,
+)
 from tracemax import (
     AlternatingWord,
     BudgetExceeded,
@@ -22,18 +34,10 @@ from tracemax import (
     LemmaSummary,
     SamplerFailed,
     SymMatrix,
-    check_alt,
-    check_alt_schatten,
-    check_binomial_reduction,
-    check_expectation_word_bound,
-    check_holder,
     check_theorem_max,
-    check_word_bound,
-    enumerate_binary_words,
     random_psd,
     run_lemma_sweep,
     stream,
-    to_alternating,
 )
 import tracemax.checks as checks
 import tracemax.ensembles as ensembles
@@ -276,6 +280,18 @@ def test_expectation_word_bound_enforces_cap():
         check_expectation_word_bound(ex, ey, w, 0.5)
 
 
+@pytest.mark.parametrize("cap", [math.inf, math.nan])
+def test_sampled_lemma_checkers_reject_a_non_finite_cap(cap):
+    # a NaN report, or a RuntimeWarning from the surrogate's atoms, would
+    # let a bad cap through
+    ex, ey = _sample([(2, 2, 1.0, 0.5, stream(49)), (2, 2, 1.0, 0.5, stream(50))])
+    w = AlternatingWord(exponent_pairs=((1.0, 1.0),))
+    with pytest.raises(ConstraintViolated, match="positive and finite"):
+        check_expectation_word_bound(ex, ey, w, cap)
+    with pytest.raises(ConstraintViolated, match="positive and finite"):
+        check_binomial_reduction(ex, ey, 3, cap)
+
+
 # Binomial reduction ----------------------------------------------------------
 
 def test_binomial_reduction_commuting_equality():
@@ -300,7 +316,7 @@ def test_binomial_reduction_zero_y_linear():
     (ex,) = _attempt([(n, 2, 1.0, 0.6, 77)])
     ey = FiniteEnsemble(atoms=(SymMatrix(np.zeros((n, n))),), probs=(1.0,), cap=1.0, alpha=0.0)
     rep = check_binomial_reduction(ex, ey, 1, 1.0)
-    assert_close(rep.lhs, ex.mean.trace(), rel=1e-12, abs_tol=1e-12)
+    assert_close(rep.lhs, trace(ex.mean), rel=1e-12, abs_tol=1e-12)
     assert_close(rep.rhs, n * ex.mean_norm, rel=1e-12, abs_tol=1e-12)
     assert rep.passed
 
@@ -396,7 +412,9 @@ def test_run_trial_is_deterministic():
 
 _EXPORTED = {
     "_batch_holder": check_holder,
-    "_batch_alt": lambda check, *case: check(*case),
+    "_batch_alt": lambda lemma, *case: (
+        check_alt if lemma is LemmaId.ALT else check_alt_schatten
+    )(*case),
     "_batch_word_bound": check_word_bound,
     "_batch_expectation_word_bound": check_expectation_word_bound,
     "_batch_binomial_reduction": check_binomial_reduction,
@@ -421,7 +439,7 @@ def _recorded_batches(monkeypatch):
 
 
 def test_batched_checkers_match_the_exported_checkers(monkeypatch):
-    # in the sweep, each batched report equals the exported checker's on the
+    # in the sweep, each batched report equals the reference checker's on the
     # same inputs; the batches cover every dimension, both Holder shapes,
     # the exponents 1.0 and 2.0 on which numpy takes a fast path, integer
     # and fractional words and both ends of the power range
@@ -466,8 +484,8 @@ def _outcomes(results):
 
 
 def test_batched_binomial_reduction_returns_the_checkers_errors(monkeypatch):
-    # a power above MOMENT_BUDGET goes to the exported checker, and the batch
-    # holds the error it raises; the sweep raises the first one
+    # for a power above MOMENT_BUDGET the batch holds the error the reference
+    # checker raises; the sweep raises the first one
     recorded = _recorded_batches(monkeypatch)
     with pytest.raises(BudgetExceeded):
         checks._run_trial_block((3, 0, 32, 3, 40))
@@ -493,7 +511,7 @@ def test_summary_tally_rule():
     ]
     sequential = LemmaSummary.empty(LemmaId.THEOREM_MAX)
     for rep in reports:
-        sequential = sequential.add(rep)
+        sequential = add(sequential, rep)
     assert (sequential.trials, sequential.passes) == (4, 1)
     assert sequential.min_slack == -5.0
     assert sequential.min_norm_slack == -1.0
@@ -502,9 +520,9 @@ def test_summary_tally_rule():
     for cut in range(len(reports) + 1):
         head = tail = LemmaSummary.empty(LemmaId.THEOREM_MAX)
         for rep in reports[:cut]:
-            head = head.add(rep)
+            head = add(head, rep)
         for rep in reports[cut:]:
-            tail = tail.add(rep)
+            tail = add(tail, rep)
         assert head.merge(tail) == sequential
 
 
@@ -524,7 +542,7 @@ def test_array_tally_equals_folding_add(sides):
     # same reports
     folded = LemmaSummary.empty(LemmaId.HOLDER)
     for i, (lhs, rhs) in enumerate(sides):
-        folded = folded.add(checks._report(LemmaId.HOLDER, lhs, rhs, f"t{i}"))
+        folded = add(folded, checks._report(LemmaId.HOLDER, lhs, rhs, f"t{i}"))
     formatted = []
     tally = checks._summary(LemmaId.HOLDER, sides, lambda i: formatted.append(i) or f"t{i}")
     for name in ("lemma_id", "trials", "passes", "min_slack", "min_norm_slack", "worst_digest"):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_close, seeds
+from oracles import psd_trace_power
 from tracemax import (
     BernoulliParams,
     BudgetExceeded,
@@ -24,7 +25,6 @@ from tracemax import (
     extremal_family,
     family_from_json,
     family_to_json,
-    psd_trace_power,
     random_psd,
     stream,
     subseed,
@@ -660,6 +660,14 @@ def test_bernoulli_mean_is_the_recomputed_mean_bit_for_bit(n):
         recomputed = ensembles._mean(member.probs, (a.entries for a in member.atoms))
         assert member.mean.entries.tobytes() == recomputed.entries.tobytes()
         assert member.mean_norm == alpha * cap
+
+
+@pytest.mark.parametrize("cap", [math.inf, math.nan])
+def test_bernoulli_member_checks_the_cap_before_building_atoms(cap):
+    # under the suite's RuntimeWarning-as-error filter, multiplying the
+    # identity's zeros by the cap would fail before any cap check
+    with pytest.raises(ConstraintViolated, match="positive and finite"):
+        ensembles.bernoulli_member(2, cap, 0.5)
 
 
 def test_exact_moment_budget():

@@ -87,10 +87,13 @@ def test_empty_input(monkeypatch):
 
 def test_importing_the_cli_loads_no_process_pool():
     src = Path(tracemax.__file__).resolve().parents[1]
+    # numpy.random, with its secrets and OpenSSL chain, would raise the
+    # import's peak RSS from 29.6 to 35.2 MB (2-vCPU VM, numpy 2.4.6);
+    # commands load it on their first draw
     probe = (
         "import sys, tracemax.cli; "
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "
+        "'numpy.random') if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],

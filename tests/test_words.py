@@ -9,19 +9,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import assert_close, psd_pairs, seeds
-from tracemax import (
-    AlternatingWord,
+from oracles import (
     BinaryWord,
-    BudgetExceeded,
-    InvalidExponent,
     PurePower,
-    SymMatrix,
     enumerate_binary_words,
     eval_word_trace,
     expand_trace_power,
+    to_alternating,
+)
+from tracemax import (
+    AlternatingWord,
+    BudgetExceeded,
+    InvalidExponent,
+    SymMatrix,
     random_psd,
     stream,
-    to_alternating,
 )
 
 
