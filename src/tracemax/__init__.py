@@ -11,10 +11,8 @@ __version__ = "0.1.0"
 from .checks import (
     ALT_EXPONENTS,
     CHECK_TOL,
-    CheckReport,
     LemmaId,
     LemmaSummary,
-    check_theorem_max,
     run_lemma_sweep,
 )
 from .ensembles import (

@@ -22,9 +22,11 @@ ensemble and side is computed bit for bit as it is alone, so neither
 blocks nor batches change any output. The tests hold every batched side,
 bit for bit, to a per-case reference checker (tests/oracles.py).
 
-check_theorem_max, the last link, compares one family's exact moment
-with the closed-form maximum; the search's audit of sampled families
-calls it.
+The last link, the closed-form maximum, is tallied the same way:
+_theorem_tally is the search's audit of sampled families, whose exact
+moments _batch_theorem_max takes batch-wide, through the helper that the
+binomial reduction uses too. This batched path is the program's only
+evaluation of every link, and _summary its only tally.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .ensembles import (
     _ensembles,
     _stack,
     _stacked_moments,
-    exact_trace_moment,
+    family_to_json,
 )
 from .errors import InvalidExponent, TracemaxError
 from .extremal import _validate_p, theorem_max_value
@@ -73,6 +75,14 @@ ALT_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 _BLOCK_TRIALS = 256
 _SAMPLED_TRIALS = 64
 
+# Budget for the search's audit of sampled families, matching the central
+# admissibility property: n <= 4, N <= 3, s <= 3, p <= 8. The audit runs
+# in blocks of _BLOCK_TRIALS trials too.
+_AUDIT_DIM = 4
+_AUDIT_MEMBERS = 3
+_AUDIT_ATOMS = 3
+_AUDIT_POWER = 8
+
 
 class LemmaId(str, Enum):
     HOLDER = "Holder"
@@ -84,36 +94,9 @@ class LemmaId(str, Enum):
     THEOREM_MAX = "TheoremMax"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """LHS <= RHS verdict for one inequality instance."""
-
-    lemma_id: LemmaId
-    lhs: float
-    rhs: float
-    slack: float
-    passed: bool
-    input_digest: str
-
-    @property
-    def norm_slack(self) -> float:
-        """Slack rescaled by 1 + |rhs|; passing means >= -CHECK_TOL."""
-        return self.slack / (1.0 + abs(self.rhs))
-
-
 def holds(lhs: float, rhs: float) -> bool:
     """The pass rule of every check: lhs <= rhs up to CHECK_TOL * (1 + |rhs|)."""
     return lhs <= rhs + CHECK_TOL * (1.0 + abs(rhs))
-
-
-def _report(lemma_id: LemmaId, lhs: float, rhs: float, digest: str) -> CheckReport:
-    lhs, rhs = float(lhs), float(rhs)
-    slack = rhs - lhs
-    passed = holds(lhs, rhs)
-    return CheckReport(
-        lemma_id=lemma_id, lhs=lhs, rhs=rhs, slack=slack, passed=passed,
-        input_digest=digest,
-    )
 
 
 def _bernoulli_weight(ex: FiniteEnsemble, cap: float) -> float:
@@ -122,19 +105,12 @@ def _bernoulli_weight(ex: FiniteEnsemble, cap: float) -> float:
     return min(ex.mean_norm / cap, 1.0)
 
 
-def check_theorem_max(family: EnsembleFamily, p: int, digest: str = "") -> CheckReport:
-    """Exact family moment vs the closed-form maximum for its targets."""
-    lhs = exact_trace_moment(family, p)
-    rhs = theorem_max_value(family.dim, family.params, p)
-    return _report(LemmaId.THEOREM_MAX, lhs, rhs, digest)
-
-
 # Batched evaluation: a _batch_* function returns the (lhs, rhs) of each of
 # its lemma's cases, bit for bit those that its per-case reference checker
 # in tests/oracles.py (check_holder for _batch_holder, and so on) reports
-# on the case's arguments. The cases are the sweep's, valid by construction
-# (an ABA of PSD A and B stays far above the PSD floor) except for a power
-# above MOMENT_BUDGET.
+# on the case's arguments. The cases are the sweep's and the audit's, valid
+# by construction (an ABA of PSD A and B stays far above the PSD floor)
+# except for a power above MOMENT_BUDGET.
 
 
 def _groups(keys: Iterable) -> dict:
@@ -285,31 +261,51 @@ def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, f
     return out
 
 
-def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
-    """E tr(X + Y)^p and E tr(f I + Y)^p of each case (ex, ey, p, cap), f
-    the Bernoulli surrogate, or the error of an invalid power p: the cases
-    of one (n, p) go through one _stacked_moments call, as two families
-    each, (X, Y) and (f I, Y), with f I's atoms as bernoulli_member has them."""
-    out: list = [None] * len(cases)
-    for (n, p), idx in _groups((c[0].dim, c[2]) for c in cases).items():
+def _moments(families: Sequence[Sequence[tuple]], powers: Sequence[int]) -> list:
+    """exact_trace_moment of each family, its members given as (atoms,
+    probs), at its power, or the error of an invalid power: the families of
+    one (n, N, p) go through one _stack and one _stacked_moments call."""
+    out: list = [None] * len(families)
+    keys = ((f[0][0][0].dim, len(f), p) for f, p in zip(families, powers))
+    for (_, _, p), idx in _groups(keys).items():
         try:
             _validate_p(p)
         except TracemaxError as exc:
             for i in idx:
                 out[i] = exc
             continue
-        families = []
-        for i in idx:
-            ex, ey, _, cap = cases[i]
-            alpha = _bernoulli_weight(ex, cap)
-            y = ey.atoms, ey.probs
-            surrogate = _bernoulli_atoms(n, cap), (alpha, 1.0 - alpha)
-            families += [((ex.atoms, ex.probs), y), (surrogate, y)]
-        probs, _, _, entries, sizes = _stack(families)
-        values = _stacked_moments(entries, probs, sizes, p)
-        for k, i in enumerate(idx):
-            out[i] = values[2 * k], values[2 * k + 1]
+        probs, _, _, entries, sizes = _stack([families[i] for i in idx])
+        for i, value in zip(idx, _stacked_moments(entries, probs, sizes, p)):
+            out[i] = value
     return out
+
+
+def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
+    """E tr(X + Y)^p and E tr(f I + Y)^p of each case (ex, ey, p, cap), f
+    the Bernoulli surrogate, or the error of an invalid power p: two
+    families each, (X, Y) and (f I, Y), with f I's atoms as bernoulli_member
+    has them."""
+    families = []
+    for ex, ey, _, cap in cases:
+        alpha = _bernoulli_weight(ex, cap)
+        y = ey.atoms, ey.probs
+        surrogate = _bernoulli_atoms(ex.dim, cap), (alpha, 1.0 - alpha)
+        families += [((ex.atoms, ex.probs), y), (surrogate, y)]
+    values = _moments(families, [c[2] for c in cases for _ in range(2)])
+    pairs = zip(values[::2], values[1::2])
+    return [lhs if isinstance(lhs, TracemaxError) else (lhs, rhs) for lhs, rhs in pairs]
+
+
+def _batch_theorem_max(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
+    """E tr(X_1 + ... + X_N)^p and theorem_max_value at the members'
+    targets of each case (family, p), or the error of an invalid power p.
+    The cases are the audit's, whose supports stay within budget."""
+    families = [[(m.atoms, m.probs) for m in family.members] for family, _ in cases]
+    moments = _moments(families, [p for _, p in cases])
+    return [
+        lhs if isinstance(lhs, TracemaxError) else (lhs, theorem_max_value(f.dim, f.params, p))
+        for (f, p), lhs in zip(cases, moments)
+    ]
 
 
 # Randomized sweep ---------------------------------------------------------
@@ -326,13 +322,6 @@ class LemmaSummary:
     @property
     def all_passed(self) -> bool:
         return self.passes == self.trials
-
-    @staticmethod
-    def empty(lemma_id: LemmaId) -> "LemmaSummary":
-        return LemmaSummary(
-            lemma_id=lemma_id, trials=0, passes=0, min_slack=math.inf,
-            min_norm_slack=math.inf, worst_digest="",
-        )
 
     def merge(self, later: "LemmaSummary") -> "LemmaSummary":
         """Tally of these trials followed by ``later``'s.
@@ -367,7 +356,7 @@ def _random_word(rng: np.random.Generator, p_max: int) -> AlternatingWord:
 def _summary(lemma_id: LemmaId, sides: Sequence[tuple], digest) -> LemmaSummary:
     """The tally of the pairs (lhs, rhs), in order, on arrays: passes by
     holds, the smallest slack rhs - lhs and the smallest normalized slack
-    (CheckReport.norm_slack), with digest(i) formatted for the worst pair i
+    (slack / (1 + |rhs|)), with digest(i) formatted for the worst pair i
     alone. A NaN slack is skipped and the worst pair moves only on a
     strictly smaller slack (argmin returns the first of equal minima), so
     ties keep the earliest pair and merging the tallies of consecutive runs
@@ -511,6 +500,44 @@ def _run_trial_block(args: tuple[int, int, int, int, int]) -> dict[LemmaId, Lemm
         _word_tally(*block), *_sampled_tallies(*block),
     ]
     return {tally.lemma_id: tally for tally in tallies}
+
+
+def _theorem_tally(seed: int, start: int, stop: int) -> tuple[LemmaSummary, list[dict]]:
+    """The audit of trials [start, stop): sampled families against the
+    closed-form maximum, tallied, and a replayable dump of each failing
+    trial, in trial order.
+
+    Trial t draws its dimension, member count and power from the stream
+    (seed, 2, t), then each member's support size, cap and alpha; the
+    families of all trials are sampled together by ensembles._ensembles,
+    and the first sampler error in trial order is raised. Every power drawn
+    is valid and every support within budget, so no other error occurs.
+    """
+    trials = range(start, stop)
+    rngs = [stream(seed, 2, t) for t in trials]
+    shapes = [
+        tuple(int(rng.integers(1, top + 1)) for top in (_AUDIT_DIM, _AUDIT_MEMBERS, _AUDIT_POWER))
+        for rng in rngs
+    ]
+
+    def request(i: int, k: int) -> tuple:
+        rng = rngs[i]
+        size = int(rng.integers(1, _AUDIT_ATOMS + 1))
+        return shapes[i][0], size, float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng
+
+    sampled = _ensembles([count for _, count, _ in shapes], request)
+    for members in sampled:
+        if isinstance(members, TracemaxError):
+            raise members
+    cases = [(EnsembleFamily(members=tuple(m)), p) for m, (_, _, p) in zip(sampled, shapes)]
+    sides = _batch_theorem_max(cases)
+    digests = [f"audit={t};n={n};N={count};p={p}" for t, (n, count, p) in zip(trials, shapes)]
+    failures = [
+        {"digest": digest, "lhs": lhs, "rhs": rhs, "p": p, "family": family_to_json(family)}
+        for digest, (family, p), (lhs, rhs) in zip(digests, cases, sides)
+        if not holds(lhs, rhs)
+    ]
+    return _summary(LemmaId.THEOREM_MAX, sides, lambda i: digests[i]), failures
 
 
 def run_lemma_sweep(

@@ -14,9 +14,14 @@ atoms, the mean-shell projections and the exact moments of small supports
 run batched over the block. Stacked eigh and matmul give every slice the
 bits it gets alone, so each restart follows the trajectory it follows on
 its own (the tests hold it to a one-restart oracle), and neither the block
-partition nor the worker count changes any result. gap_sweep maps every
-cell's blocks and the audit's blocks through one parallel_map, so a search
-starts at most one pool.
+partition nor the worker count changes any result.
+
+This module holds the adversary and the grid. The audit of sampled
+families that --sampler-trials adds is a verdict tally like the lemma
+sweep's, checks._theorem_tally, run in blocks of checks._BLOCK_TRIALS
+trials. gap_sweep maps every cell's blocks and the audit's blocks through
+one parallel_map, so a search starts at most one pool, and merges the
+audit's block tallies in block order.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import CheckReport, LemmaId, LemmaSummary, _summary, check_theorem_max, holds
+from . import checks
+from .checks import LemmaSummary, _theorem_tally, holds
 from .ensembles import (
     FAILED,
     EnsembleFamily,
@@ -58,14 +64,6 @@ _PROPOSAL_SCALE = 0.25
 # Largest cell gap_sweep searches; theorem_max_value bounds the moment order.
 _MAX_DIM = 8
 _MAX_MEMBERS = 6
-
-# Budget for the sampled-family audit, matching the central admissibility
-# property: n <= 4, N <= 3, s <= 3, p <= 8.
-_AUDIT_DIM = 4
-_AUDIT_MEMBERS = 3
-_AUDIT_ATOMS = 3
-_AUDIT_POWER = 8
-_AUDIT_BLOCK = 256
 
 # With several workers, a search is cut into about this many restart blocks
 # per worker: enough to even out heavy-tailed restart costs (1 to 6^6
@@ -322,44 +320,6 @@ class SweepOutcome:
         return not self.violations and not self.errors and no_audit_failure
 
 
-def _audit_sampled_families(
-    seed: int, start: int, stop: int
-) -> tuple[LemmaSummary, list[dict]]:
-    """Audit trials [start, stop): sampled families against the closed-form maximum."""
-    rngs = [stream(seed, 2, t) for t in range(start, stop)]
-    shapes = [
-        tuple(int(rng.integers(1, top + 1)) for top in (_AUDIT_DIM, _AUDIT_MEMBERS, _AUDIT_POWER))
-        for rng in rngs
-    ]
-
-    def request(i: int, k: int) -> tuple:
-        rng = rngs[i]
-        size = int(rng.integers(1, _AUDIT_ATOMS + 1))
-        return shapes[i][0], size, float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng
-
-    reports: list[CheckReport] = []
-    failures: list[dict] = []
-    sampled = _ensembles([count for _, count, _ in shapes], request)
-    for t, (n, count, p), members in zip(range(start, stop), shapes, sampled):
-        if isinstance(members, TracemaxError):  # the first sampler error, in trial order
-            raise members
-        family = EnsembleFamily(members=tuple(members))
-        report = check_theorem_max(family, p, digest=f"audit={t};n={n};N={count};p={p}")
-        reports.append(report)
-        if not report.passed:
-            failures.append(
-                {
-                    "digest": report.input_digest,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "p": p,
-                    "family": family_to_json(family),
-                }
-            )
-    sides = [(report.lhs, report.rhs) for report in reports]
-    return _summary(LemmaId.THEOREM_MAX, sides, lambda i: reports[i].input_digest), failures
-
-
 def gap_sweep(
     n_values: list[int],
     member_counts: list[int],
@@ -408,8 +368,8 @@ def gap_sweep(
         for _, n, _, p, params, cell_seed, theorem in cells
     ]
     audit_blocks = [
-        (_audit_sampled_families, (config.seed, start, min(start + _AUDIT_BLOCK, sampler_trials)))
-        for start in range(0, sampler_trials, _AUDIT_BLOCK)
+        (_theorem_tally, (config.seed, start, min(start + checks._BLOCK_TRIALS, sampler_trials)))
+        for start in range(0, sampler_trials, checks._BLOCK_TRIALS)
     ]
     outcomes = iter(parallel_map(_run_task, [*itertools.chain(*blocks), *audit_blocks]))
 
@@ -450,12 +410,10 @@ def gap_sweep(
             }
         )
 
-    audit = None
-    if sampler_trials > 0:
-        audit = LemmaSummary.empty(LemmaId.THEOREM_MAX)
-        for summary, failures in outcomes:
-            audit = audit.merge(summary)
-            violations.extend(failures)
+    audit = None  # the audit's block tallies come last, merged in block order
+    for summary, failures in outcomes:
+        audit = summary if audit is None else audit.merge(summary)
+        violations.extend(failures)
     return SweepOutcome(
         rows=tuple(rows),
         violations=tuple(violations),

@@ -1,11 +1,12 @@
 """Per-case reference implementations that the tests hold tracemax to.
 
-The lemma sweep evaluates each inequality of the chain only batch-wide,
-through the ``_batch_*`` functions of ``tracemax.checks``. The checkers
-here evaluate one instance at a time, with plain matrix functions (PSD
-powers, Schatten norms, traces of products) and the binary-word expansion
-of tr((X + Y)^p). ``test_checks`` holds every batched side to them bit for
-bit, and the word and linear-algebra tests check them against numpy,
+The lemma sweep and the search's audit evaluate each inequality of the
+chain only batch-wide, through the ``_batch_*`` functions of
+``tracemax.checks``. The checkers here evaluate one instance at a time,
+with plain matrix functions (PSD powers, Schatten norms, traces of
+products), the binary-word expansion of tr((X + Y)^p) and the
+single-family ``exact_trace_moment``. ``test_checks`` holds every batched
+side to them bit for bit, and the word and linear-algebra tests check them against numpy,
 mpmath and direct matrix powers. Nothing in ``src/`` imports this module.
 """
 
@@ -19,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from tracemax.checks import CheckReport, LemmaId, LemmaSummary, _bernoulli_weight, _report
+from tracemax.checks import LemmaId, LemmaSummary, _bernoulli_weight, holds
 from tracemax.ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
@@ -29,6 +30,7 @@ from tracemax.ensembles import (
     require_caps,
 )
 from tracemax.errors import BudgetExceeded, DimensionError, InvalidExponent, NotPSD
+from tracemax.extremal import theorem_max_value
 from tracemax.linalg import EigenDecomposition, SymMatrix
 from tracemax.words import AlternatingWord
 
@@ -240,6 +242,33 @@ def _integer_powers(a: SymMatrix, p: int) -> dict[int, np.ndarray]:
 # Checkers -----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """LHS <= RHS verdict for one inequality instance."""
+
+    lemma_id: LemmaId
+    lhs: float
+    rhs: float
+    slack: float
+    passed: bool
+    input_digest: str
+
+    @property
+    def norm_slack(self) -> float:
+        """Slack rescaled by 1 + |rhs|; passing means >= -CHECK_TOL."""
+        return self.slack / (1.0 + abs(self.rhs))
+
+
+def _report(lemma_id: LemmaId, lhs: float, rhs: float, digest: str) -> CheckReport:
+    lhs, rhs = float(lhs), float(rhs)
+    slack = rhs - lhs
+    passed = holds(lhs, rhs)
+    return CheckReport(
+        lemma_id=lemma_id, lhs=lhs, rhs=rhs, slack=slack, passed=passed,
+        input_digest=digest,
+    )
+
+
 def check_holder(
     factors: Sequence[SymMatrix], exponents: Sequence[float], digest: str = ""
 ) -> CheckReport:
@@ -352,6 +381,21 @@ def check_binomial_reduction(
     lhs = exact_trace_moment(EnsembleFamily((ex, ey)), p)
     rhs = exact_trace_moment(EnsembleFamily((surrogate, ey)), p)
     return _report(LemmaId.BINOMIAL_REDUCTION, lhs, rhs, digest)
+
+
+def check_theorem_max(family: EnsembleFamily, p: int, digest: str = "") -> CheckReport:
+    """Exact family moment vs the closed-form maximum for its targets."""
+    lhs = exact_trace_moment(family, p)
+    rhs = theorem_max_value(family.dim, family.params, p)
+    return _report(LemmaId.THEOREM_MAX, lhs, rhs, digest)
+
+
+def empty(lemma_id: LemmaId) -> LemmaSummary:
+    """The tally of no trials."""
+    return LemmaSummary(
+        lemma_id=lemma_id, trials=0, passes=0, min_slack=math.inf,
+        min_norm_slack=math.inf, worst_digest="",
+    )
 
 
 def add(summary: LemmaSummary, report: CheckReport) -> LemmaSummary:

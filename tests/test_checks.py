@@ -1,6 +1,7 @@
 """Inequality checkers: trivial identities, equality witnesses, randomized
 passes, and independent numpy oracles for both sides where feasible."""
 
+import json
 import math
 import tracemalloc
 
@@ -10,13 +11,17 @@ from hypothesis import example, given, strategies as st
 
 from conftest import assert_close, psd_pairs, seeds
 from oracles import (
+    CheckReport,
+    _report,
     add,
     check_alt,
     check_alt_schatten,
     check_binomial_reduction,
     check_expectation_word_bound,
     check_holder,
+    check_theorem_max,
     check_word_bound,
+    empty,
     enumerate_binary_words,
     to_alternating,
     trace,
@@ -24,17 +29,18 @@ from oracles import (
 from tracemax import (
     AlternatingWord,
     BudgetExceeded,
-    CheckReport,
     ConstraintViolated,
     DimensionError,
     EnsembleFamily,
     FiniteEnsemble,
     InvalidExponent,
     LemmaId,
-    LemmaSummary,
     SamplerFailed,
+    SearchConfig,
     SymMatrix,
-    check_theorem_max,
+    exact_trace_moment,
+    family_from_json,
+    gap_sweep,
     random_psd,
     run_lemma_sweep,
     stream,
@@ -418,6 +424,7 @@ _EXPORTED = {
     "_batch_word_bound": check_word_bound,
     "_batch_expectation_word_bound": check_expectation_word_bound,
     "_batch_binomial_reduction": check_binomial_reduction,
+    "_batch_theorem_max": check_theorem_max,
 }
 
 
@@ -439,14 +446,16 @@ def _recorded_batches(monkeypatch):
 
 
 def test_batched_checkers_match_the_exported_checkers(monkeypatch):
-    # in the sweep, each batched report equals the reference checker's on the
-    # same inputs; the batches cover every dimension, both Holder shapes,
-    # the exponents 1.0 and 2.0 on which numpy takes a fast path, integer
-    # and fractional words and both ends of the power range
+    # in the sweep and the audit, each batched report equals the reference
+    # checker's on the same inputs; the batches cover every dimension, both
+    # Holder shapes, the exponents 1.0 and 2.0 on which numpy takes a fast
+    # path, integer and fractional words, both ends of the power range and
+    # every audit member count
     recorded = _recorded_batches(monkeypatch)
     for seed in (0, 7000, 7001):
         checks._run_trial_block((seed, 0, 96, 5, 8))
-    seen = set()
+        checks._theorem_tally(seed, 0, 96)
+    seen, members = set(), set()
     for name, check in _EXPORTED.items():
         for cases, results in recorded[name]:
             assert results == [_sides(check(*case)) for case in cases], name
@@ -457,15 +466,21 @@ def test_batched_checkers_match_the_exported_checkers(monkeypatch):
                     seen.add((name, case[1].dim, case[3]))
                 elif name == "_batch_binomial_reduction":
                     seen.add((name, case[0].dim, case[2]))
+                elif name == "_batch_theorem_max":
+                    seen.add((name, case[0].dim, case[1]))
+                    members.add(len(case[0].members))
                 else:
                     seen.add((name, case[0].dim, case[2].exponent_pairs[0][0].is_integer()))
     for name in _EXPORTED:
-        assert {n for kind, n, _ in seen if kind == name} == {1, 2, 3, 4, 5}, name
+        dims = {1, 2, 3, 4} if name == "_batch_theorem_max" else {1, 2, 3, 4, 5}
+        assert {n for kind, n, _ in seen if kind == name} == dims, name
+    assert members == {1, 2, 3}
     required = [
         ("_batch_holder", 1), ("_batch_holder", 3), ("_batch_alt", 1.0), ("_batch_alt", 2.0),
         ("_batch_word_bound", True), ("_batch_word_bound", False),
         ("_batch_expectation_word_bound", True), ("_batch_expectation_word_bound", False),
         ("_batch_binomial_reduction", 1), ("_batch_binomial_reduction", 8),
+        ("_batch_theorem_max", 1), ("_batch_theorem_max", 8),
     ]
     for name, value in required:
         assert any(kind == name and v == value for kind, _, v in seen), (name, value)
@@ -509,7 +524,7 @@ def test_summary_tally_rule():
         _tally_report(-1.0, 0.0, "t2"),    # normalized -1.0
         _tally_report(-3.0, 2.0, "t3"),    # normalized -1.0, a tie with t2
     ]
-    sequential = LemmaSummary.empty(LemmaId.THEOREM_MAX)
+    sequential = empty(LemmaId.THEOREM_MAX)
     for rep in reports:
         sequential = add(sequential, rep)
     assert (sequential.trials, sequential.passes) == (4, 1)
@@ -518,7 +533,7 @@ def test_summary_tally_rule():
     # the tie keeps the earliest trial, which is not the min-slack one
     assert sequential.worst_digest == "t2"
     for cut in range(len(reports) + 1):
-        head = tail = LemmaSummary.empty(LemmaId.THEOREM_MAX)
+        head = tail = empty(LemmaId.THEOREM_MAX)
         for rep in reports[:cut]:
             head = add(head, rep)
         for rep in reports[cut:]:
@@ -540,9 +555,9 @@ def test_array_tally_equals_folding_add(sides):
     # the sweep tallies each lemma from its arrays of sides, formatting only
     # the worst digest; field for field, that is the fold of add over the
     # same reports
-    folded = LemmaSummary.empty(LemmaId.HOLDER)
+    folded = empty(LemmaId.HOLDER)
     for i, (lhs, rhs) in enumerate(sides):
-        folded = add(folded, checks._report(LemmaId.HOLDER, lhs, rhs, f"t{i}"))
+        folded = add(folded, _report(LemmaId.HOLDER, lhs, rhs, f"t{i}"))
     formatted = []
     tally = checks._summary(LemmaId.HOLDER, sides, lambda i: formatted.append(i) or f"t{i}")
     for name in ("lemma_id", "trials", "passes", "min_slack", "min_norm_slack", "worst_digest"):
@@ -691,3 +706,99 @@ def test_sweep_orders_budget_and_sampler_errors_by_trial(monkeypatch, failing):
             else:
                 assert type(raised.value) is BudgetExceeded
                 assert str(raised.value) == f"moment order 40 exceeds budget {MOMENT_BUDGET}"
+
+
+# Audit of sampled families ----------------------------------------------------
+
+def _planted_bound(monkeypatch):
+    """Lower the closed-form maximum by 1e-3 at odd powers, so that the
+    audit fails some of its trials; returns the planted function."""
+    real = checks.theorem_max_value
+
+    def planted(n, params, p):
+        value = real(n, params, p)
+        return value * (1.0 - 1e-3) if p % 2 else value
+
+    monkeypatch.setattr(checks, "theorem_max_value", planted)
+    return planted
+
+
+def _audit(trials, seed=5):
+    """The audit of a one-cell search with ``trials`` sampled families."""
+    config = SearchConfig(restarts=1, steps_per_restart=1, seed=seed)
+    return gap_sweep([1], [1], [2], [0.5], [1.0], config, sampler_trials=trials)
+
+
+def test_audit_dumps_every_failing_trial_in_order_and_each_replays(monkeypatch):
+    # 600 trials run in three blocks; every failing trial is dumped, in
+    # trial order, and its family, reloaded from JSON, gives back both
+    # sides bit for bit
+    monkeypatch.setenv("TMX_THREADS", "1")
+    planted = _planted_bound(monkeypatch)
+    outcome = _audit(600)
+    dumps = outcome.violations
+    assert outcome.audit.trials == 600
+    assert outcome.audit.trials - outcome.audit.passes == len(dumps) > 0
+    assert not outcome.clean
+    trials = [int(dump["digest"].split(";")[0].removeprefix("audit=")) for dump in dumps]
+    assert trials == sorted(trials)
+    assert trials[0] < 256 and trials[-1] >= 512
+    for dump in dumps:
+        assert set(dump) == {"digest", "lhs", "rhs", "p", "family"}
+        p = dump["p"]
+        assert p % 2 == 1 and dump["digest"].endswith(f";p={p}")
+        family = family_from_json(json.loads(json.dumps(dump["family"])))
+        assert exact_trace_moment(family, p) == dump["lhs"]
+        assert planted(family.dim, family.params, p) == dump["rhs"]
+
+
+def test_audit_blocks_change_no_tally_or_dump(monkeypatch):
+    monkeypatch.setenv("TMX_THREADS", "1")
+    _planted_bound(monkeypatch)
+    runs = []
+    for block in (7, 256):
+        monkeypatch.setattr(checks, "_BLOCK_TRIALS", block)
+        outcome = _audit(300)
+        runs.append((outcome.audit, outcome.violations))
+    assert runs[0] == runs[1]
+    assert runs[0][1]
+
+
+def _audit_trial(seed, t):
+    """Trial t of the audit run alone, member by member: its members' caps
+    and its members, or the caps drawn up to its first sampler error and
+    that error."""
+    rng = stream(seed, 2, t)
+    tops = (checks._AUDIT_DIM, checks._AUDIT_MEMBERS, checks._AUDIT_POWER)
+    n, count, _ = (int(rng.integers(1, top + 1)) for top in tops)
+    caps, members = [], []
+    for _ in range(count):
+        size = int(rng.integers(1, checks._AUDIT_ATOMS + 1))
+        caps.append(float(rng.uniform(0.5, 2.0)))
+        (member,) = _sample([(n, size, caps[-1], float(rng.uniform()), rng)])
+        if isinstance(member, TracemaxError):
+            return caps, member
+        members.append(member)
+    return caps, members
+
+
+def test_audit_raises_the_first_sampler_failure_in_trial_order(monkeypatch):
+    # trial 5's third member and trial 12's first fail to sample; the audit
+    # samples member 0 of every trial before any member 2, yet trial 5's
+    # error is raised, as running the trials one by one raises it
+    monkeypatch.setenv("TMX_THREADS", "1")
+    seed = 9
+    caps_5, caps_12 = _audit_trial(seed, 5)[0], _audit_trial(seed, 12)[0]
+    assert len(caps_5) == 3
+    _failing_projections(monkeypatch, {caps_5[2], caps_12[0]})
+    alone, later = _audit_trial(seed, 5)[1], _audit_trial(seed, 12)[1]
+    assert isinstance(alone, SamplerFailed) and isinstance(later, SamplerFailed)
+    assert str(alone) != str(later)
+    for block in (7, 256):
+        monkeypatch.setattr(checks, "_BLOCK_TRIALS", block)
+        with pytest.raises(SamplerFailed) as raised:
+            _audit(20, seed)
+        assert str(raised.value) == str(alone), block
+    with pytest.raises(SamplerFailed) as raised:
+        checks._theorem_tally(seed, 6, 20)
+    assert str(raised.value) == str(later)

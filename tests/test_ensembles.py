@@ -121,6 +121,40 @@ def test_json_rejects_an_infinite_cap():
         family_from_json(json.loads(text))
 
 
+_ONE_ZERO = (SymMatrix(np.ones((1, 1))), SymMatrix(np.zeros((1, 1))))
+
+
+@pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+def test_rejects_a_nan_probability(probs):
+    # NaN fails every comparison, so each probability test must fail on it
+    with pytest.raises(ConstraintViolated):
+        FiniteEnsemble(atoms=_ONE_ZERO, probs=probs, cap=1.0, alpha=0.5)
+
+
+def test_accepts_zero_probabilities():
+    atoms = (*_ONE_ZERO, _ONE_ZERO[0])
+    member = FiniteEnsemble(atoms=atoms, probs=(0.5, 0.5, 0.0), cap=1.0, alpha=0.5)
+    assert member.probs == (0.5, 0.5, 0.0)
+    assert FiniteEnsemble(atoms=_ONE_ZERO, probs=(0.0, 1.0), cap=1.0, alpha=0.0).mean_norm == 0.0
+
+
+def test_json_rejects_a_nan_probability():
+    # json.loads accepts NaN by default
+    text = (
+        '{"dim": 1, "members": [{"atoms": [[1.0], [0.0]], "probs": [NaN, 1.0],'
+        ' "L_cap": 1.0, "alpha_target": 0.5}]}'
+    )
+    with pytest.raises(ConstraintViolated):
+        family_from_json(json.loads(text))
+
+
+def test_json_rejects_an_atom_of_the_wrong_size():
+    doc = family_to_json(extremal_family(1, BernoulliParams(caps=(1.0, 1.0), alphas=(0.5, 0.5))))
+    doc["members"][1]["atoms"][1] = [0.0, 0.0]
+    with pytest.raises(DimensionError, match="member 1 atom 1 has 2 entries, not 1"):
+        family_from_json(doc)
+
+
 def test_family_consistency():
     family = EnsembleFamily(members=(_bernoulli_member(1.0, 0.5),))
     assert family.dim == 2
