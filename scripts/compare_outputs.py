@@ -30,8 +30,10 @@ COMMANDS = [
          ["verify-lemmas", "--trials", "512", "--p-max", "8", "--seed", str(seed), *_SWEEP])
         for seed in (7000, 7001, 7002)
     ),
-    # powers above the moment budget: the first error in trial order
+    # powers above the moment budget, rejected before any trial runs
     ("p-max-40", ["verify-lemmas", "--trials", "300", "--p-max", "40", "--seed", "0", *_SWEEP]),
+    # a power whose word bounds overflow unless it is rejected first
+    ("p-max-4000", ["verify-lemmas", "--trials", "100", "--p-max", "4000", "--seed", "1"]),
     ("extremal-oracle", [
         "extremal", "--n", "3", "--L", "1.0,2.0,0.5", "--alpha", "0.5,0.25,0.75", "--p", "6",
         "--oracle", "--out", "extremal.json",

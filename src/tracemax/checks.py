@@ -19,8 +19,10 @@ its lemma's instances at once, with one stacked matmul or eigh per
 dimension; _summary tallies the lemma from the resulting arrays. Streams
 are drawn from in the order of a trial run alone, and every matrix,
 ensemble and side is computed bit for bit as it is alone, so neither
-blocks nor batches change any output. The tests hold every batched side,
-bit for bit, to a per-case reference checker (tests/oracles.py).
+blocks nor batches change any output. Every case is valid, its power
+too, since run_lemma_sweep checks p_max before any trial runs. The tests
+hold every batched side, bit for bit, to a per-case reference checker
+(tests/oracles.py).
 
 The last link, the closed-form maximum, is tallied the same way:
 _theorem_tally is the search's audit of sampled families, whose exact
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from .errors import InvalidExponent, TracemaxError
 from .extremal import _validate_p, theorem_max_value
 from .linalg import (
     SymMatrix,
+    _groups,
     _spectral_build,
     _spectral_draw,
     _spectral_entries,
@@ -108,17 +111,9 @@ def _bernoulli_weight(ex: FiniteEnsemble, cap: float) -> float:
 # Batched evaluation: a _batch_* function returns the (lhs, rhs) of each of
 # its lemma's cases, bit for bit those that its per-case reference checker
 # in tests/oracles.py (check_holder for _batch_holder, and so on) reports
-# on the case's arguments. The cases are the sweep's and the audit's, valid
-# by construction (an ABA of PSD A and B stays far above the PSD floor)
-# except for a power above MOMENT_BUDGET.
-
-
-def _groups(keys: Iterable) -> dict:
-    """The positions of each distinct key, in order of first appearance."""
-    groups: dict = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups
+# on the case's arguments. The cases are the sweep's and the audit's, all
+# valid, powers included (run_lemma_sweep checks p_max at entry), and an
+# ABA of PSD A and B stays far above the PSD floor.
 
 
 def _row_powers(base: np.ndarray, exps: Sequence[float]) -> np.ndarray:
@@ -261,30 +256,23 @@ def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, f
     return out
 
 
-def _moments(families: Sequence[Sequence[tuple]], powers: Sequence[int]) -> list:
+def _moments(families: Sequence[Sequence[tuple]], powers: Sequence[int]) -> list[float]:
     """exact_trace_moment of each family, its members given as (atoms,
-    probs), at its power, or the error of an invalid power: the families of
-    one (n, N, p) go through one _stack and one _stacked_moments call."""
+    probs), at its power: the families of one (n, N, p) go through one
+    _stack and one _stacked_moments call."""
     out: list = [None] * len(families)
     keys = ((f[0][0][0].dim, len(f), p) for f, p in zip(families, powers))
     for (_, _, p), idx in _groups(keys).items():
-        try:
-            _validate_p(p)
-        except TracemaxError as exc:
-            for i in idx:
-                out[i] = exc
-            continue
         probs, _, _, entries, sizes = _stack([families[i] for i in idx])
         for i, value in zip(idx, _stacked_moments(entries, probs, sizes, p)):
             out[i] = value
     return out
 
 
-def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
+def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr(X + Y)^p and E tr(f I + Y)^p of each case (ex, ey, p, cap), f
-    the Bernoulli surrogate, or the error of an invalid power p: two
-    families each, (X, Y) and (f I, Y), with f I's atoms as bernoulli_member
-    has them."""
+    the Bernoulli surrogate: two families each, (X, Y) and (f I, Y), with
+    f I's atoms as bernoulli_member has them."""
     families = []
     for ex, ey, _, cap in cases:
         alpha = _bernoulli_weight(ex, cap)
@@ -292,20 +280,16 @@ def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple | TracemaxEr
         surrogate = _bernoulli_atoms(ex.dim, cap), (alpha, 1.0 - alpha)
         families += [((ex.atoms, ex.probs), y), (surrogate, y)]
     values = _moments(families, [c[2] for c in cases for _ in range(2)])
-    pairs = zip(values[::2], values[1::2])
-    return [lhs if isinstance(lhs, TracemaxError) else (lhs, rhs) for lhs, rhs in pairs]
+    return list(zip(values[::2], values[1::2]))
 
 
-def _batch_theorem_max(cases: Sequence[tuple]) -> list[tuple | TracemaxError]:
+def _batch_theorem_max(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr(X_1 + ... + X_N)^p and theorem_max_value at the members'
-    targets of each case (family, p), or the error of an invalid power p.
-    The cases are the audit's, whose supports stay within budget."""
+    targets of each case (family, p). The cases are the audit's, whose
+    supports stay within budget."""
     families = [[(m.atoms, m.probs) for m in family.members] for family, _ in cases]
     moments = _moments(families, [p for _, p in cases])
-    return [
-        lhs if isinstance(lhs, TracemaxError) else (lhs, theorem_max_value(f.dim, f.params, p))
-        for (f, p), lhs in zip(cases, moments)
-    ]
+    return [(lhs, theorem_max_value(f.dim, f.params, p)) for (f, p), lhs in zip(cases, moments)]
 
 
 # Randomized sweep ---------------------------------------------------------
@@ -432,16 +416,23 @@ def _word_tally(seed: int, trials: range, dim_max: int, p_max: int) -> LemmaSumm
     )
 
 
+def _families(counts: Sequence[int], request) -> list[list[FiniteEnsemble]]:
+    """The members of each trial, sampled by ensembles._ensembles; the first
+    sampler error in trial order is raised, as the trials run alone raise it."""
+    sampled = _ensembles(counts, request)
+    for members in sampled:
+        if isinstance(members, TracemaxError):
+            raise members
+    return sampled
+
+
 def _sampled_batch(seed: int, trials: range, dim_max: int, p_max: int) -> tuple:
     """The expectation word bound's and the binomial reduction's sides on
     each trial's stream 4, and their digests' parts (t, n, cap, word, p).
 
     Each trial draws its dimension and X cap, then its X and its Y
-    ensemble are sampled, the ensembles of all trials together, by
-    ensembles._ensembles. Each trial whose ensembles were sampled draws its
-    word and power. The first error in trial order is raised: a trial's
-    first sampler error, then its binomial reduction's, as the trial alone
-    raises it.
+    ensemble are sampled, the ensembles of all trials together (see
+    _families), and then each trial draws its word and power.
     """
     heads = []  # (n, cap, rng) of each trial
     for t in trials:
@@ -456,21 +447,14 @@ def _sampled_batch(seed: int, trials: range, dim_max: int, p_max: int) -> tuple:
             cap = float(rng.uniform(0.5, 2.0))
         return n, s, cap, float(rng.uniform()), rng
 
-    errors, cases, parts = [], [], []
-    for t, (n, cap, rng), members in zip(trials, heads, _ensembles([2] * len(heads), request)):
-        errors.append(members if isinstance(members, TracemaxError) else None)
-        if errors[-1] is None:
-            ex, ey = members
-            w = _random_word(rng, p_max)
-            p = int(rng.integers(1, p_max + 1))
-            cases.append((ex, ey, w, p, cap))
-            parts.append((t, n, cap, w.exponent_pairs, p))
+    cases, parts = [], []
+    for t, (n, cap, rng), (ex, ey) in zip(trials, heads, _families([2] * len(heads), request)):
+        w = _random_word(rng, p_max)
+        p = int(rng.integers(1, p_max + 1))
+        cases.append((ex, ey, w, p, cap))
+        parts.append((t, n, cap, w.exponent_pairs, p))
     expectation = _batch_expectation_word_bound([(ex, ey, w, cap) for ex, ey, w, _, cap in cases])
     binomial = _batch_binomial_reduction([(ex, ey, p, cap) for ex, ey, _, p, cap in cases])
-    outcomes = iter(binomial)
-    for result in [error or next(outcomes) for error in errors]:
-        if isinstance(result, TracemaxError):
-            raise result
     return expectation, binomial, parts
 
 
@@ -488,6 +472,13 @@ def _sampled_tallies(seed: int, trials: range, dim_max: int, p_max: int) -> list
     return [
         _summary(LemmaId.EXPECTATION_WORD_BOUND, expectation, lambda i: label(i, "word", 3)),
         _summary(LemmaId.BINOMIAL_REDUCTION, binomial, lambda i: label(i, "p", 4)),
+    ]
+
+
+def _blocks(trials: int) -> list[tuple[int, int]]:
+    """The (start, stop) blocks of _BLOCK_TRIALS trials that cover trials [0, trials), in order."""
+    return [
+        (start, min(start + _BLOCK_TRIALS, trials)) for start in range(0, trials, _BLOCK_TRIALS)
     ]
 
 
@@ -509,9 +500,8 @@ def _theorem_tally(seed: int, start: int, stop: int) -> tuple[LemmaSummary, list
 
     Trial t draws its dimension, member count and power from the stream
     (seed, 2, t), then each member's support size, cap and alpha; the
-    families of all trials are sampled together by ensembles._ensembles,
-    and the first sampler error in trial order is raised. Every power drawn
-    is valid and every support within budget, so no other error occurs.
+    families of all trials are sampled together (see _families). Every power
+    drawn is valid and every support within budget: no other error occurs.
     """
     trials = range(start, stop)
     rngs = [stream(seed, 2, t) for t in trials]
@@ -525,10 +515,7 @@ def _theorem_tally(seed: int, start: int, stop: int) -> tuple[LemmaSummary, list
         size = int(rng.integers(1, _AUDIT_ATOMS + 1))
         return shapes[i][0], size, float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng
 
-    sampled = _ensembles([count for _, count, _ in shapes], request)
-    for members in sampled:
-        if isinstance(members, TracemaxError):
-            raise members
+    sampled = _families([count for _, count, _ in shapes], request)
     cases = [(EnsembleFamily(members=tuple(m)), p) for m, (_, _, p) in zip(sampled, shapes)]
     sides = _batch_theorem_max(cases)
     digests = [f"audit={t};n={n};N={count};p={p}" for t, (n, count, p) in zip(trials, shapes)]
@@ -550,18 +537,14 @@ def run_lemma_sweep(
     run in blocks of _BLOCK_TRIALS, one parallel task each, and a block
     runs one lemma at a time over all its trials (see _run_trial_block).
     Each block is tallied in its worker; the tallies are merged in block
-    order.
+    order. A p_max above MOMENT_BUDGET raises BudgetExceeded before any
+    trial runs, so every power a trial draws is valid.
     """
     if trials < 1 or dim_max < 1 or p_max < 1:
         raise InvalidExponent(
             f"trials, dim_max, p_max must be positive, got {trials}, {dim_max}, {p_max}"
         )
-    blocks = [
-        (seed, start, min(start + _BLOCK_TRIALS, trials), dim_max, p_max)
-        for start in range(0, trials, _BLOCK_TRIALS)
-    ]
-    totals: dict[LemmaId, LemmaSummary] = {}
-    for tallies in parallel_map(_run_trial_block, blocks):
-        for lemma, tally in tallies.items():
-            totals[lemma] = totals[lemma].merge(tally) if lemma in totals else tally
-    return totals
+    _validate_p(p_max)
+    blocks = [(seed, start, stop, dim_max, p_max) for start, stop in _blocks(trials)]
+    tallies = parallel_map(_run_trial_block, blocks)
+    return {lemma: reduce(LemmaSummary.merge, (t[lemma] for t in tallies)) for lemma in tallies[0]}

@@ -8,8 +8,8 @@ byte-identical output files; manifests therefore carry no wall-clock
 fields. JSON reports embed their manifest, CSV tables get a sibling
 <out>.manifest.json.
 
-Exit codes: 0 success, 1 validation or I/O error, 2 inequality violation
-or checker failure.
+Exit codes: 0 success, 1 validation, usage or I/O error, 2 inequality
+violation or checker failure.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .checks import LemmaId, LemmaSummary, run_lemma_sweep
+from .checks import LemmaSummary, run_lemma_sweep
 from .errors import TracemaxError
 from .extremal import (
     BernoulliParams,
@@ -31,15 +32,6 @@ from .extremal import (
     theorem_max_value,
 )
 from .search import SearchConfig, gap_sweep
-
-_LEMMA_ORDER = [
-    LemmaId.HOLDER,
-    LemmaId.ALT,
-    LemmaId.ALT_SCHATTEN,
-    LemmaId.WORD_BOUND,
-    LemmaId.EXPECTATION_WORD_BOUND,
-    LemmaId.BINOMIAL_REDUCTION,
-]
 
 
 def _manifest(command: str, parameters: dict, seed: int | None, outputs: list[str]) -> dict:
@@ -53,32 +45,21 @@ def _manifest(command: str, parameters: dict, seed: int | None, outputs: list[st
 
 
 def _tally(s: LemmaSummary) -> dict:
-    return {
-        "trials": s.trials,
-        "passes": s.passes,
-        "min_slack": s.min_slack,
-        "min_norm_slack": s.min_norm_slack,
-        "worst_digest": s.worst_digest,
-    }
+    return {key: value for key, value in asdict(s).items() if key != "lemma_id"}
 
 
 def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+def _write_table(out: Path, header: str, rows: list[str], manifest_doc: dict) -> None:
+    """The CSV table out and its sibling <out>.manifest.json."""
+    out.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    _write_json(out.with_suffix(out.suffix + ".manifest.json"), manifest_doc)
 
 
-def _floats(raw: str) -> list[float]:
-    values = [float(v) for v in raw.split(",") if v.strip()]
-    if not values:
-        raise ValueError(f"empty list argument: {raw!r}")
-    return values
-
-
-def _ints(raw: str) -> list[int]:
-    values = [int(v) for v in raw.split(",") if v.strip()]
+def _list(raw: str, kind=float) -> list:
+    values = [kind(v) for v in raw.split(",") if v.strip()]
     if not values:
         raise ValueError(f"empty list argument: {raw!r}")
     return values
@@ -86,7 +67,7 @@ def _ints(raw: str) -> list[int]:
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:
     summaries = run_lemma_sweep(args.trials, args.dim_max, args.p_max, args.seed)
-    ordered = [summaries[lemma] for lemma in _LEMMA_ORDER if lemma in summaries]
+    ordered = list(summaries.values())
     all_passed = all(s.all_passed for s in ordered)
     for s in ordered:
         print(
@@ -109,8 +90,8 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
-    caps = _floats(args.L)
-    alphas = _floats(args.alpha)
+    caps = _list(args.L)
+    alphas = _list(args.alpha)
     params = BernoulliParams(caps=tuple(caps), alphas=tuple(alphas))
     if args.n < 1:
         raise TracemaxError(f"dimension must be positive, got {args.n}")
@@ -159,11 +140,11 @@ def cmd_search(args: argparse.Namespace) -> int:
         max_atoms=args.atoms,
     )
     outcome = gap_sweep(
-        _ints(args.n),
-        _ints(args.members),
-        _ints(args.p),
-        _floats(args.alpha),
-        _floats(args.L),
+        _list(args.n, int),
+        _list(args.members, int),
+        _list(args.p, int),
+        _list(args.alpha),
+        _list(args.L),
         config,
         sampler_trials=args.sampler_trials,
     )
@@ -180,20 +161,14 @@ def cmd_search(args: argparse.Namespace) -> int:
         )
         for r in outcome.rows
     ]
-    _write_csv(out, header, rows)
     outputs = [str(out)]
-
-    dump_paths = []
-    for i, dump in enumerate(outcome.violations):
-        path = out.with_suffix(f".violation{i}.json")
-        _write_json(path, dump)
-        dump_paths.append(str(path))
-        print(f"VIOLATION dumped to {path}", file=sys.stderr)
-    for i, dump in enumerate(outcome.near_misses):
-        path = out.with_suffix(f".near{i}.json")
-        _write_json(path, dump)
-        dump_paths.append(str(path))
-    outputs.extend(dump_paths)
+    for kind, dumps in (("violation", outcome.violations), ("near", outcome.near_misses)):
+        for i, dump in enumerate(dumps):
+            path = out.with_suffix(f".{kind}{i}.json")
+            _write_json(path, dump)
+            outputs.append(str(path))
+            if kind == "violation":
+                print(f"VIOLATION dumped to {path}", file=sys.stderr)
 
     parameters = {
         "n": args.n, "members": args.members, "p": args.p,
@@ -210,7 +185,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     }
     if outcome.audit is not None:
         manifest_doc["sampler_audit"] = _tally(outcome.audit)
-    _write_json(out.with_suffix(out.suffix + ".manifest.json"), manifest_doc)
+    _write_table(out, header, rows, manifest_doc)
 
     mins = min((r.gap for r in outcome.rows), default=math.inf)
     print(f"{len(outcome.rows)} cells, min gap {mins!r}")
@@ -247,14 +222,13 @@ def cmd_corollary(args: argparse.Namespace) -> int:
         csv_rows = [
             ",".join([str(r.n), str(r.p), repr(r.value), repr(r.ratio)]) for r in rows
         ]
-        _write_csv(out, "n,p,value,ratio", csv_rows)
         parameters = {"p_max": args.p_max, "n_max": args.n_max}
         manifest_doc = {
             "manifest": _manifest("corollary", parameters, None, [str(out)]),
             "ratio_supremum": supremum,
             "grid_points": len(rows),
         }
-        _write_json(out.with_suffix(out.suffix + ".manifest.json"), manifest_doc)
+        _write_table(out, "n,p,value,ratio", csv_rows, manifest_doc)
     return 0
 
 
@@ -308,7 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help or --version, 2 on a usage error
+        return 1 if exc.code else 0
     try:
         return args.handler(args)
     except (TracemaxError, ValueError) as exc:

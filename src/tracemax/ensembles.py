@@ -39,10 +39,11 @@ from .errors import (
     SamplerFailed,
     TracemaxError,
 )
-from .extremal import BernoulliParams, _validate_p
+from .extremal import BernoulliParams, _target_error, _validate_p
 from .linalg import (
     SymMatrix,
     _eigensystems,
+    _groups,
     _spectral_arrays,
     _spectral_draw,
     _spectral_entries,
@@ -82,15 +83,6 @@ def require_caps(atoms: Iterable[SymMatrix], cap: float) -> None:
     for i, a in enumerate(atoms):
         if a.opnorm > cap * (1.0 + CAP_SLACK):
             raise ConstraintViolated(f"atom {i} has norm {a.opnorm!r} above cap {cap!r}")
-
-
-def _target_error(cap: float, alpha: float) -> ConstraintViolated | None:
-    """The error of an unmeetable target: a cap not positive and finite, or alpha outside [0, 1]."""
-    if not 0.0 < cap < math.inf:
-        return ConstraintViolated(f"cap must be positive and finite, got {cap}")
-    if not 0.0 <= alpha <= 1.0:
-        return ConstraintViolated(f"alpha must lie in [0, 1], got {alpha}")
-    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,10 +202,19 @@ class EnsembleFamily:
         )
 
 
-def _atoms(
-    vecs: np.ndarray, spectra: np.ndarray, entries: np.ndarray
-) -> tuple[SymMatrix, ...]:
-    return tuple(SymMatrix.seeded(*atom) for atom in zip(entries, vecs, spectra))
+def _member(
+    vecs: np.ndarray, spectra: np.ndarray, entries: np.ndarray, probs: np.ndarray,
+    cap: float, alpha: float, mean: SymMatrix | None = None,
+) -> FiniteEnsemble:
+    """The checked FiniteEnsemble of s atoms given as eigenbases vecs (s, n,
+    n), ascending spectra (s, n) and entries (s, n, n), which seed the atoms'
+    caches, and probabilities probs (s,); a given mean seeds the mean cache
+    (see FiniteEnsemble.seeded)."""
+    atoms = tuple(SymMatrix.seeded(*atom) for atom in zip(entries, vecs, spectra))
+    probs = tuple(probs.tolist())
+    if mean is None:
+        return FiniteEnsemble(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
+    return FiniteEnsemble.seeded(atoms, probs, cap, alpha, mean)
 
 
 # Outcome of each batch row of _project_batch.
@@ -403,18 +404,10 @@ def _solve_scale(
 SAMPLER_ATTEMPTS = 10
 
 
-def _checked(
-    atoms: tuple[SymMatrix, ...],
-    probs: np.ndarray,
-    cap: float,
-    alpha: float,
-    mean: SymMatrix | None,
-) -> FiniteEnsemble | TracemaxError:
-    """The FiniteEnsemble of a sampled draw, or the error its validation raises."""
+def _checked(*member) -> FiniteEnsemble | TracemaxError:
+    """_member(*member), or the error its validation raises."""
     try:
-        if mean is None:
-            return FiniteEnsemble(atoms=atoms, probs=tuple(probs.tolist()), cap=cap, alpha=alpha)
-        return FiniteEnsemble.seeded(atoms, tuple(probs.tolist()), cap, alpha, mean)
+        return _member(*member)
     except TracemaxError as exc:
         return exc
 
@@ -436,7 +429,7 @@ def _attempt(
     projection fails.
     """
     results: list[FiniteEnsemble | TracemaxError | None] = [None] * len(rows)
-    groups: dict[int, list[tuple[int, np.ndarray, list]]] = {}
+    drawn = []  # (row, probs, draws) of each row to project
     for row, (n, s, cap, alpha, seed) in enumerate(rows):
         if n < 1 or s < 1:
             results[row] = DimensionError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
@@ -447,13 +440,13 @@ def _attempt(
             probs = rng.dirichlet(np.ones(s))
             if alpha in (0.0, 1.0):
                 eye = np.broadcast_to(np.eye(n), (s, n, n))
-                q, lam, entries = _eigensystems(eye, np.full((s, n), alpha * cap))
-                results[row] = _checked(_atoms(q, lam, entries), probs, cap, alpha, None)
+                atoms = _eigensystems(eye, np.full((s, n), alpha * cap))
+                results[row] = _checked(*atoms, probs, cap, alpha)
             else:
-                draws = [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]
-                groups.setdefault(n, []).append((row, probs, draws))
+                drawn.append((row, probs, [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]))
 
-    for n, group in groups.items():
+    for n, idx in _groups(rows[row][0] for row, _, _ in drawn).items():
+        group = [drawn[i] for i in idx]
         q, lam, entries = _spectral_arrays(n, [d for *_, row_draws in group for d in row_draws])
         sizes = [len(probs) for _, probs, _ in group]
         # atom i of row b goes to slot (b, i) of arrays padded to the longest
@@ -479,9 +472,10 @@ def _attempt(
                     f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
                 )
             else:
-                atoms = _atoms(vecs[b, :s], spectra[b, :s], stacked[b, :s])
                 mean = SymMatrix.seeded(means[b], mean_vecs[b], mean_lam[b])
-                results[row] = _checked(atoms, probs, cap, alpha, mean)
+                results[row] = _checked(
+                    vecs[b, :s], spectra[b, :s], stacked[b, :s], probs, cap, alpha, mean
+                )
     return results
 
 
@@ -775,11 +769,23 @@ def family_to_json(family: EnsembleFamily) -> dict:
     }
 
 
+def _field(doc: dict, key: str, convert: Callable, where: str):
+    """convert(doc[key]), or ConstraintViolated naming where and the key."""
+    try:
+        return convert(doc[key])
+    except KeyError:
+        raise ConstraintViolated(f"{where} has no {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConstraintViolated(f"{where} has a malformed {key!r}: {exc}") from None
+
+
 def family_from_json(doc: dict) -> EnsembleFamily:
-    dim = int(doc["dim"])
+    """The checked family of a replay document; a missing or bad key raises ConstraintViolated."""
+    dim = _field(doc, "dim", int, "family")
     members = []
-    for k, entry in enumerate(doc["members"]):
-        flats = [np.asarray(flat, dtype=float) for flat in entry["atoms"]]
+    for k, entry in enumerate(_field(doc, "members", list, "family")):
+        where = f"member {k}"
+        flats = _field(entry, "atoms", lambda v: [np.asarray(f, dtype=float) for f in v], where)
         for i, flat in enumerate(flats):
             if flat.size != dim * dim:
                 raise DimensionError(
@@ -789,9 +795,9 @@ def family_from_json(doc: dict) -> EnsembleFamily:
         members.append(
             FiniteEnsemble(
                 atoms=atoms,
-                probs=tuple(float(q) for q in entry["probs"]),
-                cap=float(entry["L_cap"]),
-                alpha=float(entry["alpha_target"]),
+                probs=_field(entry, "probs", lambda v: tuple(float(q) for q in v), where),
+                cap=_field(entry, "L_cap", float, where),
+                alpha=_field(entry, "alpha_target", float, where),
             )
         )
     return EnsembleFamily(members=tuple(members))

@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, DimensionError, InvalidExponent
+from .errors import BudgetExceeded, ConstraintViolated, DimensionError, InvalidExponent
 
 # Binomial coefficients are exact in float64 up to this p; larger moments
 # risk rounding in the recombination, so the computation refuses them.
@@ -24,6 +24,15 @@ MOMENT_BUDGET = 30
 
 _BINOM = [[float(math.comb(j, i)) for i in range(MOMENT_BUDGET + 1)]
           for j in range(MOMENT_BUDGET + 1)]
+
+
+def _target_error(cap: float, alpha: float) -> ConstraintViolated | None:
+    """The error of an unmeetable target: a cap not positive and finite, or alpha outside [0, 1]."""
+    if not 0.0 < cap < math.inf:
+        return ConstraintViolated(f"cap must be positive and finite, got {cap}")
+    if not 0.0 <= alpha <= 1.0:
+        return ConstraintViolated(f"alpha must lie in [0, 1], got {alpha}")
+    return None
 
 
 @dataclass(frozen=True)
@@ -40,12 +49,9 @@ class BernoulliParams:
             raise DimensionError(
                 f"need equal, nonempty cap/alpha lists, got {len(caps)}/{len(alphas)}"
             )
-        for v in caps:
-            if not 0 < v < math.inf:
-                raise InvalidExponent(f"caps must be positive and finite, got {v}")
-        for v in alphas:
-            if not 0.0 <= v <= 1.0:
-                raise InvalidExponent(f"alphas must lie in [0, 1], got {v}")
+        for cap, alpha in zip(caps, alphas):
+            if error := _target_error(cap, alpha):
+                raise error
         object.__setattr__(self, "caps", caps)
         object.__setattr__(self, "alphas", alphas)
 

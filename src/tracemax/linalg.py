@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,6 +129,14 @@ def batched_trace_power(stack: np.ndarray, p: int) -> np.ndarray:
     return np.einsum("kij,kij->k", half, rest)
 
 
+def _groups(keys: Iterable) -> dict:
+    """The positions of each distinct key, in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def _symmetrised(m: np.ndarray) -> np.ndarray:
     """0.5 * (M + M^T) for each matrix of a (..., n, n) stack, as SymMatrix stores it."""
     return 0.5 * (m + m.swapaxes(-1, -2))
@@ -214,10 +222,7 @@ def _spectral_build(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[SymM
     what it is when built alone.
     """
     built: list[SymMatrix] = [None] * len(draws)
-    groups: dict[int, list[int]] = {}
-    for i, (_, spectrum) in enumerate(draws):
-        groups.setdefault(len(spectrum), []).append(i)
-    for n, idx in groups.items():
+    for n, idx in _groups(len(spectrum) for _, spectrum in draws).items():
         q, lam, entries = _spectral_arrays(n, [draws[i] for i in idx])
         for i, *atom in zip(idx, entries, q, lam):
             built[i] = SymMatrix.seeded(*atom)

@@ -18,10 +18,10 @@ partition nor the worker count changes any result.
 
 This module holds the adversary and the grid. The audit of sampled
 families that --sampler-trials adds is a verdict tally like the lemma
-sweep's, checks._theorem_tally, run in blocks of checks._BLOCK_TRIALS
-trials. gap_sweep maps every cell's blocks and the audit's blocks through
-one parallel_map, so a search starts at most one pool, and merges the
-audit's block tallies in block order.
+sweep's, checks._theorem_tally, run in the sweep's blocks of trials
+(checks._blocks). gap_sweep maps every cell's blocks and the audit's
+blocks through one parallel_map, so a search starts at most one pool, and
+merges the audit's block tallies in block order.
 """
 
 from __future__ import annotations
@@ -29,17 +29,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
-from . import checks
-from .checks import LemmaSummary, _theorem_tally, holds
+from .checks import LemmaSummary, _blocks, _theorem_tally, holds
 from .ensembles import (
     FAILED,
     EnsembleFamily,
-    FiniteEnsemble,
-    _atoms,
     _ensembles,
+    _member,
     _project_batch,
     _require_support,
     _stack,
@@ -217,22 +216,12 @@ class _Chains:
 
     def family(self, c: int) -> EnsembleFamily:
         """The checked EnsembleFamily of chain c."""
-        params = self.params
-        return EnsembleFamily(
-            members=tuple(
-                FiniteEnsemble(
-                    atoms=_atoms(
-                        self.vecs[c, k, :s], self.spectra[c, k, :s], self.entries[c, k, :s]
-                    ),
-                    probs=tuple(self.probs[c, k, :s].tolist()),
-                    cap=cap,
-                    alpha=alpha,
-                )
-                for k, (s, cap, alpha) in enumerate(
-                    zip(self.sizes[c].tolist(), params.caps, params.alphas)
-                )
-            )
-        )
+        chain = self.vecs[c], self.spectra[c], self.entries[c], self.probs[c]
+        sizes = self.sizes[c].tolist()
+        return EnsembleFamily(members=tuple(
+            _member(*(a[k, :s] for a in chain), cap, alpha)
+            for k, (s, cap, alpha) in enumerate(zip(sizes, self.params.caps, self.params.alphas))
+        ))
 
 
 def _run_block(
@@ -367,10 +356,7 @@ def gap_sweep(
         if not isinstance(theorem, TracemaxError) else []
         for _, n, _, p, params, cell_seed, theorem in cells
     ]
-    audit_blocks = [
-        (_theorem_tally, (config.seed, start, min(start + checks._BLOCK_TRIALS, sampler_trials)))
-        for start in range(0, sampler_trials, checks._BLOCK_TRIALS)
-    ]
+    audit_blocks = [(_theorem_tally, (config.seed, *block)) for block in _blocks(sampler_trials)]
     outcomes = iter(parallel_map(_run_task, [*itertools.chain(*blocks), *audit_blocks]))
 
     rows: list[SweepRow] = []
@@ -410,14 +396,11 @@ def gap_sweep(
             }
         )
 
-    audit = None  # the audit's block tallies come last, merged in block order
-    for summary, failures in outcomes:
-        audit = summary if audit is None else audit.merge(summary)
-        violations.extend(failures)
+    audits = list(outcomes)  # the audit's block tallies come last, merged in block order
     return SweepOutcome(
         rows=tuple(rows),
-        violations=tuple(violations),
+        violations=(*violations, *(dump for _, failures in audits for dump in failures)),
         near_misses=tuple(near_misses),
         errors=tuple(errors),
-        audit=audit,
+        audit=reduce(LemmaSummary.merge, (tally for tally, _ in audits)) if audits else None,
     )

@@ -486,30 +486,6 @@ def test_batched_checkers_match_the_exported_checkers(monkeypatch):
         assert any(kind == name and v == value for kind, _, v in seen), (name, value)
 
 
-def _outcome(check, case):
-    """check(*case)'s sides, or the type and message of the error it raises."""
-    try:
-        return _sides(check(*case))
-    except TracemaxError as exc:
-        return type(exc), str(exc)
-
-
-def _outcomes(results):
-    return [(type(r), str(r)) if isinstance(r, TracemaxError) else r for r in results]
-
-
-def test_batched_binomial_reduction_returns_the_checkers_errors(monkeypatch):
-    # for a power above MOMENT_BUDGET the batch holds the error the reference
-    # checker raises; the sweep raises the first one
-    recorded = _recorded_batches(monkeypatch)
-    with pytest.raises(BudgetExceeded):
-        checks._run_trial_block((3, 0, 32, 3, 40))
-    ((cases, results),) = recorded["_batch_binomial_reduction"]
-    assert any(p > MOMENT_BUDGET for _, _, p, _ in cases)
-    assert any(isinstance(r, tuple) for r in results)
-    assert _outcomes(results) == [_outcome(check_binomial_reduction, c) for c in cases]
-
-
 def _tally_report(slack, rhs, digest):
     return CheckReport(
         lemma_id=LemmaId.THEOREM_MAX, lhs=rhs - slack, rhs=rhs, slack=slack,
@@ -672,40 +648,19 @@ def test_sweep_raises_the_first_sampler_failure_in_trial_order(monkeypatch):
         assert str(raised.value) == str(later), batch
 
 
-def _trial_power(seed, t, dim_max, p_max):
-    """Trial t's X cap and binomial power, drawn as a trial run alone draws them."""
-    n, cap, _, rng = _trial_ensembles(seed, t, dim_max)
-    _sample([(n, int(rng.integers(1, 4)), float(rng.uniform(0.5, 2.0)), float(rng.uniform()), rng)])
-    checks._random_word(rng, p_max)
-    return cap, int(rng.integers(1, p_max + 1))
-
-
-@pytest.mark.parametrize("failing", [2, 9])
-def test_sweep_orders_budget_and_sampler_errors_by_trial(monkeypatch, failing):
-    # trial 6 draws p = 40 > MOMENT_BUDGET, its first such power; the X
-    # ensemble of trial 2 or 9 fails to sample; whichever trial comes first
-    # raises, in every batch size
+def test_sweep_rejects_a_power_budget_before_any_trial(monkeypatch):
+    # p_max = 40 exceeds MOMENT_BUDGET: the sweep raises before it samples
+    # anything, so trial 2's failing X ensemble is never reached
     monkeypatch.setenv("TMX_THREADS", "1")
-    seed, dim_max, p_max = 0, 3, 40
-    powers = [_trial_power(seed, t, dim_max, p_max) for t in range(20)]
-    assert [t for t, (_, p) in enumerate(powers) if p > MOMENT_BUDGET][0] == 6
-    assert powers[6][1] == 40
-    _failing_projections(monkeypatch, {powers[failing][0]})
-    alone = _trial_ensembles(seed, failing, dim_max)[2]
-    assert isinstance(alone, SamplerFailed)
-    for batch in (1, 7, 32, 256):
-        monkeypatch.setattr(checks, "_SAMPLED_TRIALS", batch)
-        for run in (
-            lambda: run_lemma_sweep(trials=20, dim_max=dim_max, p_max=p_max, seed=seed),
-            lambda: checks._run_trial_block((seed, 0, 20, dim_max, p_max)),
-        ):
-            with pytest.raises(TracemaxError) as raised:
-                run()
-            if failing < 6:
-                assert (type(raised.value), str(raised.value)) == (SamplerFailed, str(alone))
-            else:
-                assert type(raised.value) is BudgetExceeded
-                assert str(raised.value) == f"moment order 40 exceeds budget {MOMENT_BUDGET}"
+    seed, dim_max = 0, 3
+    _failing_projections(monkeypatch, {_trial_ensembles(seed, 2, dim_max)[1]})
+    calls = []
+    failing = ensembles._project_batch
+    monkeypatch.setattr(ensembles, "_project_batch", lambda *a: calls.append(a) or failing(*a))
+    with pytest.raises(BudgetExceeded) as raised:
+        run_lemma_sweep(trials=20, dim_max=dim_max, p_max=40, seed=seed)
+    assert str(raised.value) == f"moment order 40 exceeds budget {MOMENT_BUDGET}"
+    assert calls == []
 
 
 # Audit of sampled families ----------------------------------------------------

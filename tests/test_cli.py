@@ -45,10 +45,9 @@ def test_verify_lemmas_small_run(capsys, tmp_path):
     assert doc["manifest"]["seed"] == 0
 
 
-def test_verify_lemmas_requires_seed():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["verify-lemmas", "--trials", "1"])
-    assert exc.value.code == 2
+def test_verify_lemmas_requires_seed(capsys):
+    assert run_cli(["verify-lemmas", "--trials", "1"]) == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_verify_lemmas_unwritable_out(capsys, tmp_path):
@@ -60,6 +59,16 @@ def test_verify_lemmas_unwritable_out(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 1
     assert "i/o error" in captured.err
+
+
+def test_verify_lemmas_rejects_a_power_above_the_budget_before_any_trial(capsys):
+    # p_max = 4000 overflowed a word bound into an OverflowError traceback
+    # or a RuntimeWarning before any power was checked
+    code = run_cli(["verify-lemmas", "--trials", "100", "--p-max", "4000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: moment order 4000 exceeds budget 30\n"
+    assert captured.out == ""
 
 
 def test_verify_lemmas_rejects_zero_trials(capsys):
@@ -383,7 +392,21 @@ def test_module_invocation_runs():
     assert proc.stdout.strip() == "tmx 0.1.0"
 
 
-def test_unknown_subcommand_exits_two():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["frobnicate"])
-    assert exc.value.code == 2
+def test_unknown_subcommand_exits_one(capsys):
+    assert run_cli(["frobnicate"]) == 1
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-lemmas", "--seed", "x"],
+    ["extremal", "--n", "2", "--L", "1.0", "--alpha", "0.5", "--p", "2.5"],
+])
+def test_malformed_flags_exit_one(capsys, argv):
+    # argparse exits 2 on a usage error, the code of a failed verification
+    assert run_cli(argv) == 1
+    assert "invalid int value" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: tmx")

@@ -155,6 +155,34 @@ def test_json_rejects_an_atom_of_the_wrong_size():
         family_from_json(doc)
 
 
+def _two_member_doc():
+    return family_to_json(extremal_family(1, BernoulliParams(caps=(1.0, 1.0), alphas=(0.5, 0.5))))
+
+
+@pytest.mark.parametrize("key", ["dim", "members"])
+def test_json_rejects_a_document_without_a_key(key):
+    doc = _two_member_doc()
+    del doc[key]
+    with pytest.raises(ConstraintViolated, match=f"family has no '{key}'"):
+        family_from_json(doc)
+
+
+@pytest.mark.parametrize("key", ["atoms", "probs", "L_cap", "alpha_target"])
+def test_json_rejects_a_member_without_a_key(key):
+    # each missing key escaped as a bare KeyError
+    doc = _two_member_doc()
+    del doc["members"][1][key]
+    with pytest.raises(ConstraintViolated, match=f"member 1 has no '{key}'"):
+        family_from_json(doc)
+
+
+def test_json_rejects_a_non_numeric_cap():
+    doc = _two_member_doc()
+    doc["members"][1]["L_cap"] = "x"
+    with pytest.raises(ConstraintViolated, match="member 1 has a malformed 'L_cap'"):
+        family_from_json(doc)
+
+
 def test_family_consistency():
     family = EnsembleFamily(members=(_bernoulli_member(1.0, 0.5),))
     assert family.dim == 2

@@ -10,6 +10,7 @@ from conftest import assert_close, seeds
 from tracemax import (
     BernoulliParams,
     BudgetExceeded,
+    ConstraintViolated,
     DimensionError,
     InvalidExponent,
     bernoulli_sum_moment,
@@ -141,9 +142,9 @@ def test_theorem_value_matches_enumeration():
 def test_validation_errors():
     with pytest.raises(DimensionError):
         BernoulliParams(caps=(1.0,), alphas=(0.5, 0.5))
-    with pytest.raises(InvalidExponent):
+    with pytest.raises(ConstraintViolated):
         BernoulliParams(caps=(0.0,), alphas=(0.5,))
-    with pytest.raises(InvalidExponent):
+    with pytest.raises(ConstraintViolated):
         BernoulliParams(caps=(1.0,), alphas=(1.5,))
     params = BernoulliParams(caps=(1.0,), alphas=(0.5,))
     with pytest.raises(InvalidExponent):
