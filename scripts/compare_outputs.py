@@ -39,6 +39,13 @@ COMMANDS = [
         "--oracle", "--out", "extremal.json",
     ]),
     ("corollary", ["corollary", "--p-max", "30", "--n-max", "50", "--out", "growth.csv"]),
+    # --out as ./name: a JSON report's manifest records the flag as given,
+    # a CSV table's the Path-normalised name
+    ("corollary-dot-out", ["corollary", "--p-max", "12", "--n-max", "9", "--out", "./growth.csv"]),
+    ("lemmas-dot-out", [
+        "verify-lemmas", "--trials", "300", "--dim-max", "5", "--p-max", "8", "--seed", "3",
+        "--out", "./lemmas.json",
+    ]),
     # the benchmark's large_support command at its first repetition seed
     ("large-support", [
         "search", "--n", "8", "--members", "6", "--p", "30", "--atoms", "6", "--alpha", "0.5",

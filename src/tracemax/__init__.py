@@ -28,7 +28,6 @@ from .errors import (
     ConstraintViolated,
     DimensionError,
     InvalidExponent,
-    NotPSD,
     SamplerFailed,
     TracemaxError,
 )
@@ -47,7 +46,6 @@ from .linalg import (
     EigenDecomposition,
     SymMatrix,
     batched_trace_power,
-    random_psd,
 )
 from .rng import stream, subseed
 from .search import (

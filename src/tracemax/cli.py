@@ -6,7 +6,9 @@ sweep), corollary (binomial moment growth table). Randomized commands
 require an explicit --seed, and identical command lines produce
 byte-identical output files; manifests therefore carry no wall-clock
 fields. JSON reports embed their manifest, CSV tables get a sibling
-<out>.manifest.json.
+<out>.manifest.json. A manifest records every parsed flag but --seed and
+--out, which it records as seed and outputs; a CSV row is the fields of a
+SweepRow or CorollaryRow, in order.
 
 Exit codes: 0 success, 1 validation, usage or I/O error, 2 inequality
 violation or checker failure.
@@ -34,11 +36,15 @@ from .extremal import (
 from .search import SearchConfig, gap_sweep
 
 
-def _manifest(command: str, parameters: dict, seed: int | None, outputs: list[str]) -> dict:
+def _manifest(args: argparse.Namespace, outputs: list[str], **parsed) -> dict:
+    """The manifest of a run: every flag but --seed and --out as a parameter,
+    with ``parsed`` values in place of the raw ones, and the files written."""
+    skipped = ("command", "handler", "seed", "out")
+    flags = {key: value for key, value in vars(args).items() if key not in skipped}
     return {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
+        "command": args.command,
+        "parameters": {**flags, **parsed},
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "outputs": outputs,
     }
@@ -52,9 +58,15 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_table(out: Path, header: str, rows: list[str], manifest_doc: dict) -> None:
-    """The CSV table out and its sibling <out>.manifest.json."""
-    out.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+def _cell(value) -> str:
+    """A CSV field: repr of a scalar, or its elements' reprs joined by ';'."""
+    return ";".join(map(repr, value)) if isinstance(value, tuple) else repr(value)
+
+
+def _write_table(out: Path, header: str, rows: list, manifest_doc: dict) -> None:
+    """The CSV table out, a line of fields per dataclass row, and its <out>.manifest.json."""
+    lines = [",".join(_cell(value) for value in vars(row).values()) for row in rows]
+    out.write_text("\n".join([header, *lines]) + "\n", encoding="utf-8")
     _write_json(out.with_suffix(out.suffix + ".manifest.json"), manifest_doc)
 
 
@@ -77,11 +89,8 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
         )
     print("all lemmas passed" if all_passed else "LEMMA CHECK FAILED")
     if args.out:
-        parameters = {
-            "trials": args.trials, "dim_max": args.dim_max, "p_max": args.p_max,
-        }
         doc = {
-            "manifest": _manifest("verify-lemmas", parameters, args.seed, [args.out]),
+            "manifest": _manifest(args, [args.out]),
             "lemmas": [{"lemma": s.lemma_id.value, **_tally(s)} for s in ordered],
             "all_passed": all_passed,
         }
@@ -90,14 +99,10 @@ def cmd_verify_lemmas(args: argparse.Namespace) -> int:
 
 
 def cmd_extremal(args: argparse.Namespace) -> int:
-    caps = _list(args.L)
-    alphas = _list(args.alpha)
-    params = BernoulliParams(caps=tuple(caps), alphas=tuple(alphas))
-    if args.n < 1:
-        raise TracemaxError(f"dimension must be positive, got {args.n}")
+    params = BernoulliParams(caps=_list(args.L), alphas=_list(args.alpha))
+    value = theorem_max_value(args.n, params, args.p)
     history = partial_sum_moments(params, args.p)
     scalar_moment = history[-1][args.p]
-    value = theorem_max_value(args.n, params, args.p)
     steps = []
     for k, (cap, alpha) in enumerate(zip(params.caps, params.alphas), start=1):
         partial = history[k][args.p]
@@ -113,15 +118,12 @@ def cmd_extremal(args: argparse.Namespace) -> int:
         rel = abs(value - oracle_value) / max(abs(oracle_value), 1.0)
         print(f"enumeration oracle: {oracle_value!r} (relative difference {rel:.3e})")
     if args.out:
-        parameters = {
-            "n": args.n, "L": caps, "alpha": alphas, "p": args.p, "oracle": args.oracle,
-        }
         doc = {
-            "manifest": _manifest("extremal", parameters, None, [args.out]),
+            "manifest": _manifest(args, [args.out], L=params.caps, alpha=params.alphas),
             "n": args.n,
             "p": args.p,
-            "caps": caps,
-            "alphas": alphas,
+            "caps": params.caps,
+            "alphas": params.alphas,
             "steps": steps,
             "scalar_moment": scalar_moment,
             "value": value,
@@ -149,18 +151,6 @@ def cmd_search(args: argparse.Namespace) -> int:
         sampler_trials=args.sampler_trials,
     )
     out = Path(args.out)
-    header = "n,N,p,alphas,Ls,best_value,theorem_value,gap,seed"
-    rows = [
-        ",".join(
-            [
-                str(r.n), str(r.members), str(r.p),
-                ";".join(repr(a) for a in r.alphas),
-                ";".join(repr(c) for c in r.caps),
-                repr(r.best_value), repr(r.theorem_value), repr(r.gap), str(r.seed),
-            ]
-        )
-        for r in outcome.rows
-    ]
     outputs = [str(out)]
     for kind, dumps in (("violation", outcome.violations), ("near", outcome.near_misses)):
         for i, dump in enumerate(dumps):
@@ -169,15 +159,8 @@ def cmd_search(args: argparse.Namespace) -> int:
             outputs.append(str(path))
             if kind == "violation":
                 print(f"VIOLATION dumped to {path}", file=sys.stderr)
-
-    parameters = {
-        "n": args.n, "members": args.members, "p": args.p,
-        "alpha": args.alpha, "L": args.L,
-        "restarts": args.restarts, "steps": args.steps, "atoms": args.atoms,
-        "sampler_trials": args.sampler_trials,
-    }
     manifest_doc = {
-        "manifest": _manifest("search", parameters, args.seed, outputs),
+        "manifest": _manifest(args, outputs),
         "cells": len(outcome.rows),
         "violations": len(outcome.violations),
         "near_misses": len(outcome.near_misses),
@@ -185,7 +168,8 @@ def cmd_search(args: argparse.Namespace) -> int:
     }
     if outcome.audit is not None:
         manifest_doc["sampler_audit"] = _tally(outcome.audit)
-    _write_table(out, header, rows, manifest_doc)
+    header = "n,N,p,alphas,Ls,best_value,theorem_value,gap,seed"
+    _write_table(out, header, outcome.rows, manifest_doc)
 
     mins = min((r.gap for r in outcome.rows), default=math.inf)
     print(f"{len(outcome.rows)} cells, min gap {mins!r}")
@@ -194,13 +178,10 @@ def cmd_search(args: argparse.Namespace) -> int:
             f"sampler audit: {outcome.audit.passes}/{outcome.audit.trials} passed, "
             f"min normalized slack {outcome.audit.min_norm_slack:.6e}"
         )
-    if outcome.errors:
-        for cell, msg in outcome.errors:
-            print(f"cell error {cell}: {msg}", file=sys.stderr)
+    for cell, msg in outcome.errors:
+        print(f"cell error {cell}: {msg}", file=sys.stderr)
     if outcome.violations:
         print("VIOLATION FOUND")
-    elif outcome.audit is not None and not outcome.audit.all_passed:
-        print("SAMPLER AUDIT FAILED")
     elif outcome.errors:
         print(f"sweep incomplete: {len(outcome.errors)} cells errored")
     else:
@@ -219,16 +200,12 @@ def cmd_corollary(args: argparse.Namespace) -> int:
     print(f"{len(rows)} grid points, ratio supremum {supremum!r}")
     if args.out:
         out = Path(args.out)
-        csv_rows = [
-            ",".join([str(r.n), str(r.p), repr(r.value), repr(r.ratio)]) for r in rows
-        ]
-        parameters = {"p_max": args.p_max, "n_max": args.n_max}
         manifest_doc = {
-            "manifest": _manifest("corollary", parameters, None, [str(out)]),
+            "manifest": _manifest(args, [str(out)]),
             "ratio_supremum": supremum,
             "grid_points": len(rows),
         }
-        _write_table(out, "n,p,value,ratio", csv_rows, manifest_doc)
+        _write_table(out, "n,p,value,ratio", rows, manifest_doc)
     return 0
 
 
@@ -294,7 +271,3 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-
-
-def entry() -> int:
-    return main()

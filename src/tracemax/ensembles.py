@@ -217,10 +217,6 @@ def _member(
     return FiniteEnsemble.seeded(atoms, probs, cap, alpha, mean)
 
 
-# Outcome of each batch row of _project_batch.
-FAILED, ON_SHELL, RESCALED = 0, 1, 2
-
-
 def _top_norms(means: np.ndarray) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Operator norms of a (B, n, n) stack of symmetric means, with their eigensystems."""
     lam, vecs = np.linalg.eigh(means)
@@ -258,14 +254,14 @@ def _project_batch(
     stalls, or whose mean is zero, takes the Newton fallback of
     _solve_scale, one row at a time.
 
-    Returns (status, spectra, entries, means, mean_lam, mean_vecs): the
-    FAILED, ON_SHELL or RESCALED outcome of each row, the rows' spectra and
-    entries on return (their eigenbases never change), and the final mean
-    of each row with its eigensystem. FAILED means the target is
-    unreachable or the fallback ran out of steps; callers turn it into
-    SamplerFailed or a rejected proposal. A zero target zeroes its row,
-    which is then on the shell. Per-row scalars live in Python lists, so a
-    batch of one costs little more than a single projection.
+    Returns (landed, spectra, entries, means, mean_lam, mean_vecs): whether
+    each row landed on its shell, the rows' spectra and entries on return
+    (their eigenbases never change), and the final mean of each row with
+    its eigensystem. A row fails to land when its target is unreachable or
+    the fallback runs out of steps; callers turn that into SamplerFailed or
+    a rejected proposal. A zero target zeroes its row, which then lands.
+    Per-row scalars live in Python lists, so a batch of one costs little
+    more than a single projection.
     """
     zero = [target == 0.0 for target in targets]
     if any(zero):
@@ -275,20 +271,17 @@ def _project_batch(
 
     means = _stacked_means(probs, entries)
     norms, mean_lam, mean_vecs = _top_norms(means)
-    status = [
-        ON_SHELL if abs(norm - target) <= tol else FAILED
-        for norm, target, tol in zip(norms, targets, tols)
-    ]
-    rows = [b for b, outcome in enumerate(status) if outcome == FAILED]
+    landed = [abs(norm - target) <= tol for norm, target, tol in zip(norms, targets, tols)]
+    rows = [b for b, on_shell in enumerate(landed) if not on_shell]
     if not rows:
-        return status, lam, entries, means, mean_lam, mean_vecs
+        return landed, lam, entries, means, mean_lam, mean_vecs
     spectra, entries = lam.copy(), entries.copy()
     # The rows still in the rounds, compacted (a view while that is every
     # row): spectra, probabilities, eigenbases and caps. Rounds over every
     # row, updated in place, were about 5% slower. Scaling by t > 0
     # and clipping are monotone, so every spectrum stays ascending, as the
     # atoms' eigendecomposition caches must be.
-    live = slice(None) if len(rows) == len(status) else rows
+    live = slice(None) if len(rows) == len(landed) else rows
     scaled, q, basis = lam[live], probs[live], vecs[live]
     top = np.array(caps, dtype=float)[live, None, None]
     norms = [norms[b] for b in rows]
@@ -307,19 +300,19 @@ def _project_batch(
         moved = _spectral_entries(basis, scaled)
         mean = _stacked_means(q, moved)
         norms, top_lam, top_vecs = _top_norms(mean)
-        landed = [abs(norm - targets[b]) <= tols[b] for b, norm in zip(rows, norms)]
-        if all(landed) and len(rows) == len(status):
+        hits = [abs(norm - targets[b]) <= tols[b] for b, norm in zip(rows, norms)]
+        if all(hits) and len(rows) == len(landed):
             # every row lands in this round: the round's arrays are the result
-            return [RESCALED] * len(status), scaled, moved, mean, top_lam, top_vecs
-        if any(landed):
-            done = [b for b, hit in zip(rows, landed) if hit]
+            return [True] * len(landed), scaled, moved, mean, top_lam, top_vecs
+        if any(hits):
+            done = [b for b, hit in zip(rows, hits) if hit]
             for b in done:
-                status[b] = RESCALED
-            spectra[done], entries[done], means[done] = scaled[landed], moved[landed], mean[landed]
-            mean_lam[done], mean_vecs[done] = top_lam[landed], top_vecs[landed]
-            keep = [not hit for hit in landed]
-            rows = [b for b, hit in zip(rows, landed) if not hit]
-            norms = [norm for norm, hit in zip(norms, landed) if not hit]
+                landed[b] = True
+            spectra[done], entries[done], means[done] = scaled[hits], moved[hits], mean[hits]
+            mean_lam[done], mean_vecs[done] = top_lam[hits], top_vecs[hits]
+            keep = [not hit for hit in hits]
+            rows = [b for b, hit in zip(rows, hits) if not hit]
+            norms = [norm for norm, hit in zip(norms, hits) if not hit]
             scaled, q, basis, top = scaled[keep], q[keep], basis[keep], top[keep]
             if not rows:
                 break
@@ -334,8 +327,8 @@ def _project_batch(
             means[b], mean_lam[b], mean_vecs[b] = (
                 mean.entries, mean.eig.eigenvalues, mean.eig.eigenvectors,
             )
-            status[b] = RESCALED
-    return status, spectra, entries, means, mean_lam, mean_vecs
+            landed[b] = True
+    return landed, spectra, entries, means, mean_lam, mean_vecs
 
 
 def _solve_scale(
@@ -461,12 +454,12 @@ def _attempt(
         vecs[slot], spectra[slot], stacked[slot] = q, lam, entries
         caps = [rows[row][2] for row, _, _ in group]
         targets = [rows[row][3] * rows[row][2] for row, _, _ in group]
-        status, spectra, stacked, means, mean_lam, mean_vecs = _project_batch(
+        landed, spectra, stacked, means, mean_lam, mean_vecs = _project_batch(
             vecs, spectra, stacked, padded, sizes, caps, targets
         )
         for b, (row, probs, _) in enumerate(group):
             n, s, cap, alpha, seed = rows[row]
-            if status[b] == FAILED:
+            if not landed[b]:
                 results[row] = SamplerFailed(
                     f"mean-norm projection did not converge for seed {seed} "
                     f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
@@ -662,21 +655,20 @@ def _trace_moment(stacks: list[np.ndarray], prob_arrays: list[np.ndarray], p: in
 
 
 def _stack(
-    families: Sequence[Sequence[tuple[Sequence[SymMatrix], Sequence[float]]]], slots: int = 0
+    families: Sequence[Sequence[tuple[Sequence[SymMatrix], Sequence[float]]]],
 ) -> tuple[np.ndarray, ...]:
     """(probs, vecs, spectra, entries, sizes) of B families of N members,
     member k of family b given as (atoms, probs): sizes[b, k] (B, N) atoms,
     laid out as probs[b, k, :s] (B, N, S), vecs and entries (B, N, S, n, n)
     and ascending spectra (B, N, S, n) from the atoms' cached eigensystems.
-    S is the longest support, or ``slots`` if more; other slots are exact
-    zeros."""
+    S is the longest support; other slots are exact zeros."""
     sizes = np.array([[len(q) for _, q in family] for family in families])
     members = [member for family in families for member in family]
     atoms = [a for member_atoms, _ in members for a in member_atoms]
     counts = sizes.ravel().tolist()
     # atom i of member m goes to slot (m, i), by one scatter per array
     slot = np.repeat(np.arange(len(counts)), counts), np.concatenate([np.arange(s) for s in counts])
-    shape, n = (len(counts), max(slots, max(counts))), atoms[0].dim
+    shape, n = (len(counts), max(counts)), atoms[0].dim
     probs, spectra = np.zeros(shape), np.zeros(shape + (n,))
     vecs, entries = np.zeros(shape + (n, n)), np.zeros(shape + (n, n))
     probs[slot] = [q for _, member_probs in members for q in member_probs]
@@ -775,17 +767,34 @@ def _field(doc: dict, key: str, convert: Callable, where: str):
         return convert(doc[key])
     except KeyError:
         raise ConstraintViolated(f"{where} has no {key!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConstraintViolated(f"{where} has a malformed {key!r}: {exc}") from None
 
 
+def _number(value) -> float:
+    """A JSON number, an int or a float but not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value) -> np.ndarray:
+    """A flat JSON list of numbers, as a float array."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a flat list of numbers, got {value!r}")
+    return np.array([_number(v) for v in value], dtype=float)
+
+
 def family_from_json(doc: dict) -> EnsembleFamily:
-    """The checked family of a replay document; a missing or bad key raises ConstraintViolated."""
-    dim = _field(doc, "dim", int, "family")
+    """The checked family of a replay document; a missing or mistyped key
+    raises ConstraintViolated."""
+    dim = _field(doc, "dim", lambda v: v, "family")
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ConstraintViolated(f"family has a malformed 'dim': {dim!r} is not an integer >= 1")
     members = []
     for k, entry in enumerate(_field(doc, "members", list, "family")):
         where = f"member {k}"
-        flats = _field(entry, "atoms", lambda v: [np.asarray(f, dtype=float) for f in v], where)
+        flats = _field(entry, "atoms", lambda v: list(map(_numbers, v)), where)
         for i, flat in enumerate(flats):
             if flat.size != dim * dim:
                 raise DimensionError(
@@ -795,9 +804,9 @@ def family_from_json(doc: dict) -> EnsembleFamily:
         members.append(
             FiniteEnsemble(
                 atoms=atoms,
-                probs=_field(entry, "probs", lambda v: tuple(float(q) for q in v), where),
-                cap=_field(entry, "L_cap", float, where),
-                alpha=_field(entry, "alpha_target", float, where),
+                probs=_field(entry, "probs", _numbers, where),
+                cap=_field(entry, "L_cap", _number, where),
+                alpha=_field(entry, "alpha_target", _number, where),
             )
         )
     return EnsembleFamily(members=tuple(members))

@@ -9,10 +9,6 @@ class DimensionError(TracemaxError):
     """Operands have incompatible or invalid dimensions."""
 
 
-class NotPSD(TracemaxError):
-    """A matrix required to be positive semidefinite is not, beyond tolerance."""
-
-
 class InvalidExponent(TracemaxError):
     """A norm or power exponent violates its admissible range."""
 

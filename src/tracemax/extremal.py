@@ -96,7 +96,7 @@ def partial_sum_moments(params: BernoulliParams, p: int) -> list[list[float]]:
 
 def bernoulli_sum_moment(params: BernoulliParams, p: int) -> float:
     """Exact E(f_1 + ... + f_N)^p for independent scaled Bernoullis."""
-    return partial_sum_moments(params, p)[-1][_validate_p(p)]
+    return partial_sum_moments(params, p)[-1][-1]
 
 
 def bernoulli_sum_moment_enum(params: BernoulliParams, p: int) -> float:

@@ -227,8 +227,3 @@ def _spectral_build(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[SymM
         for i, *atom in zip(idx, entries, q, lam):
             built[i] = SymMatrix.seeded(*atom)
     return built
-
-
-def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
-    """Random PSD matrix with spectrum uniform on [0, scale]."""
-    return _spectral_build([_spectral_draw(n, rng, 0.0, scale)])[0]

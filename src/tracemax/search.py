@@ -35,7 +35,6 @@ import numpy as np
 
 from .checks import LemmaSummary, _blocks, _theorem_tally, holds
 from .ensembles import (
-    FAILED,
     EnsembleFamily,
     _ensembles,
     _member,
@@ -91,8 +90,8 @@ class _Chains:
     Member k of chain c has sizes[c, k] atoms: entries[c, k, i] and
     eigenbases vecs[c, k, i] (C, N, s, n, n), ascending spectra
     spectra[c, k, i] (C, N, s, n) and probabilities probs[c, k, i]
-    (C, N, s), in the layout of ensembles._stack. Later slots are zero
-    padding with zero probability.
+    (C, N, s), in the layout of ensembles._stack: zero-padded, with zero
+    probability, to the block's longest support, which no climb changes.
 
     Every proposal that lands on the shell is admissible: spectra stay in
     [0, cap], probabilities stay nonnegative and sum to 1 within a few
@@ -125,9 +124,8 @@ class _Chains:
                 raise family
             _require_support(tuple(m.support_size for m in family))
 
-        slots = max(config.max_atoms, 2)  # the extremal members have two atoms
         self.probs, self.vecs, self.spectra, self.entries, self.sizes = _stack(
-            [[(m.atoms, m.probs) for m in family] for family in members], slots
+            [[(m.atoms, m.probs) for m in family] for family in members]
         )
         self.values = _stacked_moments(self.entries, self.probs, self.sizes, p)
 
@@ -175,11 +173,11 @@ class _Chains:
 
         caps = [params.caps[k] for k in members.tolist()]
         targets = [params.alphas[k] * params.caps[k] for k in members.tolist()]
-        status, spectra, entries, *_ = _project_batch(
+        on_shell, spectra, entries, *_ = _project_batch(
             vecs, spectra, entries, probs, self.sizes[rows, members], caps, targets
         )
 
-        landed = np.flatnonzero(np.array(status) != FAILED)
+        landed = np.flatnonzero(on_shell)
         if landed.size == 0:
             return
         changed = members[landed]
@@ -304,9 +302,9 @@ class SweepOutcome:
 
     @property
     def clean(self) -> bool:
-        # errored cells are undecided, so they block a clean verdict too
-        no_audit_failure = self.audit is None or self.audit.all_passed
-        return not self.violations and not self.errors and no_audit_failure
+        # violations hold every failed audit trial's dump; errored cells are
+        # undecided, so they block a clean verdict too
+        return not self.violations and not self.errors
 
 
 def gap_sweep(

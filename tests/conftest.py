@@ -8,7 +8,8 @@ cases to filter, and failures reproduce from the printed seed alone.
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from tracemax import random_psd, stream
+from tracemax import SymMatrix, stream
+from tracemax.linalg import _spectral_build, _spectral_draw
 
 settings.register_profile("suite", max_examples=50, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -23,6 +24,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
+    """Random PSD matrix with spectrum uniform on [0, scale], drawn as the
+    lemma sweep draws its matrices."""
+    return _spectral_build([_spectral_draw(n, rng, 0.0, scale)])[0]
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

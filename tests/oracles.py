@@ -29,12 +29,16 @@ from tracemax.ensembles import (
     exact_trace_moment,
     require_caps,
 )
-from tracemax.errors import BudgetExceeded, DimensionError, InvalidExponent, NotPSD
+from tracemax.errors import BudgetExceeded, DimensionError, InvalidExponent, TracemaxError
 from tracemax.extremal import theorem_max_value
 from tracemax.linalg import EigenDecomposition, SymMatrix
 from tracemax.words import AlternatingWord
 
 # Linear algebra ---------------------------------------------------------------
+
+
+class NotPSD(TracemaxError):
+    """A matrix required to be positive semidefinite is not, beyond tolerance."""
 
 
 def _power(eig: EigenDecomposition, t: float) -> np.ndarray:

@@ -22,7 +22,6 @@ from tracemax import (
     bernoulli_sum_moment,
     exact_trace_moment,
     extremal_family,
-    random_psd,
     stream,
     theorem_max_value,
 )
@@ -159,8 +158,8 @@ def test_criterion_5_trace_power_expansion_matches_direct():
     for _ in range(1000):
         n = int(rng.integers(1, 5))
         p = int(rng.integers(1, 11))
-        x = random_psd(n, rng, scale=float(rng.uniform(0.2, 2.0)))
-        y = random_psd(n, rng, scale=float(rng.uniform(0.2, 2.0)))
+        x = conftest.random_psd(n, rng, scale=float(rng.uniform(0.2, 2.0)))
+        y = conftest.random_psd(n, rng, scale=float(rng.uniform(0.2, 2.0)))
         expanded = expand_trace_power(x, y, p)
         direct = float(np.trace(np.linalg.matrix_power(x.entries + y.entries, p)))
         worst = max(worst, abs(expanded - direct) / max(abs(direct), 1.0))

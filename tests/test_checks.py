@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from conftest import assert_close, psd_pairs, seeds
+from conftest import assert_close, psd_pairs, random_psd, seeds
 from oracles import (
     CheckReport,
     _report,
@@ -41,7 +41,6 @@ from tracemax import (
     exact_trace_moment,
     family_from_json,
     gap_sweep,
-    random_psd,
     run_lemma_sweep,
     stream,
 )
@@ -601,9 +600,8 @@ def _failing_projections(monkeypatch, caps):
     project = ensembles._project_batch
 
     def failing(vecs, lam, entries, probs, sizes, row_caps, targets):
-        status, *arrays = project(vecs, lam, entries, probs, sizes, row_caps, targets)
-        status = [ensembles.FAILED if c in caps else st for st, c in zip(status, row_caps)]
-        return status, *arrays
+        landed, *arrays = project(vecs, lam, entries, probs, sizes, row_caps, targets)
+        return [hit and c not in caps for hit, c in zip(landed, row_caps)], *arrays
 
     monkeypatch.setattr(ensembles, "_project_batch", failing)
 

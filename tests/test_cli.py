@@ -1,18 +1,21 @@
 """Command line surface: exit codes, output formats, and byte-level
 determinism of every file the tool writes."""
 
+import argparse
 import concurrent.futures
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import tracemax.checks as checks
 import tracemax.cli as cli
-from tracemax.checks import LemmaId, LemmaSummary
+import tracemax.search as search
 from tracemax.search import SearchConfig, SweepOutcome, SweepRow
 
 
@@ -115,6 +118,15 @@ def test_extremal_rejects_alpha_above_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "error:" in captured.err
+
+
+def test_extremal_rejects_a_zero_dimension(capsys):
+    # theorem_max_value owns the dimension rule, and nothing prints first
+    code = run_cli(["extremal", "--n", "0", "--L", "1.0", "--alpha", "0.5", "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: dimension must be a positive integer, got 0\n"
+    assert captured.out == ""
 
 
 def test_extremal_rejects_mismatched_lists(capsys):
@@ -331,22 +343,88 @@ def test_search_violation_exits_two(monkeypatch, capsys, tmp_path):
 
 
 def test_search_audit_failure_exits_two(monkeypatch, capsys, tmp_path):
-    fake = SweepOutcome(
-        rows=(),
-        violations=(),
-        near_misses=(),
-        errors=(),
-        audit=LemmaSummary(
-            lemma_id=LemmaId.THEOREM_MAX, trials=5, passes=4, min_slack=-1.0,
-            min_norm_slack=-0.5, worst_digest="trial=3",
-        ),
-    )
-    monkeypatch.setattr(cli, "gap_sweep", lambda *a, **k: fake)
+    # the closed-form maximum lowered by 1e-3 at odd powers, in the audit
+    # and in the search: the p = 1 cells and some audit trials fail, and the
+    # audit's dumps are numbered after the cells'
+    real = checks.theorem_max_value
+
+    def planted(n, params, p):
+        value = real(n, params, p)
+        return value * (1.0 - 1e-3) if p % 2 else value
+
+    monkeypatch.setattr(checks, "theorem_max_value", planted)
+    monkeypatch.setattr(search, "theorem_max_value", planted)
+    monkeypatch.setenv("TMX_THREADS", "1")
     out = tmp_path / "sweep.csv"
-    code = run_cli(_search_args(out) + ["--sampler-trials", "5"])
+    code = run_cli(_search_args(out) + ["--sampler-trials", "300"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "SAMPLER AUDIT FAILED" in captured.out
+    assert "VIOLATION FOUND" in captured.out
+    (passed,) = re.findall(r"^sampler audit: (\d+)/300 passed", captured.out, re.MULTILINE)
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["sampler_audit"]["passes"] == int(passed) < 300
+    dumps = [
+        json.loads(out.with_suffix(f".violation{k}.json").read_text())
+        for k in range(manifest["violations"])
+    ]
+    assert [dump["cell"] for dump in dumps[:2]] == [
+        "n=1;N=1;p=1;alpha=0.5;L=1.0", "n=2;N=1;p=1;alpha=0.5;L=1.0",
+    ]
+    assert all("digest" in dump for dump in dumps[2:])
+    assert len(dumps) - 2 == 300 - int(passed)
+
+
+# Every flag of a run but --seed and --out, with its --out file's name.
+_MANIFEST_RUNS = {
+    "verify-lemmas": (
+        ["--trials", "2", "--dim-max", "2", "--p-max", "3", "--seed", "4", "--out", "lemmas.json"],
+        "lemmas.json",
+    ),
+    "extremal": (
+        ["--n", "2", "--L", "1.0,2.0", "--alpha", "0.5,0.25", "--p", "3", "--oracle",
+         "--out", "extremal.json"],
+        "extremal.json",
+    ),
+    "search": (
+        ["--n", "1", "--members", "1", "--p", "2", "--alpha", "0.25", "--L", "2.0",
+         "--restarts", "2", "--steps", "3", "--atoms", "2", "--sampler-trials", "3",
+         "--seed", "4", "--out", "sweep.csv"],
+        "sweep.csv.manifest.json",
+    ),
+    "corollary": (
+        ["--p-max", "3", "--n-max", "3", "--out", "growth.csv"], "growth.csv.manifest.json",
+    ),
+}
+
+
+def _subcommands() -> dict:
+    """The subcommand parsers of tmx, by name."""
+    actions = cli.build_parser()._actions
+    (subparsers,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def test_manifest_runs_cover_every_subcommand():
+    assert set(_subcommands()) == set(_MANIFEST_RUNS)
+
+
+@pytest.mark.parametrize("command", sorted(_MANIFEST_RUNS))
+def test_manifest_records_every_flag(monkeypatch, tmp_path, command):
+    # a flag the manifest does not record would make a run impossible to
+    # reproduce from its manifest; extremal records its lists as parsed
+    flags, written = _MANIFEST_RUNS[command]
+    dests = {action.dest for action in _subcommands()[command]._actions} - {"help"}
+    parsed = vars(cli.build_parser().parse_args([command, *flags]))
+    if command == "extremal":
+        parsed.update(L=[1.0, 2.0], alpha=[0.5, 0.25])
+    monkeypatch.chdir(tmp_path)
+    assert run_cli([command, *flags]) == 0
+    manifest = json.loads((tmp_path / written).read_text())["manifest"]
+    assert manifest["parameters"] == {
+        dest: parsed[dest] for dest in dests - {"command", "handler", "seed", "out"}
+    }
+    assert manifest["command"] == command
+    assert manifest["seed"] == parsed.get("seed")
 
 
 # corollary -------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import assert_close, seeds
+from conftest import assert_close, random_psd, seeds
 from oracles import psd_trace_power
 from tracemax import (
     BernoulliParams,
@@ -25,13 +25,12 @@ from tracemax import (
     extremal_family,
     family_from_json,
     family_to_json,
-    random_psd,
     stream,
     subseed,
     theorem_max_value,
 )
 import tracemax.ensembles as ensembles
-from tracemax.ensembles import FAILED, ON_SHELL, RESCALED, _attempt, _project_batch, _sample
+from tracemax.ensembles import _attempt, _project_batch, _sample
 from tracemax.linalg import (
     _eigensystems, _givens, _spectral_arrays, _spectral_draw, _spectral_entries,
 )
@@ -183,6 +182,49 @@ def test_json_rejects_a_non_numeric_cap():
         family_from_json(doc)
 
 
+def _one_atom_doc():
+    """A replay document of one member with the single atom 0.5, which loads."""
+    return {
+        "dim": 1,
+        "members": [{"atoms": [[0.5]], "probs": [1.0], "L_cap": 1.0, "alpha_target": 0.5}],
+    }
+
+
+def test_json_loads_the_one_atom_document():
+    (member,) = family_from_json(_one_atom_doc()).members
+    assert member.atoms[0].entries.tolist() == [[0.5]]
+    assert (member.probs, member.cap, member.alpha) == ((1.0,), 1.0, 0.5)
+
+
+@pytest.mark.parametrize("dim", [-1, 0, 1.9, "1", True])
+def test_json_rejects_a_dim_that_is_not_a_positive_int(dim):
+    # -1 escaped as a bare ValueError from reshape, 0 as a DimensionError;
+    # 1.9, "1" and true loaded as dim 1
+    doc = _one_atom_doc()
+    doc["dim"] = dim
+    with pytest.raises(ConstraintViolated, match="family has a malformed 'dim'"):
+        family_from_json(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("L_cap", True),
+    ("L_cap", "1.0"),
+    ("alpha_target", True),
+    ("probs", ["1"]),
+    ("atoms", [["0.5"]]),
+    ("atoms", [[[0.5]]]),
+    ("L_cap", 10**400),
+])
+def test_json_rejects_a_member_value_that_is_not_a_number(key, value):
+    # float() took booleans and numeric strings and numpy flattened a
+    # nested atom, so each loaded; an int too large for a float escaped as
+    # a bare OverflowError
+    doc = _one_atom_doc()
+    doc["members"][0][key] = value
+    with pytest.raises(ConstraintViolated, match=f"member 0 has a malformed '{key}'"):
+        family_from_json(doc)
+
+
 def test_family_consistency():
     family = EnsembleFamily(members=(_bernoulli_member(1.0, 0.5),))
     assert family.dim == 2
@@ -285,8 +327,8 @@ def test_projection_reports_unreachable_target(eigensolves):
     # orthogonal positive eigenspaces saturate the mean norm at cap/2, so
     # alpha = 0.9 is unreachable no matter how hard the atoms are scaled
     atoms = (SymMatrix(np.diag([1.0, 0.0])), SymMatrix(np.diag([0.0, 1.0])))
-    status, *_ = _project_batch(*_stacked(atoms, (0.5, 0.5)), [2], [1.0], [0.9])
-    assert status == [FAILED]
+    landed, *_ = _project_batch(*_stacked(atoms, (0.5, 0.5)), [2], [1.0], [0.9])
+    assert landed == [False]
     # one eigendecomposition per atom, then the input's mean norm and seven
     # rescale rounds, each solved as a batch of one; then the single batched
     # bracket proves the target unreachable without probing any scale factor
@@ -298,8 +340,8 @@ def test_projection_falls_back_from_a_zero_mean():
     # no rescaling moves a zero mean, so the rounds hand the input to the
     # bracketed solve, which clips these indefinite atoms into reach
     atoms = (SymMatrix(np.diag([1.0, -1.0])), SymMatrix(np.diag([-1.0, 1.0])))
-    status, _, entries, *_ = _project_batch(*_stacked(atoms, (0.5, 0.5)), [2], [1.0], [0.25])
-    assert status == [RESCALED]
+    landed, _, entries, *_ = _project_batch(*_stacked(atoms, (0.5, 0.5)), [2], [1.0], [0.25])
+    assert landed == [True]
     assert entries[0].tolist() == [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]]
 
 
@@ -338,10 +380,10 @@ def test_projection_fallback_needs_few_eigensolves(monkeypatch, eigensolves):
     total = 0
     for vecs, lam, entries, probs in rows:
         eigensolves.clear()
-        status, *_ = _project_batch(
+        landed, *_ = _project_batch(
             vecs[None], lam[None], entries[None], probs[None], [3], [0.75], [0.9985 * 0.75]
         )
-        assert status == [RESCALED]
+        assert landed == [True]
         rounds, bracket, steps = eigensolves[:8], eigensolves[8], eigensolves[9:]
         assert rounds == [(1,)] * 8, "every call stalls in the rescale rounds"
         assert len(bracket) == 1 and set(steps) <= {()}, "and brackets once"
@@ -391,19 +433,21 @@ def test_projection_rescale_rounds_are_bit_identical(n):
         probs = np.stack([probs for _, _, probs, _ in cases])
         vecs, lam, entries = (np.stack(arrays) for arrays in zip(*(c[3] for c in cases)))
         sizes = [s] * len(cases)
-        status, spectra, moved, *_ = _project_batch(vecs, lam, entries, probs, sizes, caps, targets)
-        again, *_ = _project_batch(vecs, spectra, moved, probs, sizes, caps, targets)
+        landed, spectra, moved, *_ = _project_batch(vecs, lam, entries, probs, sizes, caps, targets)
+        again = _project_batch(vecs, spectra, moved, probs, sizes, caps, targets)
         for b, (cap, alpha, _, _) in enumerate(cases):
             atoms = tuple(SymMatrix.seeded(*atom) for atom in zip(entries[b], vecs[b], lam[b]))
             expected = _compounding_rounds(atoms, tuple(probs[b].tolist()), cap, alpha)
             if expected is None:
                 continue
             # atoms already on the shell come back as they are
-            assert again[b] == ON_SHELL
+            assert again[0][b] and landed[b]
+            assert again[1][b].tobytes() == spectra[b].tobytes()
+            assert again[2][b].tobytes() == moved[b].tobytes()
             if expected is atoms:
-                assert status[b] == ON_SHELL
+                assert spectra[b].tobytes() == lam[b].tobytes()
+                assert moved[b].tobytes() == entries[b].tobytes()
                 continue
-            assert status[b] == RESCALED
             rescaled += 1
             for i, y in enumerate(expected):
                 assert np.array_equal(moved[b, i], y.entries)
@@ -443,11 +487,11 @@ def test_projection_agrees_with_the_range_oracle(seed, n, s, alpha):
     excess = target - (reach + 1e-9 * target)
     assume(abs(excess) > 1e-9 * target)
 
-    status, lam, entries, *_ = _project_batch(
+    landed, lam, entries, *_ = _project_batch(
         vecs[None], lam[None], entries[None], probs[None], [s], [cap], [target]
     )
-    assert (status == [FAILED]) == (excess > 0.0)
-    if status == [FAILED]:
+    assert landed == [excess <= 0.0]
+    if not landed[0]:
         return
     mean = 0.0
     for q, base, a, spectrum in zip(probs, bases, entries[0], lam[0]):
@@ -464,13 +508,13 @@ def test_projection_agrees_with_the_range_oracle(seed, n, s, alpha):
 
 
 def test_sample_with_retry_propagates_final_failure(monkeypatch):
-    # every projection reports FAILED, below the sampler: each attempt draws
-    # one fresh seed, and the last attempt's failure is the result
+    # no projection lands, below the sampler: each attempt draws one fresh
+    # seed, and the last attempt's failure is the result
     project = ensembles._project_batch
 
     def failing(*args):
-        status, *arrays = project(*args)
-        return [FAILED] * len(status), *arrays
+        landed, *arrays = project(*args)
+        return [False] * len(landed), *arrays
 
     monkeypatch.setattr(ensembles, "_project_batch", failing)
     monkeypatch.setattr(ensembles, "SAMPLER_ATTEMPTS", 4)
@@ -675,15 +719,14 @@ def test_stacked_moments_match_exact_trace_moment_bit_for_bit(n):
         assert got == [exact_trace_moment(family, p) for family in families], (n, p)
 
 
-@pytest.mark.parametrize("slots", [0, 2, 5])
-def test_stack_pads_with_exact_zeros(slots):
-    # sampled members next to the surrogate's atoms, under and over ``slots``
+def test_stack_pads_with_exact_zeros():
+    # sampled members next to the surrogate's atoms, padded to the longest support
     families = [_mixed_family(3, sizes, seed=410 + i) for i, sizes in enumerate([(1, 3), (2, 1)])]
     members = [[(m.atoms, m.probs) for m in f.members] for f in families]
     members.append([(ensembles._bernoulli_atoms(3, 1.5), (0.25, 0.75)), members[0][1]])
-    probs, vecs, spectra, entries, sizes = ensembles._stack(members, slots)
+    probs, vecs, spectra, entries, sizes = ensembles._stack(members)
     assert sizes.tolist() == [[1, 3], [2, 1], [2, 3]]
-    assert probs.shape == (3, 2, max(slots, 3)) and spectra.shape == probs.shape + (3,)
+    assert probs.shape == (3, 2, 3) and spectra.shape == probs.shape + (3,)
     assert vecs.shape == entries.shape == probs.shape + (3, 3)
     for b, family in enumerate(members):
         for k, (atoms, member_probs) in enumerate(family):

@@ -9,16 +9,22 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_close, dims, psd_pairs, psd_single, seeds, sym_entries
-from oracles import psd_power, psd_trace_power, schatten_norm, singular_values, trace, trace_product
+from conftest import assert_close, dims, psd_pairs, psd_single, random_psd, seeds, sym_entries
+from oracles import (
+    NotPSD,
+    psd_power,
+    psd_trace_power,
+    schatten_norm,
+    singular_values,
+    trace,
+    trace_product,
+)
 from tracemax import (
     DimensionError,
     InvalidExponent,
-    NotPSD,
     PSD_TOL,
     SymMatrix,
     batched_trace_power,
-    random_psd,
     stream,
 )
 import tracemax.linalg as linalg

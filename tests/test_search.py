@@ -26,7 +26,7 @@ from tracemax import (
     theorem_max_value,
 )
 from tracemax.checks import holds
-from tracemax.ensembles import FAILED, _project_batch, _sample
+from tracemax.ensembles import _project_batch, _sample
 from tracemax.linalg import _spectral_entries
 
 _FAST = dict(restarts=3, steps_per_restart=40, seed=0)
@@ -141,7 +141,7 @@ def _oracle_propose(family, rng):
         atoms = atoms[:i] + (SymMatrix.seeded(_spectral_entries(q, lam), q, lam),) + atoms[i + 1:]
     # the member's projection onto its shell, as a batch of one
     vecs = np.stack([a.eig.eigenvectors for a in atoms])
-    status, spectra, entries, *_ = _project_batch(
+    landed, spectra, entries, *_ = _project_batch(
         vecs[None],
         np.stack([a.eig.eigenvalues for a in atoms])[None],
         np.stack([a.entries for a in atoms])[None],
@@ -150,7 +150,7 @@ def _oracle_propose(family, rng):
         [member.cap],
         [member.alpha * member.cap],
     )
-    if status == [FAILED]:
+    if not landed[0]:
         return None
     atoms = tuple(SymMatrix.seeded(*atom) for atom in zip(entries[0], vecs, spectra[0]))
     try:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import assert_close, psd_pairs, seeds
+from conftest import assert_close, psd_pairs, random_psd, seeds
 from oracles import (
     BinaryWord,
     PurePower,
@@ -22,7 +22,6 @@ from tracemax import (
     BudgetExceeded,
     InvalidExponent,
     SymMatrix,
-    random_psd,
     stream,
 )
 
