@@ -719,14 +719,22 @@ def test_stacked_moments_match_exact_trace_moment_bit_for_bit(n):
         assert got == [exact_trace_moment(family, p) for family in families], (n, p)
 
 
-def test_stack_pads_with_exact_zeros():
-    # sampled members next to the surrogate's atoms, padded to the longest support
+@pytest.mark.parametrize("longest", [0, 2, 5])
+def test_stack_pads_with_exact_zeros(longest):
+    # sampled members next to the surrogate's atoms, padded to the longest
+    # support; a fourth family leads with ``longest`` atoms (none when 0)
     families = [_mixed_family(3, sizes, seed=410 + i) for i, sizes in enumerate([(1, 3), (2, 1)])]
     members = [[(m.atoms, m.probs) for m in f.members] for f in families]
     members.append([(ensembles._bernoulli_atoms(3, 1.5), (0.25, 0.75)), members[0][1]])
+    expected = [[1, 3], [2, 1], [2, 3]]
+    if longest:
+        extra = _mixed_family(3, (longest, 1), seed=420)
+        members.append([(m.atoms, m.probs) for m in extra.members])
+        expected.append([longest, 1])
     probs, vecs, spectra, entries, sizes = ensembles._stack(members)
-    assert sizes.tolist() == [[1, 3], [2, 1], [2, 3]]
-    assert probs.shape == (3, 2, 3) and spectra.shape == probs.shape + (3,)
+    assert sizes.tolist() == expected
+    assert probs.shape == (len(expected), 2, max(longest, 3))
+    assert spectra.shape == probs.shape + (3,)
     assert vecs.shape == entries.shape == probs.shape + (3, 3)
     for b, family in enumerate(members):
         for k, (atoms, member_probs) in enumerate(family):
