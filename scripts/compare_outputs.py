@@ -1,8 +1,9 @@
 """Check that this checkout and another one produce byte-identical outputs.
 
 Runs a fixed list of tmx commands from this checkout's src/ and from
---base's src/ (a clone or worktree of another commit), at TMX_THREADS=1
-and 2, each in a fresh directory. Compares every file a command writes,
+--base's src/ (a clone or worktree of another commit), at TMX_THREADS=1,
+2 and 3, each in a fresh directory. Three workers is an odd count, and
+more than a 2-core host has, so tasks are handed out in another order. Compares every file a command writes,
 its stdout, its stderr and its exit code, prints one line per command
 and worker count, and exits 1 if anything differs.
 
@@ -64,7 +65,7 @@ COMMANDS = [
     ]),
 ]
 
-THREADS = (1, 2)
+THREADS = (1, 2, 3)
 
 
 def run(root: Path, argv: list[str], threads: int, cwd: Path) -> tuple[dict, float]:

@@ -71,10 +71,11 @@ def _write_table(out: Path, header: str, rows: list, manifest_doc: dict) -> None
 
 
 def _list(raw: str, kind=float) -> list:
-    values = [kind(v) for v in raw.split(",") if v.strip()]
-    if not values:
-        raise ValueError(f"empty list argument: {raw!r}")
-    return values
+    """The entries of a comma list flag; an empty entry raises ValueError."""
+    entries = raw.split(",")
+    if not all(entry.strip() for entry in entries):
+        raise ValueError(f"empty entry in list argument: {raw!r}")
+    return [kind(entry) for entry in entries]
 
 
 def cmd_verify_lemmas(args: argparse.Namespace) -> int:

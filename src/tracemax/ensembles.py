@@ -785,6 +785,16 @@ def _numbers(value) -> np.ndarray:
     return np.array([_number(v) for v in value], dtype=float)
 
 
+def _members(value) -> list:
+    """A JSON list of JSON objects."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list of objects, got {value!r}")
+    for k, entry in enumerate(value):
+        if not isinstance(entry, dict):
+            raise TypeError(f"member {k} is {entry!r}, not an object")
+    return value
+
+
 def family_from_json(doc: dict) -> EnsembleFamily:
     """The checked family of a replay document; a missing or mistyped key
     raises ConstraintViolated."""
@@ -792,7 +802,7 @@ def family_from_json(doc: dict) -> EnsembleFamily:
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConstraintViolated(f"family has a malformed 'dim': {dim!r} is not an integer >= 1")
     members = []
-    for k, entry in enumerate(_field(doc, "members", list, "family")):
+    for k, entry in enumerate(_field(doc, "members", _members, "family")):
         where = f"member {k}"
         flats = _field(entry, "atoms", lambda v: list(map(_numbers, v)), where)
         for i, flat in enumerate(flats):

@@ -2,10 +2,10 @@
 determinism of every file the tool writes."""
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -129,6 +129,15 @@ def test_extremal_rejects_a_zero_dimension(capsys):
     assert captured.out == ""
 
 
+def test_extremal_rejects_an_empty_list_entry(capsys):
+    # the empty entries were dropped: a one-member maximum, exit 0
+    code = run_cli(["extremal", "--n", "1", "--L", "1.0,", "--alpha", "0.5,,", "--p", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: empty entry in list argument: '1.0,'\n"
+    assert captured.out == ""
+
+
 def test_extremal_rejects_mismatched_lists(capsys):
     code = run_cli([
         "extremal", "--n", "2", "--L", "1.0,2.0", "--alpha", "0.5", "--p", "2",
@@ -225,6 +234,19 @@ def test_search_rejects_negative_sampler_trials(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_search_rejects_an_empty_list_entry(capsys, tmp_path):
+    # "1,,2" searched n = 1 and 2
+    out = tmp_path / "sweep.csv"
+    args = _search_args(out)
+    args[args.index("--n") + 1] = "1,,2"
+    code = run_cli(args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: empty entry in list argument: '1,,2'\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_rejects_an_infinite_cap(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     args = _search_args(out)
@@ -261,22 +283,25 @@ def test_search_near_miss_dumps_are_replayable(tmp_path):
 
 
 def test_search_starts_one_pool(monkeypatch, tmp_path):
-    # four cells of three restarts and a two-block audit are one parallel_map
-    started = []
+    # four cells of three restarts and a two-block audit are one parallel_map:
+    # one round of two forked workers
+    forked = []
+    fork = os.fork
 
-    class CountedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     monkeypatch.setenv("TMX_THREADS", "2")
     assert run_cli([
         "search", "--n", "1,2", "--members", "1,2", "--p", "2", "--restarts", "3",
         "--steps", "4", "--sampler-trials", "300", "--seed", "5",
         "--out", str(tmp_path / "sweep.csv"),
     ]) == 0
-    assert started == [2]
+    assert len(forked) == 2
 
 
 def test_dump_names_match_the_manifest_and_the_readme(tmp_path):

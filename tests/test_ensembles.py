@@ -182,6 +182,20 @@ def test_json_rejects_a_non_numeric_cap():
         family_from_json(doc)
 
 
+@pytest.mark.parametrize("members, named", [
+    ("ab", "'members'"),
+    ({"a": 1}, "'members'"),
+    (["x"], "'members': member 0"),
+], ids=["string", "object", "list-of-strings"])
+def test_json_rejects_members_that_are_not_a_list_of_objects(members, named):
+    # each was read with list() and failed on its first character or key,
+    # as "member 0 has a malformed 'atoms'"
+    doc = _two_member_doc()
+    doc["members"] = members
+    with pytest.raises(ConstraintViolated, match=f"^family has a malformed {named}"):
+        family_from_json(doc)
+
+
 def _one_atom_doc():
     """A replay document of one member with the single atom 0.5, which loads."""
     return {
