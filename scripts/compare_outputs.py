@@ -63,6 +63,13 @@ COMMANDS = [
         "search", "--n", "1,2", "--members", "6", "--p", "2", "--atoms", "20",
         "--restarts", "6", "--steps", "3", "--seed", "0", "--out", "sweep.csv",
     ]),
+    # cells whose theorem value overflows run no block, and alternate with
+    # searched cells, which still get the seeds of their own grid indices
+    ("overflow-cells", [
+        "search", "--n", "1,2", "--members", "2", "--p", "3", "--alpha", "0.5",
+        "--L", "1e300,1.0", "--restarts", "3", "--steps", "5", "--sampler-trials", "20",
+        "--seed", "4", "--out", "sweep.csv",
+    ]),
 ]
 
 THREADS = (1, 2, 3)

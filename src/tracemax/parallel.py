@@ -16,6 +16,12 @@ parent reads every pipe to EOF, reaps every worker and raises the
 exception of the lowest failing index, as a serial map would; a rerun at
 TMX_THREADS=1 shows that task's own traceback.
 
+The parent of a parallel command only plans the tasks, forks and merges,
+and draws no random number: each task draws from streams it derives
+itself, a search's restart block from its cell's seed, which it derives
+and returns. So numpy.random, with its secrets/OpenSSL import chain, loads
+only in the processes that draw, and no worker inherits it.
+
 No executor, queue or feeder thread is involved: the standard library's
 process-pool executor took about 15 ms and 1.3 MB to import (2-vCPU VM,
 Python 3.11), which every worker inherited, and on Linux it forks its

@@ -22,6 +22,13 @@ sweep's, checks._theorem_tally, run in the sweep's blocks of trials
 (checks._blocks). gap_sweep maps every cell's blocks and the audit's
 blocks through one parallel_map, so a search starts at most one pool, and
 merges the audit's block tallies in block order.
+
+Each restart block derives its cell's seed from the search seed and the
+cell's grid indices, and returns it with its outcomes; the row takes it
+from the cell's first block. So the parent of a parallel search only plans
+the cells, forks the workers and merges their results, and draws no random
+number: numpy.random, with its secrets/OpenSSL import chain, loads only in
+the processes that draw.
 """
 
 from __future__ import annotations
@@ -236,16 +243,28 @@ def _run_block(
     return chains.results()
 
 
+def _cell_block(
+    key: tuple[int, ...], n: int, params: BernoulliParams, p: int, config: SearchConfig,
+    start: int, stop: int,
+) -> tuple[int, list]:
+    """_run_block over restarts [start, stop) of the grid cell at indices
+    ``key``, seeded with the cell seed it derives from config.seed:
+    (cell seed, outcomes)."""
+    seed = subseed(stream(config.seed, 1, *key))
+    return seed, _run_block(n, params, p, replace(config, seed=seed), start, stop)
+
+
 def _restart_blocks(
-    n: int, params: BernoulliParams, p: int, config: SearchConfig, cells: int
+    n: int, params: BernoulliParams, p: int, config: SearchConfig, cells: int,
+    key: tuple[int, ...] = (),
 ) -> list[tuple]:
-    """_run_block tasks over a cell's restarts, in contiguous blocks: one
-    per cell on one worker, else about _BLOCKS_PER_WORKER per worker over
-    the ``cells`` cells of the search."""
+    """_cell_block tasks over the restarts of the grid cell at indices
+    ``key``, in contiguous blocks: one per cell on one worker, else about
+    _BLOCKS_PER_WORKER per worker over the ``cells`` cells of the search."""
     workers = worker_count()
     count = 1 if workers == 1 else min(config.restarts, -(-_BLOCKS_PER_WORKER * workers // cells))
     bounds = [config.restarts * i // count for i in range(count + 1)]
-    return [(_run_block, (n, params, p, config, a, b)) for a, b in zip(bounds, bounds[1:])]
+    return [(_cell_block, (key, n, params, p, config, a, b)) for a, b in zip(bounds, bounds[1:])]
 
 
 def _run_task(task: tuple):
@@ -331,7 +350,7 @@ def gap_sweep(
     """
     if sampler_trials < 0:
         raise ConstraintViolated(f"sampler_trials must be >= 0, got {sampler_trials}")
-    cells = []  # (label, n, count, p, params, cell seed, theorem value or error)
+    cells = []  # (label, n, count, p, params, grid indices, theorem value or error)
     for (i_n, n), (i_c, count), (i_p, p), (i_a, alpha), (i_l, cap) in itertools.product(
         enumerate(n_values),
         enumerate(member_counts),
@@ -339,20 +358,19 @@ def gap_sweep(
         enumerate(alpha_values),
         enumerate(cap_values),
     ):
-        cell_seed = subseed(stream(config.seed, 1, i_n, i_c, i_p, i_a, i_l))
         params = BernoulliParams(caps=(cap,) * count, alphas=(alpha,) * count)
         try:
             theorem: float | TracemaxError = _theorem_value(n, params, p)
         except TracemaxError as exc:
             theorem = exc
         label = f"n={n};N={count};p={p};alpha={alpha};L={cap}"
-        cells.append((label, n, count, p, params, cell_seed, theorem))
+        cells.append((label, n, count, p, params, (i_n, i_c, i_p, i_a, i_l), theorem))
 
     searched = sum(not isinstance(cell[-1], TracemaxError) for cell in cells)
     blocks = [
-        _restart_blocks(n, params, p, replace(config, seed=cell_seed), searched)
+        _restart_blocks(n, params, p, config, searched, key)
         if not isinstance(theorem, TracemaxError) else []
-        for _, n, _, p, params, cell_seed, theorem in cells
+        for _, n, _, p, params, key, theorem in cells
     ]
     audit_blocks = [(_theorem_tally, (config.seed, *block)) for block in _blocks(sampler_trials)]
     outcomes = iter(parallel_map(_run_task, [*itertools.chain(*blocks), *audit_blocks]))
@@ -361,11 +379,11 @@ def gap_sweep(
     violations: list[dict] = []
     near_misses: list[dict] = []
     errors: list[tuple[str, str]] = []
-    for (label, n, count, p, params, cell_seed, theorem), cell_blocks in zip(cells, blocks):
+    for (label, n, count, p, params, _, theorem), cell_blocks in zip(cells, blocks):
         try:
             if isinstance(theorem, TracemaxError):
                 raise theorem
-            restarts = [next(outcomes) for _ in cell_blocks]
+            seeds, restarts = zip(*(next(outcomes) for _ in cell_blocks))
             best_value, best_family = _search_result(itertools.chain(*restarts))
         except TracemaxError as exc:
             errors.append((label, str(exc)))
@@ -375,7 +393,7 @@ def gap_sweep(
             n=n, members=count, p=p,
             alphas=params.alphas, caps=params.caps,
             best_value=best_value, theorem_value=theorem,
-            gap=gap, seed=cell_seed,
+            gap=gap, seed=seeds[0],
         )
         rows.append(row)
         if not holds(best_value, theorem):

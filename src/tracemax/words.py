@@ -17,8 +17,8 @@ from .errors import InvalidExponent
 class AlternatingWord:
     """Exponent pairs ((l1, m1), ..., (lr, mr)) of X^l1 Y^m1 ... X^lr Y^mr.
 
-    Exponents are reals >= 1; fractional values are allowed and evaluated
-    through PSD fractional powers.
+    Exponents are finite reals >= 1; fractional values are allowed and
+    evaluated through PSD fractional powers.
     """
 
     exponent_pairs: tuple[tuple[float, float], ...]
@@ -28,8 +28,8 @@ class AlternatingWord:
         if len(pairs) < 1:
             raise InvalidExponent("alternating word needs at least one pair")
         for l, m in pairs:
-            if l < 1 or m < 1:
-                raise InvalidExponent(f"exponents must be >= 1, got ({l}, {m})")
+            if not (1 <= l < math.inf and 1 <= m < math.inf):  # NaN fails too
+                raise InvalidExponent(f"exponents must be finite and >= 1, got ({l}, {m})")
         object.__setattr__(self, "exponent_pairs", pairs)
 
     @property

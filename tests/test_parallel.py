@@ -8,12 +8,15 @@ import signal
 import subprocess
 import sys
 import time
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 import tracemax
+import tracemax.ensembles as ensembles
+from tracemax import SamplerFailed, SearchConfig, gap_sweep, run_lemma_sweep
 from tracemax.parallel import parallel_map, worker_count
 
 SRC = Path(tracemax.__file__).resolve().parents[1]
@@ -193,7 +196,9 @@ def test_output_buffered_before_the_fork_is_written_once():
 
 
 def test_parallel_commands_load_no_process_pool(tmp_path):
-    # both batch commands at two workers, each a single pool start
+    # both batch commands at two workers, each a single pool start; their
+    # parent only plans, forks and merges, so it draws no random number and
+    # never loads numpy.random either
     probe = (
         "import sys, tracemax.cli as cli; "
         "assert cli.main(['verify-lemmas', '--trials', '260', '--dim-max', '2', "
@@ -201,8 +206,8 @@ def test_parallel_commands_load_no_process_pool(tmp_path):
         "assert cli.main(['search', '--n', '1,2', '--members', '1', '--p', '2', "
         "'--restarts', '2', '--steps', '4', '--sampler-trials', '20', '--seed', '0', "
         "'--out', 'sweep.csv']) == 0; "
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
-        "if m in sys.modules), file=sys.stderr)"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "
+        "'numpy.random') if m in sys.modules), file=sys.stderr)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
@@ -212,10 +217,56 @@ def test_parallel_commands_load_no_process_pool(tmp_path):
     assert proc.stderr.strip() == "[]"
 
 
+def _result_or_sampler_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except SamplerFailed as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("every, cell_errors, sweep_raises", [
+    (4, 0, False),  # failed solves, but every sampler succeeds on a retry
+    (8, 1, True),  # a search cell errors; the lemma sweep raises
+    (2**40, None, True),  # the search's audit raises too
+])
+def test_sampler_failures_do_not_depend_on_the_worker_count(
+    monkeypatch, every, cell_errors, sweep_raises
+):
+    # the Newton fallback fails unless the CRC of its input spectra is a
+    # multiple of ``every``: a rule on the call's inputs holds alike in every
+    # forked worker, where a call counter would count per worker
+    solve = ensembles._solve_scale
+
+    def flaky(vecs, lam, *args):
+        return None if zlib.crc32(lam.tobytes()) % every else solve(vecs, lam, *args)
+
+    monkeypatch.setattr(ensembles, "_solve_scale", flaky)
+    config = SearchConfig(restarts=3, steps_per_restart=5, seed=3)
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TMX_THREADS", threads)
+        runs.append((
+            _result_or_sampler_error(
+                gap_sweep, [1, 2], [2], [3], [0.9995, 0.5], [1.0], config, sampler_trials=20
+            ),
+            # 260 trials run as two blocks
+            _result_or_sampler_error(run_lemma_sweep, trials=260, dim_max=3, p_max=4, seed=3),
+        ))
+    assert runs[0] == runs[1]
+    search, sweep = runs[0]
+    if cell_errors is None:
+        assert isinstance(search, str)
+    else:
+        assert len(search.errors) == cell_errors and len(search.rows) == 4 - cell_errors
+        assert search.audit.trials == 20
+    assert isinstance(sweep, str) == sweep_raises
+
+
 def test_importing_the_cli_loads_no_process_pool():
     # numpy.random, with its secrets and OpenSSL chain, would raise the
     # import's peak RSS from 29.6 to 35.2 MB (2-vCPU VM, numpy 2.4.6);
-    # commands load it on their first draw
+    # commands load it on their first draw, only in the processes that
+    # draw: a parallel command's parent draws nothing
     probe = (
         "import sys, tracemax.cli; "
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing', "

@@ -23,6 +23,7 @@ from tracemax import (
     family_to_json,
     gap_sweep,
     stream,
+    subseed,
     theorem_max_value,
 )
 from tracemax.checks import holds
@@ -91,6 +92,21 @@ def test_maximize_worker_count_does_not_change_results(monkeypatch):
     parallel = gap_sweep([2], [2], [3], [0.3], [1.0], config)
     assert serial.rows == parallel.rows
     assert _best_family(serial) == _best_family(parallel)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_each_row_carries_its_cell_seed(monkeypatch, threads):
+    # the cells at L = 1e300 overflow and run no block, yet each searched
+    # cell after them keeps the seed of its own grid indices
+    monkeypatch.setenv("TMX_THREADS", threads)
+    config = SearchConfig(restarts=3, steps_per_restart=5, seed=4)
+    outcome = gap_sweep([1, 2], [2], [3], [0.5], [1e300, 1.0], config)
+    assert [cell for cell, _ in outcome.errors] == [
+        "n=1;N=2;p=3;alpha=0.5;L=1e+300", "n=2;N=2;p=3;alpha=0.5;L=1e+300",
+    ]
+    assert [row.seed for row in outcome.rows] == [
+        subseed(stream(4, 1, i_n, 0, 0, 0, 1)) for i_n in range(2)
+    ]
 
 
 def test_random_starts_never_beat_the_theorem_value():

@@ -87,6 +87,15 @@ def test_alternating_word_validation():
         AlternatingWord(exponent_pairs=((0.5, 1.0),))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_alternating_word_rejects_non_finite_exponents(bad):
+    # NaN compares False with everything, so a check written as "l < 1"
+    # would let it through with a NaN degree
+    for pairs in (((bad, 1.0),), ((1.0, bad),), ((2.0, 1.0), (bad, bad))):
+        with pytest.raises(InvalidExponent, match="finite"):
+            AlternatingWord(exponent_pairs=pairs)
+
+
 def test_degrees():
     w = AlternatingWord(exponent_pairs=((2.0, 1.0), (1.5, 3.0)))
     assert w.x_degree == 3.5
