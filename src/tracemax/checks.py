@@ -14,9 +14,10 @@ six links, and it is batched. It runs one lemma at a time over a block of
 trials, each drawing that lemma's inputs from its own stream, so one
 lemma's matrices are alive at a time; the two lemmas on sampled
 ensembles run in smaller batches. Random PSD matrices are built one call
-per dimension, and each _batch_* function evaluates both sides of all
-its lemma's instances at once, with one stacked matmul or eigh per
-dimension; _summary tallies the lemma from the resulting arrays. Streams
+per dimension, as rows of eigensystem arrays, and each _batch_* function
+evaluates both sides of all its lemma's instances at once, indexing those
+rows, with one stacked matmul or eigh per dimension; _summary tallies the
+lemma from the resulting arrays. Streams
 are drawn from in the order of a trial run alone, and every matrix,
 ensemble and side is computed bit for bit as it is alone, so neither
 blocks nor batches change any output. Every case is valid, its power
@@ -44,17 +45,17 @@ import numpy as np
 from .ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
-    _bernoulli_atoms,
     _ensembles,
     _stack,
     _stacked_moments,
+    bernoulli_member,
     family_to_json,
 )
 from .errors import InvalidExponent, TracemaxError
 from .extremal import _validate_p, theorem_max_value
 from .linalg import (
-    SymMatrix,
     _groups,
+    _opnorms,
     _spectral_build,
     _spectral_draw,
     _spectral_entries,
@@ -113,7 +114,8 @@ def _bernoulli_weight(ex: FiniteEnsemble, cap: float) -> float:
 # in tests/oracles.py (check_holder for _batch_holder, and so on) reports
 # on the case's arguments. The cases are the sweep's and the audit's, all
 # valid, powers included (run_lemma_sweep checks p_max at entry), and an
-# ABA of PSD A and B stays far above the PSD floor.
+# ABA of PSD A and B stays far above the PSD floor. A matrix is a row
+# (n, row) of stacks[n] = (vecs, spectra, entries), per-dimension arrays.
 
 
 def _row_powers(base: np.ndarray, exps: Sequence[float]) -> np.ndarray:
@@ -157,25 +159,24 @@ def _schatten_norms(sigmas: Sequence[np.ndarray], qs: Sequence[float]) -> list[f
     ]
 
 
-def _chain_traces(chains: Sequence[Sequence[tuple]]) -> list[float]:
-    """tr(F1 F2 ... Fk) of each chain of factors (m, t): F = m^t, the PSD power
-    on m's clamped spectrum, or m itself if t is None. Per dimension, each
-    distinct factor is powered once, in one stacked call, and the chains of
-    each length are multiplied as stacks."""
+def _chain_traces(stacks: dict, chains: Sequence[Sequence[tuple]]) -> list[float]:
+    """tr(F1 F2 ... Fk) of each chain of factors (m, t), m a row (n, row) of
+    stacks: F = m^t, the PSD power on m's clamped spectrum, or m itself if
+    t is None. Per dimension, each distinct factor is powered once, in one
+    stacked call, and the chains of each length are multiplied as stacks."""
     out: list = [None] * len(chains)
-    for n, idx in _groups(chain[0][0].dim for chain in chains).items():
+    for n, idx in _groups(chain[0][0][0] for chain in chains).items():
+        vecs, spectra, entries = stacks[n]
         slots: dict = {}  # factor -> its row in the stack
         rows = [[slots.setdefault(f, len(slots)) for f in chains[i]] for i in idx]
         stack = np.empty((len(slots), n, n))
-        powers = [(k, m, t) for (m, t), k in slots.items() if t is not None]
-        if powers:
-            q = np.array([m.eig.eigenvectors for _, m, _ in powers])
-            lam = np.maximum(np.array([m.eig.eigenvalues for _, m, _ in powers]), 0.0)
-            lam = _row_powers(lam, [t for *_, t in powers])
-            stack[[k for k, *_ in powers]] = _spectral_entries(q, lam)
-        for (m, t), k in slots.items():
+        powers = [(k, row, t) for ((_, row), t), k in slots.items() if t is not None]
+        at, picks, exps = (list(v) for v in zip(*powers))  # every chain has a power
+        lam = _row_powers(np.maximum(spectra[picks], 0.0), exps)
+        stack[at] = _spectral_entries(vecs[picks], lam)
+        for ((_, row), t), k in slots.items():
             if t is None:
-                stack[k] = m.entries
+                stack[k] = entries[row]
         for length, group in _groups(len(row) for row in rows).items():
             factors = stack[np.array([rows[g] for g in group])]
             product = reduce(np.matmul, (factors[:, j] for j in range(length)))
@@ -184,36 +185,38 @@ def _chain_traces(chains: Sequence[Sequence[tuple]]) -> list[float]:
     return out
 
 
-def _batch_holder(cases: Sequence[tuple]) -> list[tuple[float, float]]:
+def _batch_holder(stacks: dict, cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """|A_1 ... A_r|_1 and prod |A_i|_{q_i} of each case (factors, exponents)."""
     # per case: the product's singular values, then each factor's |spectrum|
     sigmas: list = [None] * len(cases)
-    for (_, r), idx in _groups((c[0][0].dim, len(c[0])) for c in cases).items():
-        columns = [[cases[i][0][j] for i in idx] for j in range(r)]
-        spectra = [np.abs(np.array([f.eig.eigenvalues for f in c])) for c in columns]
-        product_sigma = spectra[0]
+    for (n, r), idx in _groups((c[0][0][0], len(c[0])) for c in cases).items():
+        _, spectra, entries = stacks[n]
+        columns = [[cases[i][0][j][1] for i in idx] for j in range(r)]
+        column_spectra = [np.abs(spectra[rows]) for rows in columns]
+        product_sigma = column_spectra[0]
         if r > 1:
-            product = reduce(np.matmul, (np.array([f.entries for f in c]) for c in columns))
+            product = reduce(np.matmul, (entries[rows] for rows in columns))
             gram = _symmetrised(product.swapaxes(1, 2) @ product)
             product_sigma = np.sqrt(np.maximum(np.linalg.eigh(gram)[0], 0.0))
         for k, i in enumerate(idx):
-            sigmas[i] = [product_sigma[k], *(spectrum[k] for spectrum in spectra)]
+            sigmas[i] = [product_sigma[k], *(spectrum[k] for spectrum in column_spectra)]
     norms = iter(_schatten_norms(
         [sigma for row in sigmas for sigma in row], [q for c in cases for q in (1, *c[1])]
     ))
     return [(next(norms), math.prod(next(norms) for _ in factors)) for factors, _ in cases]
 
 
-def _batch_alt(cases: Sequence[tuple]) -> list[tuple[float, float]]:
+def _batch_alt(stacks: dict, cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """The ALT sides of each case (lemma, a, b, alpha), both from the
     sandwich ABA and tr(A^{2 alpha} B^alpha): tr((ABA)^alpha) and the trace
     for LemmaId.ALT, |ABA|_alpha and the trace's alpha-th root for
     LemmaId.ALT_SCHATTEN."""
-    traces = _chain_traces([((a, 2.0 * alpha), (b, alpha)) for _, a, b, alpha in cases])
+    traces = _chain_traces(stacks, [((a, 2.0 * alpha), (b, alpha)) for _, a, b, alpha in cases])
     spectra: list = [None] * len(cases)
-    for _, idx in _groups(c[1].dim for c in cases).items():
-        a = np.array([cases[i][1].entries for i in idx])
-        sandwich = _symmetrised(a @ np.array([cases[i][2].entries for i in idx]) @ a)
+    for n, idx in _groups(c[1][0] for c in cases).items():
+        entries = stacks[n][2]
+        a = entries[[cases[i][1][1] for i in idx]]
+        sandwich = _symmetrised(a @ entries[[cases[i][2][1] for i in idx]] @ a)
         for i, lam in zip(idx, np.linalg.eigh(sandwich)[0]):
             spectra[i] = lam
     alphas = [c[3] for c in cases]
@@ -225,28 +228,44 @@ def _batch_alt(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     ]
 
 
-def _word_chain(x: SymMatrix, y: SymMatrix, w: AlternatingWord) -> list[tuple]:
+def _word_chain(x: tuple, y: tuple, w: AlternatingWord) -> list[tuple]:
     """The factors of tr(X^l1 Y^m1 ... X^lr Y^mr), as _chain_traces takes them."""
     return [f for l, m in w.exponent_pairs for f in ((x, l), (y, m))]
 
 
-def _batch_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
+def _batch_word_bound(stacks: dict, cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """|tr X^l1 Y^m1 ...| and ||X||^{l-1} tr(X Y^m) of each case (x, y, w)."""
     words = [_word_chain(x, y, w) for x, y, w in cases]
-    traces = _chain_traces(words + [((x, None), (y, w.y_degree)) for x, y, w in cases])
+    traces = _chain_traces(stacks, words + [((x, None), (y, w.y_degree)) for x, y, w in cases])
+    norms = {n: _opnorms(spectra).tolist() for n, (_, spectra, _) in stacks.items()}
     return [
-        (abs(lhs), x.opnorm ** (w.x_degree - 1.0) * collapsed)
+        (abs(lhs), norms[x[0]][x[1]] ** (w.x_degree - 1.0) * collapsed)
         for (x, _, w), lhs, collapsed in zip(cases, traces, traces[len(cases) :])
     ]
+
+
+def _pooled(members: Sequence[FiniteEnsemble]) -> tuple[dict, list]:
+    """The members' atoms as rows of stacks, those of each dimension in
+    member order, and each member's atoms as (n, row)."""
+    stacks, atoms = {}, [None] * len(members)
+    for n, idx in _groups(m.dim for m in members).items():
+        group = [members[i] for i in idx]
+        stacks[n] = tuple(map(np.concatenate, zip(*((m.vecs, m.spectra, m.atoms) for m in group))))
+        rows = np.cumsum([0] + [m.support_size for m in group]).tolist()
+        for i, first, stop in zip(idx, rows, rows[1:]):
+            atoms[i] = [(n, row) for row in range(first, stop)]
+    return stacks, atoms
 
 
 def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr X^l1 Y^m1 ... and E f^l * E tr Y^m of each case (ex, ey, w, cap),
     f the {0, cap} Bernoulli surrogate with P(f = cap) = ||E X|| / cap."""
-    traces = iter(_chain_traces([
-        _word_chain(ax, ay, w) for ex, ey, w, *_ in cases for ax in ex.atoms for ay in ey.atoms
+    stacks, atoms = _pooled([m for c in cases for m in c[:2]])
+    traces = iter(_chain_traces(stacks, [
+        _word_chain(ax, ay, c[2])
+        for c, xs, ys in zip(cases, atoms[::2], atoms[1::2]) for ax in xs for ay in ys
     ]))
-    y_atoms = [(a.eig.eigenvalues, c[2].y_degree) for c in cases for a in c[1].atoms]
+    y_atoms = [(lam, c[2].y_degree) for c in cases for lam in c[1].spectra]
     y_traces = iter(_spectral_sums([lam for lam, _ in y_atoms], [t for _, t in y_atoms]))
     out = []
     for ex, ey, w, cap in cases:
@@ -256,12 +275,12 @@ def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, f
     return out
 
 
-def _moments(families: Sequence[Sequence[tuple]], powers: Sequence[int]) -> list[float]:
-    """exact_trace_moment of each family, its members given as (atoms,
-    probs), at its power: the families of one (n, N, p) go through one
-    _stack and one _stacked_moments call."""
+def _moments(families: Sequence[Sequence[FiniteEnsemble]], powers: Sequence[int]) -> list[float]:
+    """exact_trace_moment of each family, given as its members, at its
+    power: the families of one (n, N, p) go through one _stack and one
+    _stacked_moments call."""
     out: list = [None] * len(families)
-    keys = ((f[0][0][0].dim, len(f), p) for f, p in zip(families, powers))
+    keys = ((f[0].dim, len(f), p) for f, p in zip(families, powers))
     for (_, _, p), idx in _groups(keys).items():
         probs, _, _, entries, sizes = _stack([families[i] for i in idx])
         for i, value in zip(idx, _stacked_moments(entries, probs, sizes, p)):
@@ -272,13 +291,11 @@ def _moments(families: Sequence[Sequence[tuple]], powers: Sequence[int]) -> list
 def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr(X + Y)^p and E tr(f I + Y)^p of each case (ex, ey, p, cap), f
     the Bernoulli surrogate: two families each, (X, Y) and (f I, Y), with
-    f I's atoms as bernoulli_member has them."""
+    f I the bernoulli_member of weight ||E X|| / cap."""
     families = []
     for ex, ey, _, cap in cases:
-        alpha = _bernoulli_weight(ex, cap)
-        y = ey.atoms, ey.probs
-        surrogate = _bernoulli_atoms(ex.dim, cap), (alpha, 1.0 - alpha)
-        families += [((ex.atoms, ex.probs), y), (surrogate, y)]
+        surrogate = bernoulli_member(ex.dim, cap, _bernoulli_weight(ex, cap))
+        families += [(ex, ey), (surrogate, ey)]
     values = _moments(families, [c[2] for c in cases for _ in range(2)])
     return list(zip(values[::2], values[1::2]))
 
@@ -287,8 +304,7 @@ def _batch_theorem_max(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr(X_1 + ... + X_N)^p and theorem_max_value at the members'
     targets of each case (family, p). The cases are the audit's, whose
     supports stay within budget."""
-    families = [[(m.atoms, m.probs) for m in family.members] for family, _ in cases]
-    moments = _moments(families, [p for _, p in cases])
+    moments = _moments([family.members for family, _ in cases], [p for _, p in cases])
     return [(lhs, theorem_max_value(f.dim, f.params, p)) for (f, p), lhs in zip(cases, moments)]
 
 
@@ -361,10 +377,11 @@ def _summary(lemma_id: LemmaId, sides: Sequence[tuple], digest) -> LemmaSummary:
     )
 
 
-def _drawn(seed: int, trials: range, k: int, dim_max: int, draw) -> tuple[list, list]:
+def _drawn(seed: int, trials: range, k: int, dim_max: int, draw) -> tuple[list, dict, list]:
     """(t, n, *draw(rng, n, psd)) for each trial t, from its stream k after
     its dimension n, and the matrices psd recorded, built in one
-    _spectral_build call. psd(n, rng) draws a random PSD matrix's scale,
+    _spectral_build call: their per-dimension eigensystem arrays and the
+    (n, row) of each. psd(n, rng) draws a random PSD matrix's scale,
     angles and spectrum and returns the index of the matrix it records."""
     draws: list[tuple[np.ndarray, np.ndarray]] = []
 
@@ -378,7 +395,7 @@ def _drawn(seed: int, trials: range, k: int, dim_max: int, draw) -> tuple[list, 
         rng = stream(seed, t, k)
         n = int(rng.integers(1, dim_max + 1))
         rows.append((t, n, *draw(rng, n, psd)))
-    return rows, _spectral_build(draws)
+    return (rows, *_spectral_build(draws))
 
 
 def _holder_tally(seed: int, trials: range, dim_max: int, p_max: int) -> LemmaSummary:
@@ -388,8 +405,8 @@ def _holder_tally(seed: int, trials: range, dim_max: int, p_max: int) -> LemmaSu
         inverses = weights / math.fsum(weights.tolist())
         return r, [psd(n, rng) for _ in range(r)], [1.0 / u for u in inverses]
 
-    rows, m = _drawn(seed, trials, 0, dim_max, draw)
-    sides = _batch_holder([([m[i] for i in factors], q) for *_, factors, q in rows])
+    rows, stacks, m = _drawn(seed, trials, 0, dim_max, draw)
+    sides = _batch_holder(stacks, [([m[i] for i in factors], q) for *_, factors, q in rows])
     return _summary(LemmaId.HOLDER, sides, lambda i: "trial={};n={};r={}".format(*rows[i]))
 
 
@@ -398,9 +415,9 @@ def _alt_tally(seed: int, trials: range, dim_max: int, p_max: int, k: int) -> Le
     def draw(rng, n, psd):
         return float(rng.choice(ALT_EXPONENTS)), psd(n, rng), psd(n, rng)
 
-    rows, m = _drawn(seed, trials, k, dim_max, draw)
+    rows, stacks, m = _drawn(seed, trials, k, dim_max, draw)
     lemma = LemmaId.ALT if k == 1 else LemmaId.ALT_SCHATTEN
-    sides = _batch_alt([(lemma, m[a], m[b], alpha) for _, _, alpha, a, b in rows])
+    sides = _batch_alt(stacks, [(lemma, m[a], m[b], alpha) for _, _, alpha, a, b in rows])
     return _summary(lemma, sides, lambda i: "trial={};n={};alpha={}".format(*rows[i]))
 
 
@@ -408,8 +425,8 @@ def _word_tally(seed: int, trials: range, dim_max: int, p_max: int) -> LemmaSumm
     def draw(rng, n, psd):
         return psd(n, rng), psd(n, rng), _random_word(rng, p_max)
 
-    rows, m = _drawn(seed, trials, 3, dim_max, draw)
-    sides = _batch_word_bound([(m[x], m[y], w) for _, _, x, y, w in rows])
+    rows, stacks, m = _drawn(seed, trials, 3, dim_max, draw)
+    sides = _batch_word_bound(stacks, [(m[x], m[y], w) for _, _, x, y, w in rows])
     label = "trial={};n={};word={}".format
     return _summary(
         LemmaId.WORD_BOUND, sides, lambda i: label(*rows[i][:2], rows[i][4].exponent_pairs)

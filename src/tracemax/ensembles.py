@@ -2,11 +2,13 @@
 
 An ensemble is a random PSD matrix taking finitely many values (atoms)
 with given probabilities, subject to a hard cap ||X|| <= L and an exact
-mean-norm constraint ||E X|| = alpha * L. A family is a tuple of
-independent ensembles sharing a dimension; expectations over a family are
-exact sums over the finite product support. exact_trace_moment raises
-BudgetExceeded when that support exceeds SUPPORT_BUDGET outcomes; no
-checker falls back to Monte Carlo.
+mean-norm constraint ||E X|| = alpha * L. A FiniteEnsemble is one record
+of read-only arrays, from the sampler to the dump: its atoms' entries,
+eigensystems and probabilities, and its mean with its eigensystem. A
+family is a tuple of independent ensembles sharing a dimension;
+expectations over a family are exact sums over the finite product
+support. exact_trace_moment raises BudgetExceeded when that support
+exceeds SUPPORT_BUDGET outcomes; no checker falls back to Monte Carlo.
 
 The sampler and every search proposal land on the mean-norm shell through
 _project_batch, which rescales the atoms' spectra in their own
@@ -27,8 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -41,9 +42,10 @@ from .errors import (
 )
 from .extremal import BernoulliParams, _target_error, _validate_p
 from .linalg import (
-    SymMatrix,
     _eigensystems,
     _groups,
+    _opnorms,
+    _psd_floor,
     _spectral_arrays,
     _spectral_draw,
     _spectral_entries,
@@ -61,117 +63,113 @@ _PROJECTION_ROUNDS = 50
 _CHUNK_BYTES = 64 * 1024
 
 
-def _weighted_sum(probs: Iterable, matrices: Iterable[np.ndarray]):
-    """sum_i probs[i] * matrices[i], accumulated from left to right."""
-    acc = 0.0
-    for q, m in zip(probs, matrices):
-        acc = acc + q * m
-    return acc
-
-
-def _mean(probs: tuple[float, ...], matrices: Iterable[np.ndarray]) -> SymMatrix:
-    return SymMatrix(_weighted_sum(probs, matrices))
-
-
 def _stacked_means(probs: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """_mean's entries for a batch: (B, s) probs and (B, s, n, n) atoms give (B, n, n)."""
-    return _symmetrised(_weighted_sum(probs.T[:, :, None, None], entries.swapaxes(0, 1)))
+    """The symmetrised means of a batch: (B, s) probs and (B, s, n, n) atoms
+    give (B, n, n), each summed over its atoms from left to right."""
+    acc = 0.0
+    for q, m in zip(probs.T[:, :, None, None], entries.swapaxes(0, 1)):
+        acc = acc + q * m
+    return _symmetrised(acc)
 
 
-def require_caps(atoms: Iterable[SymMatrix], cap: float) -> None:
-    """Raise ConstraintViolated unless every atom's norm is at most cap(1 + CAP_SLACK)."""
-    for i, a in enumerate(atoms):
-        if a.opnorm > cap * (1.0 + CAP_SLACK):
-            raise ConstraintViolated(f"atom {i} has norm {a.opnorm!r} above cap {cap!r}")
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteEnsemble:
-    """One random PSD matrix with finite support.
+    """One random PSD matrix with finite support, held as read-only arrays.
 
-    ``cap`` is the operator-norm bound L every atom must respect;
-    ``alpha`` is the target mean-norm fraction, so ||E X|| = alpha * cap.
-    Constraints are verified at construction, making instances witnesses
-    of admissibility.
+    Atom i is atoms[i] (s, n, n), with probability probs[i] (s,),
+    eigenvectors vecs[i] (s, n, n) as columns and ascending spectrum
+    spectra[i] (s, n); E X is mean (n, n), with ascending spectrum
+    mean_spectrum (n,) and eigenvectors mean_vecs (n, n). ``cap`` is the
+    operator-norm bound L every atom must respect; ``alpha`` is the target
+    mean-norm fraction, so ||E X|| = alpha * cap.
+
+    Given entries, the atoms are stored as 0.5 * (M + M^T) and solved by
+    one batched eigh. Code that holds the eigensystems passes
+    eigensystems=(vecs, spectra), and may pass mean=(mean, mean_spectrum,
+    mean_vecs), vouching that they are exact, as the sampler, the climb
+    and bernoulli_member hold them; no eigensolver then runs on the atoms,
+    which are kept as views. Either way the constraints are verified here,
+    making instances witnesses of admissibility.
     """
 
-    atoms: tuple[SymMatrix, ...]
-    probs: tuple[float, ...]
+    atoms: np.ndarray
+    probs: np.ndarray
     cap: float
     alpha: float
+    vecs: np.ndarray
+    spectra: np.ndarray
+    mean: np.ndarray
+    mean_spectrum: np.ndarray
+    mean_vecs: np.ndarray
 
-    def __post_init__(self):
-        atoms = tuple(self.atoms)
-        probs = tuple(float(q) for q in self.probs)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
-        if not atoms:
+    def __init__(self, atoms, probs, cap, alpha, *, eigensystems=None, mean=None):
+        probs = np.array(probs, dtype=float)
+        if not len(atoms):
             raise DimensionError("ensemble needs at least one atom")
         if len(atoms) != len(probs):
-            raise DimensionError(
-                f"{len(atoms)} atoms but {len(probs)} probabilities"
-            )
-        dims = {a.dim for a in atoms}
-        if len(dims) != 1:
-            raise DimensionError(f"atom dims differ: {sorted(dims)}")
-        if error := _target_error(self.cap, self.alpha):
+            raise DimensionError(f"{len(atoms)} atoms but {len(probs)} probabilities")
+        if eigensystems is None:
+            try:
+                atoms = np.array(atoms, dtype=float)
+            except ValueError:  # matrices of several shapes
+                dims = sorted({len(a) for a in atoms})
+                raise DimensionError(f"atom dims differ: {dims}") from None
+            if atoms.ndim != 3 or not atoms.shape[1] == atoms.shape[2] >= 1:
+                raise DimensionError(f"expected square atoms, got shape {atoms.shape[1:]}")
+            atoms = _symmetrised(atoms)
+            spectra, vecs = np.linalg.eigh(atoms)
+        else:
+            vecs, spectra = eigensystems
+        if error := _target_error(cap, alpha):
             raise error
         # each test is written so that a NaN fails it
-        for q in probs:
+        for q in probs.tolist():
             if not q >= 0.0:
                 raise ConstraintViolated(f"probability {q} is not >= 0")
-        total = math.fsum(probs)
+        total = math.fsum(probs.tolist())
         if not abs(total - 1.0) <= PROB_TOL:
             raise ConstraintViolated(f"probabilities sum to {total!r}, not 1")
-        for i, a in enumerate(atoms):
-            if not a.is_psd():
-                raise ConstraintViolated(
-                    f"atom {i} is not PSD (min eigenvalue {a.min_eigenvalue():.3e})"
-                )
-        require_caps(atoms, self.cap)
-        target = self.alpha * self.cap
+        norms = _opnorms(spectra)
+        for passed, failure in (
+            (np.isfinite(atoms).all(axis=(1, 2)), "has a non-finite entry"),
+            (spectra[:, 0] >= _psd_floor(norms), "is not PSD (min eigenvalue {low:.3e})"),
+            (norms <= cap * (1.0 + CAP_SLACK), "has norm {norm!r} above cap {cap!r}"),
+        ):
+            if not passed.all():
+                i = int(np.argmin(passed))
+                detail = failure.format(low=spectra[i, 0], norm=float(norms[i]), cap=cap)
+                raise ConstraintViolated(f"atom {i} {detail}")
+        if mean is None:
+            mean = _stacked_means(probs[None], atoms[None])[0]
+            mean = (mean, *np.linalg.eigh(mean))
+        mean_norm = float(_opnorms(mean[1]))
+        target = alpha * cap
         # Tiny absolute floor so alpha = 0 (target 0) stays checkable.
-        tol = MEAN_REL_TOL * target + 1e-12 * (1.0 + self.cap)
-        if not abs(self.mean_norm - target) <= tol:
+        tol = MEAN_REL_TOL * target + 1e-12 * (1.0 + cap)
+        if not abs(mean_norm - target) <= tol:
             raise ConstraintViolated(
-                f"mean norm {self.mean_norm!r} misses target "
-                f"{target!r} by more than {tol:.3e}"
+                f"mean norm {mean_norm!r} misses target {target!r} by more than {tol:.3e}"
             )
-
-    @staticmethod
-    def seeded(
-        atoms: tuple[SymMatrix, ...],
-        probs: tuple[float, ...],
-        cap: float,
-        alpha: float,
-        mean: SymMatrix,
-    ) -> "FiniteEnsemble":
-        """FiniteEnsemble(atoms, probs, cap, alpha) with the mean cache set to ``mean``.
-
-        The caller vouches that mean equals the left-to-right mean of the
-        atoms bit for bit, as the projection and bernoulli_member compute
-        it, so validation reads its norm instead of solving for it again.
-        """
-        ensemble = object.__new__(FiniteEnsemble)
-        ensemble.__dict__["mean"] = mean
-        ensemble.__init__(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
-        return ensemble
+        arrays = (atoms, probs, vecs, spectra, *mean)
+        names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
+        for name, array in zip(names, arrays):
+            view = array.view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "alpha", alpha)
 
     @property
     def dim(self) -> int:
-        return self.atoms[0].dim
+        return self.atoms.shape[-1]
 
     @property
     def support_size(self) -> int:
-        return len(self.atoms)
-
-    @cached_property
-    def mean(self) -> SymMatrix:
-        return _mean(self.probs, (a.entries for a in self.atoms))
+        return len(self.probs)
 
     @property
     def mean_norm(self) -> float:
-        return self.mean.opnorm
+        return float(_opnorms(self.mean_spectrum))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,26 +200,10 @@ class EnsembleFamily:
         )
 
 
-def _member(
-    vecs: np.ndarray, spectra: np.ndarray, entries: np.ndarray, probs: np.ndarray,
-    cap: float, alpha: float, mean: SymMatrix | None = None,
-) -> FiniteEnsemble:
-    """The checked FiniteEnsemble of s atoms given as eigenbases vecs (s, n,
-    n), ascending spectra (s, n) and entries (s, n, n), which seed the atoms'
-    caches, and probabilities probs (s,); a given mean seeds the mean cache
-    (see FiniteEnsemble.seeded)."""
-    atoms = tuple(SymMatrix.seeded(*atom) for atom in zip(entries, vecs, spectra))
-    probs = tuple(probs.tolist())
-    if mean is None:
-        return FiniteEnsemble(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
-    return FiniteEnsemble.seeded(atoms, probs, cap, alpha, mean)
-
-
 def _top_norms(means: np.ndarray) -> tuple[list[float], np.ndarray, np.ndarray]:
     """Operator norms of a (B, n, n) stack of symmetric means, with their eigensystems."""
     lam, vecs = np.linalg.eigh(means)
-    ends = zip(lam[:, 0].tolist(), lam[:, -1].tolist())
-    return [max(abs(lo), abs(hi)) for lo, hi in ends], lam, vecs
+    return _opnorms(lam).tolist(), lam, vecs
 
 
 def _project_batch(
@@ -244,7 +226,7 @@ def _project_batch(
     would get alone.
 
     Scale factors multiply eigenvalues, clipped into [0, cap]; the
-    eigenbases never change, so the atoms' cached eigensystems stay valid.
+    eigenbases never change, so the atoms' eigensystems stay valid.
     A row is accepted once its mean norm is within 1e-9 * target of the
     target. Rows already on the shell come back as they are. The others
     take up to seven compounded rescale rounds, each scaling the current
@@ -280,7 +262,7 @@ def _project_batch(
     # row): spectra, probabilities, eigenbases and caps. Rounds over every
     # row, updated in place, were about 5% slower. Scaling by t > 0
     # and clipping are monotone, so every spectrum stays ascending, as the
-    # atoms' eigendecomposition caches must be.
+    # atoms' eigensystems must be.
     live = slice(None) if len(rows) == len(landed) else rows
     scaled, q, basis = lam[live], probs[live], vecs[live]
     top = np.array(caps, dtype=float)[live, None, None]
@@ -323,10 +305,7 @@ def _project_batch(
             vecs[b, :s], lam[b, :s], probs[b, :s], caps[b], targets[b], tols[b]
         )
         if solved is not None:
-            spectra[b, :s], entries[b, :s], mean = solved
-            means[b], mean_lam[b], mean_vecs[b] = (
-                mean.entries, mean.eig.eigenvalues, mean.eig.eigenvectors,
-            )
+            spectra[b, :s], entries[b, :s], means[b], mean_lam[b], mean_vecs[b] = solved
             landed[b] = True
     return landed, spectra, entries, means, mean_lam, mean_vecs
 
@@ -338,7 +317,7 @@ def _solve_scale(
     cap: float,
     target: float,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray, SymMatrix] | None:
+) -> tuple[np.ndarray, ...] | None:
     """The Newton fallback of _project_batch for one stack of s atoms.
 
     Solves g(t) = target for one factor t on the original spectra, where
@@ -352,8 +331,9 @@ def _solve_scale(
     the piece, with slope v^T B v for the top eigenvector v and the
     unclipped part B; a step that leaves the bracket bisects instead.
 
-    Returns the spectra, entries and mean on the shell, or None if the
-    target is unreachable or _PROJECTION_ROUNDS steps run out.
+    Returns the spectra, entries, mean and the mean's eigensystem on the
+    shell, or None if the target is unreachable or _PROJECTION_ROUNDS
+    steps run out.
     """
     lam = np.maximum(lam, 0.0)
     with np.errstate(divide="ignore"):
@@ -383,10 +363,11 @@ def _solve_scale(
             t = 0.5 * (lo + hi)
         spectra = np.clip(lam * t, 0.0, cap)
         entries = _spectral_entries(vecs, spectra)
-        mean = _mean(probs, entries)
-        norm, top = mean.opnorm, mean.eig.eigenvectors[:, -1]
+        mean = _stacked_means(probs[None], entries[None])[0]
+        mean_lam, mean_vecs = np.linalg.eigh(mean)
+        norm, top = float(_opnorms(mean_lam)), mean_vecs[:, -1]
         if abs(norm - target) <= tol:
-            return spectra, entries, mean
+            return spectra, entries, mean, mean_lam, mean_vecs
         if norm < target:
             lo = t
         else:
@@ -397,10 +378,10 @@ def _solve_scale(
 SAMPLER_ATTEMPTS = 10
 
 
-def _checked(*member) -> FiniteEnsemble | TracemaxError:
-    """_member(*member), or the error its validation raises."""
+def _checked(*args, **kwargs) -> FiniteEnsemble | TracemaxError:
+    """FiniteEnsemble(*args, **kwargs), or the error its validation raises."""
     try:
-        return _member(*member)
+        return FiniteEnsemble(*args, **kwargs)
     except TracemaxError as exc:
         return exc
 
@@ -415,7 +396,8 @@ def _attempt(
     linalg._spectral_draw. The atoms of all rows of one dimension are
     built together and projected onto their mean-norm shells by one
     _project_batch call, padded to the longest support; a projected
-    ensemble keeps the projection's final mean as its cached mean.
+    ensemble's arrays, its mean and the mean's eigensystem included, are
+    views of its row of the projection's.
     alpha = 0 forces zero atoms and alpha = 1 makes every atom cap * I,
     always admissible; neither is projected. A row gets the error its
     validation raises, or a SamplerFailed naming its seed if its
@@ -433,8 +415,8 @@ def _attempt(
             probs = rng.dirichlet(np.ones(s))
             if alpha in (0.0, 1.0):
                 eye = np.broadcast_to(np.eye(n), (s, n, n))
-                atoms = _eigensystems(eye, np.full((s, n), alpha * cap))
-                results[row] = _checked(*atoms, probs, cap, alpha)
+                vecs, spectra, atoms = _eigensystems(eye, np.full((s, n), alpha * cap))
+                results[row] = _checked(atoms, probs, cap, alpha, eigensystems=(vecs, spectra))
             else:
                 drawn.append((row, probs, [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]))
 
@@ -465,9 +447,10 @@ def _attempt(
                     f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
                 )
             else:
-                mean = SymMatrix.seeded(means[b], mean_vecs[b], mean_lam[b])
                 results[row] = _checked(
-                    vecs[b, :s], spectra[b, :s], stacked[b, :s], probs, cap, alpha, mean
+                    stacked[b, :s], probs, cap, alpha,
+                    eigensystems=(vecs[b, :s], spectra[b, :s]),
+                    mean=(means[b], mean_lam[b], mean_vecs[b]),
                 )
     return results
 
@@ -521,28 +504,24 @@ def _ensembles(
     return members
 
 
-def _bernoulli_atoms(n: int, cap: float) -> tuple[SymMatrix, SymMatrix]:
-    """The atoms cap * I and 0 of the scalar surrogate f I, seeded with the identity eigenbasis."""
-    eye = np.eye(n)
-    return (
-        SymMatrix.seeded(cap * eye, eye, np.full(n, cap)),
-        SymMatrix.seeded(np.zeros((n, n)), eye, np.zeros(n)),
-    )
-
-
 def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:
     """The scalar surrogate f I: cap * I with probability alpha, else 0.
 
-    Its mean alpha * cap * I is seeded with the identity eigenbasis; it is
-    the left-to-right mean of the two atoms bit for bit. A cap that is not
-    positive and finite, or an alpha outside [0, 1], raises
-    ConstraintViolated before any atom is built.
+    Its atoms and its mean alpha * cap * I carry the identity eigenbasis;
+    the mean is the left-to-right mean of the two atoms bit for bit. A
+    cap that is not positive and finite, or an alpha outside [0, 1],
+    raises ConstraintViolated before any atom is built.
     """
     if error := _target_error(cap, alpha):
         raise error
     eye = np.eye(n)
-    mean = SymMatrix.seeded(alpha * cap * eye, eye, np.full(n, alpha * cap))
-    return FiniteEnsemble.seeded(_bernoulli_atoms(n, cap), (alpha, 1.0 - alpha), cap, alpha, mean)
+    spectra = np.zeros((2, n))
+    spectra[0] = cap
+    return FiniteEnsemble(
+        spectra[:, :, None] * eye, (alpha, 1.0 - alpha), cap, alpha,
+        eigensystems=(eye[None].repeat(2, axis=0), spectra),
+        mean=(alpha * cap * eye, spectra[0] * alpha, eye),
+    )
 
 
 def extremal_family(n: int, params: BernoulliParams) -> EnsembleFamily:
@@ -593,9 +572,7 @@ def exact_trace_moment(family: EnsembleFamily, p: int) -> float:
     p = _validate_p(p)
     _require_support(tuple(m.support_size for m in family.members))
     return _trace_moment(
-        [np.stack([a.entries for a in m.atoms]) for m in family.members],
-        [np.asarray(m.probs) for m in family.members],
-        p,
+        [m.atoms for m in family.members], [m.probs for m in family.members], p
     )
 
 
@@ -654,29 +631,25 @@ def _trace_moment(stacks: list[np.ndarray], prob_arrays: list[np.ndarray], p: in
     )
 
 
-def _stack(
-    families: Sequence[Sequence[tuple[Sequence[SymMatrix], Sequence[float]]]],
-) -> tuple[np.ndarray, ...]:
-    """(probs, vecs, spectra, entries, sizes) of B families of N members,
-    member k of family b given as (atoms, probs): sizes[b, k] (B, N) atoms,
-    laid out as probs[b, k, :s] (B, N, S), vecs and entries (B, N, S, n, n)
-    and ascending spectra (B, N, S, n) from the atoms' cached eigensystems.
-    S is the longest support; other slots are exact zeros."""
-    sizes = np.array([[len(q) for _, q in family] for family in families])
-    members = [member for family in families for member in family]
-    atoms = [a for member_atoms, _ in members for a in member_atoms]
-    counts = sizes.ravel().tolist()
-    # atom i of member m goes to slot (m, i), by one scatter per array
+def _stack(families: Sequence[Sequence[FiniteEnsemble]]) -> tuple[np.ndarray, ...]:
+    """(probs, vecs, spectra, atoms, sizes) of B families of N members:
+    member k of family b has sizes[b, k] (B, N) atoms, laid out as
+    probs[b, k, :s] (B, N, S), vecs and atoms (B, N, S, n, n) and ascending
+    spectra (B, N, S, n). S is the longest support; other slots are exact
+    zeros. Each array is one scatter of the members' arrays."""
+    members = [m for family in families for m in family]
+    counts = [m.support_size for m in members]
+    # atom i of member m goes to slot (m, i)
     slot = np.repeat(np.arange(len(counts)), counts), np.concatenate([np.arange(s) for s in counts])
-    shape, n = (len(counts), max(counts)), atoms[0].dim
+    shape, n = (len(counts), max(counts)), members[0].dim
     probs, spectra = np.zeros(shape), np.zeros(shape + (n,))
-    vecs, entries = np.zeros(shape + (n, n)), np.zeros(shape + (n, n))
-    probs[slot] = [q for _, member_probs in members for q in member_probs]
-    vecs[slot] = [a.eig.eigenvectors for a in atoms]
-    spectra[slot] = [a.eig.eigenvalues for a in atoms]
-    entries[slot] = [a.entries for a in atoms]
-    stacked = probs, vecs, spectra, entries
-    return (*(a.reshape(sizes.shape + a.shape[1:]) for a in stacked), sizes)
+    vecs, atoms = np.zeros(shape + (n, n)), np.zeros(shape + (n, n))
+    probs[slot] = np.concatenate([m.probs for m in members])
+    vecs[slot] = np.concatenate([m.vecs for m in members])
+    spectra[slot] = np.concatenate([m.spectra for m in members])
+    atoms[slot] = np.concatenate([m.atoms for m in members])
+    sizes = np.array(counts).reshape(len(families), -1)
+    return (*(a.reshape(sizes.shape + a.shape[1:]) for a in (probs, vecs, spectra, atoms)), sizes)
 
 
 def _stacked_moments(
@@ -751,8 +724,8 @@ def family_to_json(family: EnsembleFamily) -> dict:
         "dim": family.dim,
         "members": [
             {
-                "atoms": [a.entries.ravel().tolist() for a in m.atoms],
-                "probs": list(m.probs),
+                "atoms": m.atoms.reshape(m.support_size, -1).tolist(),
+                "probs": m.probs.tolist(),
                 "L_cap": m.cap,
                 "alpha_target": m.alpha,
             }
@@ -796,8 +769,8 @@ def _members(value) -> list:
 
 
 def family_from_json(doc: dict) -> EnsembleFamily:
-    """The checked family of a replay document; a missing or mistyped key
-    raises ConstraintViolated."""
+    """The checked family of a replay document; a missing or mistyped key,
+    or a non-finite atom entry, raises ConstraintViolated."""
     dim = _field(doc, "dim", lambda v: v, "family")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ConstraintViolated(f"family has a malformed 'dim': {dim!r} is not an integer >= 1")
@@ -810,10 +783,9 @@ def family_from_json(doc: dict) -> EnsembleFamily:
                 raise DimensionError(
                     f"member {k} atom {i} has {flat.size} entries, not {dim * dim} (dim {dim})"
                 )
-        atoms = tuple(SymMatrix(flat.reshape(dim, dim)) for flat in flats)
         members.append(
             FiniteEnsemble(
-                atoms=atoms,
+                atoms=np.array(flats).reshape(-1, dim, dim),
                 probs=_field(entry, "probs", _numbers, where),
                 cap=_field(entry, "L_cap", _number, where),
                 alpha=_field(entry, "alpha_target", _number, where),

@@ -1,10 +1,13 @@
 """Dense symmetric/PSD linear algebra.
 
 Everything operates on exact-symmetric float64 matrices at desk scale
-(n up to ~64). Eigendecompositions come from LAPACK through
-numpy.linalg.eigh, whose eigenvalues are accurate to a small multiple of
-machine epsilon times ||A||; every PSD test here is absolute, of the form
-lambda_min >= -PSD_TOL * (1 + ||A||), so that accuracy is all it needs.
+(n up to ~64), stacked as (K, n, n) entries with (K, n, n) eigenbases
+(eigenvectors as columns) and (K, n) ascending spectra. Eigensystems come
+from LAPACK through numpy.linalg.eigh, accurate to a small multiple of
+machine epsilon times ||A||, or from the rotation and spectrum a random
+matrix is built from. Every PSD test is absolute, of the form
+lambda_min >= -PSD_TOL * (1 + ||A||), so that accuracy is all it needs;
+_opnorms and _psd_floor are its one implementation.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ class SymMatrix:
     Construction symmetrizes the input as 0.5 * (M + M^T), which makes
     entries[i, j] == entries[j, i] hold exactly, and freezes the storage.
     The eigendecomposition is computed lazily and cached; instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads. No command builds one;
+    the reference checkers of tests/oracles.py do.
     """
 
     entries: np.ndarray
@@ -66,8 +70,7 @@ class SymMatrix:
     @property
     def opnorm(self) -> float:
         """Operator (spectral) norm, the largest singular value."""
-        lam = self.eig.eigenvalues
-        return max(abs(float(lam[0])), abs(float(lam[-1])))
+        return float(_opnorms(self.eig.eigenvalues))
 
     def min_eigenvalue(self) -> float:
         return float(self.eig.eigenvalues[0])
@@ -75,29 +78,22 @@ class SymMatrix:
     @property
     def psd_floor(self) -> float:
         """Lowest eigenvalue still accepted as nonnegative."""
-        return -PSD_TOL * (1.0 + self.opnorm)
+        return _psd_floor(self.opnorm)
 
     def is_psd(self) -> bool:
         return self.min_eigenvalue() >= self.psd_floor
 
-    # Convenience constructors -------------------------------------------
 
-    @staticmethod
-    def seeded(entries: np.ndarray, q: np.ndarray, lam: np.ndarray) -> "SymMatrix":
-        """A SymMatrix holding ``entries``, with the eigendecomposition cache set to (lam, q).
+def _opnorms(spectra: np.ndarray) -> np.ndarray:
+    """Operator norms of the matrices with these ascending (..., n) spectra:
+    the larger of |lowest| and |highest| eigenvalue. A NaN end gives NaN,
+    where Python's max would return its first argument."""
+    return np.maximum(np.abs(spectra[..., 0]), np.abs(spectra[..., -1]))
 
-        The caller vouches that entries are exactly symmetric and equal
-        Q diag(lam) Q^T with lam ascending, as _eigensystems and the
-        stacked mean-shell rescaling compute them. The entries are stored
-        as a read-only view, neither copied nor symmetrised again, so the
-        caller must not write to them afterwards.
-        """
-        m = object.__new__(SymMatrix)
-        view = entries.view()
-        view.setflags(write=False)
-        object.__setattr__(m, "entries", view)
-        m.__dict__["eig"] = EigenDecomposition(lam, q)
-        return m
+
+def _psd_floor(norms):
+    """Lowest eigenvalue still accepted as nonnegative, for matrices of these norms."""
+    return -PSD_TOL * (1.0 + norms)
 
 
 def batched_trace_power(stack: np.ndarray, p: int) -> np.ndarray:
@@ -157,7 +153,7 @@ def _eigensystems(q: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns the eigenbases with their columns in ascending (stable) order
     of the spectra, the sorted spectra and the entries: the eigensystems
-    that SymMatrix.seeded caches, as ``eig`` would order them.
+    an ensemble's atoms carry, ordered as eigh orders them.
     """
     order = np.argsort(lam, axis=-1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=-1)
@@ -212,18 +208,20 @@ def _spectral_arrays(
     return _eigensystems(_givens(n, angles), np.array([spectrum for _, spectrum in draws]))
 
 
-def _spectral_build(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[SymMatrix]:
-    """The SymMatrix of each _spectral_draw draw, in order.
-
-    The eigendecomposition is known by construction and seeded into the
-    cache, so norms and powers of sampled matrices cost no eigensolver
-    call. The draws may mix dimensions; the matrices of each dimension are
-    built together, by one _spectral_arrays call, and each is bit for bit
-    what it is when built alone.
-    """
-    built: list[SymMatrix] = [None] * len(draws)
+def _spectral_build(
+    draws: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], list[tuple[int, int]]]:
+    """The matrices of these _spectral_draw draws, as rows of read-only
+    per-dimension arrays {n: (vecs, spectra, entries)}, one _spectral_arrays
+    call per dimension in draw order, and each draw's (n, row). Each row is
+    bit for bit the matrix built alone, and its eigensystem is known, so
+    norms and powers of sampled matrices cost no eigensolver call."""
+    stacks: dict = {}
+    refs: list = [None] * len(draws)
     for n, idx in _groups(len(spectrum) for _, spectrum in draws).items():
-        q, lam, entries = _spectral_arrays(n, [draws[i] for i in idx])
-        for i, *atom in zip(idx, entries, q, lam):
-            built[i] = SymMatrix.seeded(*atom)
-    return built
+        stacks[n] = _spectral_arrays(n, [draws[i] for i in idx])
+        for array in stacks[n]:
+            array.setflags(write=False)
+        for row, i in enumerate(idx):
+            refs[i] = (n, row)
+    return stacks, refs

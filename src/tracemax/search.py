@@ -43,8 +43,8 @@ import numpy as np
 from .checks import LemmaSummary, _blocks, _theorem_tally, holds
 from .ensembles import (
     EnsembleFamily,
+    FiniteEnsemble,
     _ensembles,
-    _member,
     _project_batch,
     _require_support,
     _stack,
@@ -131,9 +131,7 @@ class _Chains:
                 raise family
             _require_support(tuple(m.support_size for m in family))
 
-        self.probs, self.vecs, self.spectra, self.entries, self.sizes = _stack(
-            [[(m.atoms, m.probs) for m in family] for family in members]
-        )
+        self.probs, self.vecs, self.spectra, self.entries, self.sizes = _stack(members)
         self.values = _stacked_moments(self.entries, self.probs, self.sizes, p)
 
     def step(self) -> None:
@@ -172,7 +170,7 @@ class _Chains:
         if perturbed:
             # clip the perturbed atom's spectrum into [0, cap] in its own
             # eigenbasis; eigh ascends and clipping is monotone, so the
-            # spectrum stays ascending, as the seeded eigensystems must be
+            # spectrum stays ascending, as the members' eigensystems must be
             b, i, noise = (np.array(v) for v in zip(*perturbed))
             lam, q = np.linalg.eigh(_symmetrised(entries[b, i] + noise))
             lam = np.clip(lam, 0.0, np.array(params.caps)[members[b], None])
@@ -220,12 +218,14 @@ class _Chains:
         return outcomes[::-1]
 
     def family(self, c: int) -> EnsembleFamily:
-        """The checked EnsembleFamily of chain c."""
-        chain = self.vecs[c], self.spectra[c], self.entries[c], self.probs[c]
-        sizes = self.sizes[c].tolist()
+        """The checked EnsembleFamily of chain c, its members views of the chain's rows."""
+        members = zip(self.sizes[c].tolist(), self.params.caps, self.params.alphas)
         return EnsembleFamily(members=tuple(
-            _member(*(a[k, :s] for a in chain), cap, alpha)
-            for k, (s, cap, alpha) in enumerate(zip(sizes, self.params.caps, self.params.alphas))
+            FiniteEnsemble(
+                self.entries[c, k, :s], self.probs[c, k, :s], cap, alpha,
+                eigensystems=(self.vecs[c, k, :s], self.spectra[c, k, :s]),
+            )
+            for k, (s, cap, alpha) in enumerate(members)
         ))
 
 

@@ -8,6 +8,7 @@ cases to filter, and failures reproduce from the printed seed alone.
 import numpy as np
 from hypothesis import settings, strategies as st
 
+from oracles import stacked_matrix
 from tracemax import SymMatrix, stream
 from tracemax.linalg import _spectral_build, _spectral_draw
 
@@ -27,9 +28,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def random_psd(n: int, rng: np.random.Generator, scale: float = 1.0) -> SymMatrix:
-    """Random PSD matrix with spectrum uniform on [0, scale], drawn as the
-    lemma sweep draws its matrices."""
-    return _spectral_build([_spectral_draw(n, rng, 0.0, scale)])[0]
+    """Random PSD matrix with spectrum uniform on [0, scale], drawn and built
+    as the lemma sweep draws and builds its matrices, with its eigensystem."""
+    stacks, ((_, row),) = _spectral_build([_spectral_draw(n, rng, 0.0, scale)])
+    vecs, spectra, entries = stacks[n]
+    return stacked_matrix(entries[row], vecs[row], spectra[row])
 
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

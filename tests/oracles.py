@@ -2,12 +2,18 @@
 
 The lemma sweep and the search's audit evaluate each inequality of the
 chain only batch-wide, through the ``_batch_*`` functions of
-``tracemax.checks``. The checkers here evaluate one instance at a time,
-with plain matrix functions (PSD powers, Schatten norms, traces of
-products), the binary-word expansion of tr((X + Y)^p) and the
-single-family ``exact_trace_moment``. ``test_checks`` holds every batched
-side to them bit for bit, and the word and linear-algebra tests check them against numpy,
-mpmath and direct matrix powers. Nothing in ``src/`` imports this module.
+``tracemax.checks``, on matrices held as rows of stacked eigensystem
+arrays: an ensemble's atoms, or the sweep's random matrices, one stack
+per dimension. The checkers here evaluate one instance at a time, on
+single ``SymMatrix`` objects, with plain matrix functions (PSD powers,
+Schatten norms, traces of products), the binary-word expansion of
+tr((X + Y)^p) and the single-family ``exact_trace_moment``.
+``stacked_matrix`` and ``atoms`` turn a row of those arrays into a
+``SymMatrix`` that carries the row's eigensystem, so a reference side is
+computed from the same eigenvalues and eigenvectors as the batched one.
+``test_checks`` holds every batched side to them bit for bit, and the
+word and linear-algebra tests check them against numpy, mpmath and
+direct matrix powers. Nothing in ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -22,14 +28,20 @@ import numpy as np
 
 from tracemax.checks import LemmaId, LemmaSummary, _bernoulli_weight, holds
 from tracemax.ensembles import (
+    CAP_SLACK,
     EnsembleFamily,
     FiniteEnsemble,
     _target_error,
     bernoulli_member,
     exact_trace_moment,
-    require_caps,
 )
-from tracemax.errors import BudgetExceeded, DimensionError, InvalidExponent, TracemaxError
+from tracemax.errors import (
+    BudgetExceeded,
+    ConstraintViolated,
+    DimensionError,
+    InvalidExponent,
+    TracemaxError,
+)
 from tracemax.extremal import theorem_max_value
 from tracemax.linalg import EigenDecomposition, SymMatrix
 from tracemax.words import AlternatingWord
@@ -39,6 +51,30 @@ from tracemax.words import AlternatingWord
 
 class NotPSD(TracemaxError):
     """A matrix required to be positive semidefinite is not, beyond tolerance."""
+
+
+def stacked_matrix(entries: np.ndarray, vecs: np.ndarray, spectrum: np.ndarray) -> SymMatrix:
+    """The SymMatrix of one row of stacked eigensystem arrays, with its
+    eigendecomposition set to the row's (spectrum, vecs) instead of solved.
+
+    The row's entries are exactly symmetric, so symmetrising them again
+    keeps every bit.
+    """
+    m = SymMatrix(entries)
+    m.__dict__["eig"] = EigenDecomposition(spectrum, vecs)
+    return m
+
+
+def atoms(member: FiniteEnsemble) -> list[SymMatrix]:
+    """The member's atoms as SymMatrix objects carrying its eigensystems."""
+    return [stacked_matrix(*atom) for atom in zip(member.atoms, member.vecs, member.spectra)]
+
+
+def _require_caps(member: FiniteEnsemble, cap: float) -> None:
+    """Raise ConstraintViolated unless every atom's norm is at most cap(1 + CAP_SLACK)."""
+    for i, a in enumerate(atoms(member)):
+        if a.opnorm > cap * (1.0 + CAP_SLACK):
+            raise ConstraintViolated(f"atom {i} has norm {a.opnorm!r} above cap {cap!r}")
 
 
 def _power(eig: EigenDecomposition, t: float) -> np.ndarray:
@@ -353,17 +389,17 @@ def check_expectation_word_bound(
         raise DimensionError(f"dim mismatch: {ex.dim} vs {ey.dim}")
     if error := _target_error(cap, ex.alpha):
         raise error
-    require_caps(ex.atoms, cap)
+    _require_caps(ex, cap)
     # eval_word_trace of every pair of atoms, with each atom's powers taken once
-    xs = [[psd_power(a, l) for l, _ in w.exponent_pairs] for a in ex.atoms]
-    ys = [[psd_power(a, m) for _, m in w.exponent_pairs] for a in ey.atoms]
+    xs = [[psd_power(a, l) for l, _ in w.exponent_pairs] for a in atoms(ex)]
+    ys = [[psd_power(a, m) for _, m in w.exponent_pairs] for a in atoms(ey)]
     lhs = math.fsum(
         px * py * trace_product([f for pair in zip(xp, yp) for f in pair])
-        for px, xp in zip(ex.probs, xs) for py, yp in zip(ey.probs, ys)
+        for px, xp in zip(ex.probs.tolist(), xs) for py, yp in zip(ey.probs.tolist(), ys)
     )
     ef_l = _bernoulli_weight(ex, cap) * cap**w.x_degree
     ey_trace = math.fsum(
-        py * psd_trace_power(ay, w.y_degree) for py, ay in zip(ey.probs, ey.atoms)
+        py * psd_trace_power(ay, w.y_degree) for py, ay in zip(ey.probs.tolist(), atoms(ey))
     )
     return _report(LemmaId.EXPECTATION_WORD_BOUND, lhs, ef_l * ey_trace, digest)
 
@@ -380,7 +416,7 @@ def check_binomial_reduction(
     """
     if error := _target_error(cap, ex.alpha):
         raise error
-    require_caps(ex.atoms, cap)
+    _require_caps(ex, cap)
     surrogate = bernoulli_member(ex.dim, cap, _bernoulli_weight(ex, cap))
     lhs = exact_trace_moment(EnsembleFamily((ex, ey)), p)
     rhs = exact_trace_moment(EnsembleFamily((surrogate, ey)), p)

@@ -23,6 +23,7 @@ from oracles import (
     check_word_bound,
     empty,
     enumerate_binary_words,
+    stacked_matrix,
     to_alternating,
     trace,
 )
@@ -239,9 +240,9 @@ def _deterministic(atom, cap, alpha):
 def test_expectation_word_bound_deterministic_equality():
     cap = 1.3
     n = 3
-    ex = _deterministic(SymMatrix(cap * np.eye(n)), cap, 1.0)
+    ex = _deterministic(cap * np.eye(n), cap, 1.0)
     y = random_psd(n, stream(47), 1.0)
-    ey = FiniteEnsemble(atoms=(y,), probs=(1.0,), cap=max(y.opnorm, 1e-9), alpha=1.0)
+    ey = FiniteEnsemble(atoms=(y.entries,), probs=(1.0,), cap=max(y.opnorm, 1e-9), alpha=1.0)
     w = AlternatingWord(exponent_pairs=((2.0, 1.0),))
     rep = check_expectation_word_bound(ex, ey, w, cap)
     assert abs(rep.slack) <= 1e-9 * (1.0 + abs(rep.rhs))
@@ -249,11 +250,9 @@ def test_expectation_word_bound_deterministic_equality():
 
 def test_expectation_word_bound_zero_x():
     n = 2
-    ex = FiniteEnsemble(
-        atoms=(SymMatrix(np.zeros((n, n))),), probs=(1.0,), cap=1.0, alpha=0.0
-    )
+    ex = FiniteEnsemble(atoms=(np.zeros((n, n)),), probs=(1.0,), cap=1.0, alpha=0.0)
     y = random_psd(n, stream(48), 1.0)
-    ey = FiniteEnsemble(atoms=(y,), probs=(1.0,), cap=max(y.opnorm, 1e-9), alpha=1.0)
+    ey = FiniteEnsemble(atoms=(y.entries,), probs=(1.0,), cap=max(y.opnorm, 1e-9), alpha=1.0)
     rep = check_expectation_word_bound(
         ex, ey, AlternatingWord(exponent_pairs=((1.0, 1.0),)), 1.0
     )
@@ -277,9 +276,8 @@ def test_expectation_word_bound_random_ensembles(seed):
 
 def test_expectation_word_bound_enforces_cap():
     n = 2
-    big = SymMatrix(2.0 * np.eye(n))
-    ex = FiniteEnsemble(atoms=(big,), probs=(1.0,), cap=2.0, alpha=1.0)
-    ey = FiniteEnsemble(atoms=(SymMatrix(np.eye(n)),), probs=(1.0,), cap=1.0, alpha=1.0)
+    ex = FiniteEnsemble(atoms=(2.0 * np.eye(n),), probs=(1.0,), cap=2.0, alpha=1.0)
+    ey = FiniteEnsemble(atoms=(np.eye(n),), probs=(1.0,), cap=1.0, alpha=1.0)
     w = AlternatingWord(exponent_pairs=((1.0, 1.0),))
     with pytest.raises(ConstraintViolated):
         check_expectation_word_bound(ex, ey, w, 0.5)
@@ -305,13 +303,12 @@ def test_binomial_reduction_commuting_equality():
     cap = 1.5
     alpha = 0.4
     ex = FiniteEnsemble(
-        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix(np.zeros((n, n)))),
+        atoms=(cap * np.eye(n), np.zeros((n, n))),
         probs=(alpha, 1.0 - alpha),
         cap=cap,
         alpha=alpha,
     )
-    y = SymMatrix(np.diag([0.3, 0.7, 1.1]))
-    ey = FiniteEnsemble(atoms=(y,), probs=(1.0,), cap=1.1, alpha=1.0)
+    ey = FiniteEnsemble(atoms=(np.diag([0.3, 0.7, 1.1]),), probs=(1.0,), cap=1.1, alpha=1.0)
     rep = check_binomial_reduction(ex, ey, 5, cap)
     assert abs(rep.slack) <= 1e-9 * abs(rep.rhs)
 
@@ -319,9 +316,9 @@ def test_binomial_reduction_commuting_equality():
 def test_binomial_reduction_zero_y_linear():
     n = 3
     (ex,) = _attempt([(n, 2, 1.0, 0.6, 77)])
-    ey = FiniteEnsemble(atoms=(SymMatrix(np.zeros((n, n))),), probs=(1.0,), cap=1.0, alpha=0.0)
+    ey = FiniteEnsemble(atoms=(np.zeros((n, n)),), probs=(1.0,), cap=1.0, alpha=0.0)
     rep = check_binomial_reduction(ex, ey, 1, 1.0)
-    assert_close(rep.lhs, trace(ex.mean), rel=1e-12, abs_tol=1e-12)
+    assert_close(rep.lhs, trace(SymMatrix(ex.mean)), rel=1e-12, abs_tol=1e-12)
     assert_close(rep.rhs, n * ex.mean_norm, rel=1e-12, abs_tol=1e-12)
     assert rep.passed
 
@@ -354,13 +351,13 @@ def test_binomial_reduction_matches_pairwise_oracle(seed, n, p):
         return float(np.trace(np.linalg.matrix_power(m, p)))
 
     lhs = math.fsum(
-        px * py * tr_pow(ax.entries + ay.entries)
+        px * py * tr_pow(ax + ay)
         for px, ax in zip(ex.probs, ex.atoms)
         for py, ay in zip(ey.probs, ey.atoms)
     )
     w = min(ex.mean_norm / cap, 1.0)
     rhs = math.fsum(
-        py * (w * tr_pow(ay.entries + cap * np.eye(n)) + (1.0 - w) * tr_pow(ay.entries))
+        py * (w * tr_pow(ay + cap * np.eye(n)) + (1.0 - w) * tr_pow(ay))
         for py, ay in zip(ey.probs, ey.atoms)
     )
     assert_close(rep.lhs, lhs, rel=1e-12)
@@ -369,7 +366,7 @@ def test_binomial_reduction_matches_pairwise_oracle(seed, n, p):
 
 def test_binomial_reduction_validation():
     n = 2
-    ex = FiniteEnsemble(atoms=(SymMatrix(np.eye(n)),), probs=(1.0,), cap=1.0, alpha=1.0)
+    ex = FiniteEnsemble(atoms=(np.eye(n),), probs=(1.0,), cap=1.0, alpha=1.0)
     with pytest.raises(InvalidExponent):
         check_binomial_reduction(ex, ex, 0, 1.0)
     with pytest.raises(BudgetExceeded):
@@ -379,7 +376,7 @@ def test_binomial_reduction_validation():
     with pytest.raises(DimensionError):
         check_binomial_reduction(
             ex,
-            FiniteEnsemble(atoms=(SymMatrix(np.eye(3)),), probs=(1.0,), cap=1.0, alpha=1.0),
+            FiniteEnsemble(atoms=(np.eye(3),), probs=(1.0,), cap=1.0, alpha=1.0),
             2,
             1.0,
         )
@@ -432,16 +429,38 @@ def _sides(report):
 
 
 def _recorded_batches(monkeypatch):
-    """Make the sweep record the cases and results of each batched checker."""
+    """Make the sweep record the cases and results of each batched checker,
+    each matrix of an unsampled lemma's case as its SymMatrix."""
     recorded = {name: [] for name in _EXPORTED}
     for name in _EXPORTED:
-        def recording(cases, batched=getattr(checks, name), name=name):
-            results = batched(cases)
+        def recording(*args, batched=getattr(checks, name), name=name):
+            results = batched(*args)
+            *stacks, cases = args
+            if stacks:
+                cases = [_with_matrices(stacks[0], name, case) for case in cases]
             recorded[name].append((cases, results))
             return results
 
         monkeypatch.setattr(checks, name, recording)
     return recorded
+
+
+def _with_matrices(stacks, name, case):
+    """A case whose matrices are rows (n, row) of the stacked eigensystem
+    arrays stacks[n], with each matrix as the SymMatrix of its row."""
+    def matrix(ref):
+        n, row = ref
+        vecs, spectra, entries = stacks[n]
+        return stacked_matrix(entries[row], vecs[row], spectra[row])
+
+    if name == "_batch_holder":
+        factors, exponents = case
+        return [matrix(f) for f in factors], exponents
+    if name == "_batch_alt":
+        lemma, a, b, alpha = case
+        return lemma, matrix(a), matrix(b), alpha
+    x, y, w = case
+    return matrix(x), matrix(y), w
 
 
 def test_batched_checkers_match_the_exported_checkers(monkeypatch):

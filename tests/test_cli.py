@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import tracemax
 import tracemax.checks as checks
 import tracemax.cli as cli
 import tracemax.search as search
@@ -275,11 +276,29 @@ def test_search_records_an_overflowing_cell_as_an_error(capsys, tmp_path):
 
 
 def test_search_near_miss_dumps_are_replayable(tmp_path):
+    # every near-miss dump reloads to its family, whose exact moment and
+    # closed-form maximum are the dump's values bit for bit, as README
+    # "Ensemble JSON" promises; near alpha = 1 some cells' best families
+    # are climbed ones, not the maximizer that restart 0 starts at
     out = tmp_path / "sweep.csv"
-    run_cli(_search_args(out))
-    dump = json.loads(out.with_suffix(".near0.json").read_text())
-    assert "cell" in dump and "family" in dump
-    assert dump["family"]["members"]
+    assert run_cli([
+        "search", "--n", "1,2", "--members", "1,2", "--p", "1,2,3", "--alpha", "0.5,0.999",
+        "--L", "1.0", "--restarts", "3", "--steps", "20", "--seed", "0", "--out", str(out),
+    ]) == 0
+    count = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())["near_misses"]
+    assert count == 24
+    climbed = 0
+    for k in range(count):
+        dump = json.loads(out.with_suffix(f".near{k}.json").read_text())
+        assert set(dump) == {"cell", "gap", "best_value", "theorem_value", "family"}
+        family = tracemax.family_from_json(dump["family"])
+        p = int(re.fullmatch(r"n=\d+;N=\d+;p=(\d+);.*", dump["cell"]).group(1))
+        assert tracemax.exact_trace_moment(family, p) == dump["best_value"], dump["cell"]
+        assert tracemax.theorem_max_value(family.dim, family.params, p) == dump["theorem_value"]
+        assert tracemax.family_to_json(family) == dump["family"]
+        maximizer = tracemax.extremal_family(family.dim, family.params)
+        climbed += tracemax.family_to_json(maximizer) != dump["family"]
+    assert climbed > 0
 
 
 def test_search_starts_one_pool(monkeypatch, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import assert_close, random_psd, seeds
-from oracles import psd_trace_power
+from oracles import psd_trace_power, stacked_matrix
 from tracemax import (
     BernoulliParams,
     BudgetExceeded,
@@ -30,18 +30,19 @@ from tracemax import (
     theorem_max_value,
 )
 import tracemax.ensembles as ensembles
+import tracemax.search as search
 from tracemax.ensembles import _attempt, _project_batch, _sample
 from tracemax.linalg import (
     _eigensystems, _givens, _spectral_arrays, _spectral_draw, _spectral_entries,
 )
 
-_EYE2 = SymMatrix(np.eye(2))
-_ZERO2 = SymMatrix(np.zeros((2, 2)))
+_EYE2 = np.eye(2)
+_ZERO2 = np.zeros((2, 2))
 
 
 def _bernoulli_member(cap, alpha, n=2):
     return FiniteEnsemble(
-        atoms=(SymMatrix(cap * np.eye(n)), SymMatrix(np.zeros((n, n)))),
+        atoms=(cap * np.eye(n), np.zeros((n, n))),
         probs=(alpha, 1.0 - alpha),
         cap=cap,
         alpha=alpha,
@@ -55,7 +56,7 @@ def test_valid_ensemble_accepted():
     assert member.dim == 2
     assert member.support_size == 2
     assert_close(member.mean_norm, 0.6)
-    assert np.array_equal(member.mean.entries, (0.4 * 1.5) * np.eye(2))
+    assert np.array_equal(member.mean, (0.4 * 1.5) * np.eye(2))
 
 
 def test_rejects_negative_probability():
@@ -69,14 +70,14 @@ def test_rejects_probabilities_not_summing_to_one():
 
 
 def test_rejects_non_psd_atom():
-    bad = SymMatrix(np.diag([1.0, -0.5]))
+    bad = np.diag([1.0, -0.5])
     with pytest.raises(ConstraintViolated):
         FiniteEnsemble(atoms=(bad,), probs=(1.0,), cap=1.0, alpha=1.0)
 
 
 def test_rejects_atom_over_cap():
     with pytest.raises(ConstraintViolated):
-        FiniteEnsemble(atoms=(SymMatrix(2.0 * np.eye(2)),), probs=(1.0,), cap=1.0, alpha=1.0)
+        FiniteEnsemble(atoms=(2.0 * np.eye(2),), probs=(1.0,), cap=1.0, alpha=1.0)
 
 
 def test_rejects_mean_norm_mismatch():
@@ -87,7 +88,7 @@ def test_rejects_mean_norm_mismatch():
 def test_rejects_mixed_dimensions():
     with pytest.raises(DimensionError):
         FiniteEnsemble(
-            atoms=(_EYE2, SymMatrix(np.zeros((3, 3)))), probs=(0.5, 0.5), cap=1.0, alpha=0.5
+            atoms=(_EYE2, np.zeros((3, 3))), probs=(0.5, 0.5), cap=1.0, alpha=0.5
         )
 
 
@@ -108,7 +109,7 @@ def test_rejects_bad_cap_and_alpha():
 @pytest.mark.parametrize("cap", [math.inf, math.nan])
 def test_rejects_non_finite_cap(cap):
     # an infinite cap would let the cap and mean-norm checks pass any PSD atoms
-    atom = SymMatrix(np.diag([5.0, 1e6]))
+    atom = np.diag([5.0, 1e6])
     with pytest.raises(ConstraintViolated, match="positive and finite"):
         FiniteEnsemble(atoms=(atom,), probs=(1.0,), cap=cap, alpha=0.5)
 
@@ -120,7 +121,7 @@ def test_json_rejects_an_infinite_cap():
         family_from_json(json.loads(text))
 
 
-_ONE_ZERO = (SymMatrix(np.ones((1, 1))), SymMatrix(np.zeros((1, 1))))
+_ONE_ZERO = (np.ones((1, 1)), np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("probs", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
@@ -133,7 +134,7 @@ def test_rejects_a_nan_probability(probs):
 def test_accepts_zero_probabilities():
     atoms = (*_ONE_ZERO, _ONE_ZERO[0])
     member = FiniteEnsemble(atoms=atoms, probs=(0.5, 0.5, 0.0), cap=1.0, alpha=0.5)
-    assert member.probs == (0.5, 0.5, 0.0)
+    assert member.probs.tolist() == [0.5, 0.5, 0.0]
     assert FiniteEnsemble(atoms=_ONE_ZERO, probs=(0.0, 1.0), cap=1.0, alpha=0.0).mean_norm == 0.0
 
 
@@ -145,6 +146,58 @@ def test_json_rejects_a_nan_probability():
     )
     with pytest.raises(ConstraintViolated):
         family_from_json(json.loads(text))
+
+
+_NAN_SLOTS = [(0, 0), (1, 1), (0, 1)]
+
+
+def _nan_atom(slot, value=math.nan):
+    """The atom diag(1, 0.5) of a two-atom member, with value (a NaN) in one slot."""
+    atom = np.diag([1.0, 0.5])
+    atom[slot] = value
+    return atom
+
+
+@pytest.mark.parametrize("slot", _NAN_SLOTS)
+def test_rejects_a_nan_atom_entry(slot):
+    # max(abs(lo), abs(hi)) dropped a NaN eigenvalue, so every atom check
+    # passed and exact_trace_moment returned nan
+    with pytest.raises(ConstraintViolated, match="^atom 1 has a non-finite entry$"):
+        FiniteEnsemble(
+            atoms=(np.diag([1.0, 0.0]), _nan_atom(slot)), probs=(0.5, 0.5), cap=1.0, alpha=0.5
+        )
+
+
+@pytest.mark.parametrize("slot", _NAN_SLOTS)
+def test_projection_reads_a_nan_mean_norm_as_nan(slot):
+    # so that the projection's landing test abs(norm - target) <= tol fails
+    mean = _nan_atom(slot)
+    (norm,), _, _ = ensembles._top_norms(0.5 * (mean + mean.T)[None])
+    assert math.isnan(norm)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("slot", _NAN_SLOTS)
+def test_json_rejects_a_non_finite_atom_entry(slot, value):
+    doc = {
+        "dim": 2,
+        "members": [{
+            "atoms": [[1.0, 0.0, 0.0, 0.0], _nan_atom(slot, value).ravel().tolist()],
+            "probs": [0.5, 0.5], "L_cap": 1.0, "alpha_target": 0.5,
+        }],
+    }
+    text = json.dumps(doc)
+    assert json.dumps(value) in text  # json.loads accepts NaN and Infinity by default
+    with pytest.raises(ConstraintViolated, match="^atom 1 has a non-finite entry$"):
+        family_from_json(json.loads(text))
+
+
+def test_rejects_an_infinite_atom_entry_from_its_eigensystem():
+    # given eigensystems are checked as given, not trusted
+    vecs, spectra = np.broadcast_to(np.eye(2), (1, 2, 2)), np.array([[0.5, 0.5]])
+    atoms = np.array([[[0.5, 0.0], [0.0, math.inf]]])
+    with pytest.raises(ConstraintViolated, match="^atom 0 has a non-finite entry$"):
+        FiniteEnsemble(atoms, (1.0,), 1.0, 0.5, eigensystems=(vecs, spectra))
 
 
 def test_json_rejects_an_atom_of_the_wrong_size():
@@ -206,8 +259,8 @@ def _one_atom_doc():
 
 def test_json_loads_the_one_atom_document():
     (member,) = family_from_json(_one_atom_doc()).members
-    assert member.atoms[0].entries.tolist() == [[0.5]]
-    assert (member.probs, member.cap, member.alpha) == ((1.0,), 1.0, 0.5)
+    assert member.atoms.tolist() == [[[0.5]]]
+    assert (member.probs.tolist(), member.cap, member.alpha) == ([1.0], 1.0, 0.5)
 
 
 @pytest.mark.parametrize("dim", [-1, 0, 1.9, "1", True])
@@ -251,6 +304,50 @@ def test_family_consistency():
         )
 
 
+def _members_built_every_way():
+    """A member built from entries, a sampled one, a bernoulli_member and a
+    climbed one: each way the package builds a FiniteEnsemble."""
+    config = search.SearchConfig(restarts=2, steps_per_restart=3, seed=4)
+    chains = search._Chains(2, BernoulliParams(caps=(1.0,), alphas=(0.5,)), 3, config, 0, 2)
+    chains.step()
+    return [
+        _bernoulli_member(1.0, 0.5),
+        *_attempt([(3, 2, 1.0, 0.4, 42)]),
+        ensembles.bernoulli_member(2, 1.0, 0.5),
+        *chains.family(1).members,
+    ]
+
+
+_MEMBER_ARRAYS = ["atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs"]
+
+
+@pytest.mark.parametrize("name", _MEMBER_ARRAYS)
+def test_member_arrays_are_frozen(name):
+    # a validated member cannot be edited into an inadmissible one
+    for member in _members_built_every_way():
+        array = getattr(member, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 5.0
+        with pytest.raises(AttributeError):
+            setattr(member, name, array.copy())
+
+
+def test_member_atoms_from_entries_are_exactly_symmetric():
+    # atoms from entries are stored as 0.5 * (M + M^T), bit for bit as
+    # SymMatrix stores them, here from a JSON document
+    lopsided = np.array([[0.5, 0.3], [0.1, 0.5]])
+    doc = {"dim": 2, "members": [{
+        "atoms": [lopsided.ravel().tolist()], "probs": [1.0], "L_cap": 1.0, "alpha_target": 0.7,
+    }]}
+    (member,) = family_from_json(doc).members
+    (atom,) = member.atoms
+    assert np.array_equal(atom, atom.T)
+    assert atom[0, 1] == 0.2
+    assert atom.tobytes() == SymMatrix(lopsided).entries.tobytes()
+    assert member.spectra.tobytes() == SymMatrix(lopsided).eig.eigenvalues.tobytes()
+
+
 # Sampler ----------------------------------------------------------------------
 
 def test_sampler_invariants_recomputed_with_numpy():
@@ -260,11 +357,11 @@ def test_sampler_invariants_recomputed_with_numpy():
     probs = np.array(member.probs)
     assert np.all(probs >= 0)
     assert abs(probs.sum() - 1.0) <= 1e-12
-    mean = sum(q * a.entries for q, a in zip(member.probs, member.atoms))
+    mean = sum(q * a for q, a in zip(member.probs, member.atoms))
     mean_norm = float(np.max(np.abs(np.linalg.eigvalsh(mean))))
     assert abs(mean_norm - 0.4) <= 1e-8 * 0.4 + 1e-12
     for atom in member.atoms:
-        evals = np.linalg.eigvalsh(atom.entries)
+        evals = np.linalg.eigvalsh(atom)
         assert evals.min() >= -1e-10
         assert evals.max() <= 1.0 * (1.0 + 1e-9)
 
@@ -272,22 +369,21 @@ def test_sampler_invariants_recomputed_with_numpy():
 def test_sampler_alpha_zero_gives_zero_atoms():
     (member,) = _attempt([(2, 3, 1.0, 0.0, 7)])
     for atom in member.atoms:
-        assert np.array_equal(atom.entries, np.zeros((2, 2)))
+        assert np.array_equal(atom, np.zeros((2, 2)))
 
 
 def test_sampler_alpha_one_caps_every_atom():
     (member,) = _attempt([(3, 2, 1.7, 1.0, 7)])
     for atom in member.atoms:
-        np.testing.assert_allclose(atom.entries, 1.7 * np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(atom, 1.7 * np.eye(3), atol=1e-12)
 
 
 def test_sampler_deterministic_in_seed():
     a, b = _attempt([(3, 2, 1.0, 0.4, 11)] * 2)
     (c,) = _attempt([(3, 2, 1.0, 0.4, 11)])
-    assert a.probs == b.probs == c.probs
-    for x, y, z in zip(a.atoms, b.atoms, c.atoms):
-        assert np.array_equal(x.entries, y.entries)
-        assert np.array_equal(x.entries, z.entries)
+    assert a.probs.tolist() == b.probs.tolist() == c.probs.tolist()
+    assert np.array_equal(a.atoms, b.atoms)
+    assert np.array_equal(a.atoms, c.atoms)
 
 
 def test_sampler_validation():
@@ -424,7 +520,7 @@ def _compounding_rounds(atoms, probs, cap, alpha):
         for a in candidate:
             # clipping keeps the spectrum ascending, as the cache must be
             q, lam = a.eig.eigenvectors, np.clip(a.eig.eigenvalues * t, 0.0, cap)
-            rescaled.append(SymMatrix.seeded(_spectral_entries(q, lam), q, lam))
+            rescaled.append(stacked_matrix(_spectral_entries(q, lam), q, lam))
         candidate = tuple(rescaled)
     return None
 
@@ -450,7 +546,7 @@ def test_projection_rescale_rounds_are_bit_identical(n):
         landed, spectra, moved, *_ = _project_batch(vecs, lam, entries, probs, sizes, caps, targets)
         again = _project_batch(vecs, spectra, moved, probs, sizes, caps, targets)
         for b, (cap, alpha, _, _) in enumerate(cases):
-            atoms = tuple(SymMatrix.seeded(*atom) for atom in zip(entries[b], vecs[b], lam[b]))
+            atoms = tuple(stacked_matrix(*atom) for atom in zip(entries[b], vecs[b], lam[b]))
             expected = _compounding_rounds(atoms, tuple(probs[b].tolist()), cap, alpha)
             if expected is None:
                 continue
@@ -549,9 +645,9 @@ def test_extremal_family_shape_and_mean():
     assert family.dim == 3
     assert family.params == params
     first = family.members[0]
-    assert np.array_equal(first.atoms[0].entries, np.eye(3))
-    assert np.array_equal(first.atoms[1].entries, np.zeros((3, 3)))
-    assert first.probs == (0.25, 0.75)
+    assert np.array_equal(first.atoms[0], np.eye(3))
+    assert np.array_equal(first.atoms[1], np.zeros((3, 3)))
+    assert first.probs.tolist() == [0.25, 0.75]
 
 
 def test_extremal_family_attains_theorem_value():
@@ -567,7 +663,7 @@ def test_extremal_family_attains_theorem_value():
 
 def test_exact_moment_single_deterministic_member():
     a = random_psd(3, stream(301), 1.0)
-    member = FiniteEnsemble(atoms=(a,), probs=(1.0,), cap=max(a.opnorm, 1e-9), alpha=1.0)
+    member = FiniteEnsemble(atoms=(a.entries,), probs=(1.0,), cap=max(a.opnorm, 1e-9), alpha=1.0)
     family = EnsembleFamily(members=(member,))
     for p in (1, 2, 4, 7):
         assert_close(exact_trace_moment(family, p), psd_trace_power(a, p))
@@ -581,7 +677,7 @@ def test_exact_moment_two_members_hand_enumeration():
     expected = 0.0
     for q1, a1 in zip(m1.probs, m1.atoms):
         for q2, a2 in zip(m2.probs, m2.atoms):
-            total = np.linalg.matrix_power(a1.entries + a2.entries, p)
+            total = np.linalg.matrix_power(a1 + a2, p)
             expected += q1 * q2 * np.trace(total)
     assert_close(exact_trace_moment(family, p), float(expected), rel=1e-13)
 
@@ -600,7 +696,7 @@ def test_exact_moment_matches_brute_force_across_chunks():
             total = np.zeros((2, 2))
             for m, i in zip(members, outcome):
                 weight *= m.probs[i]
-                total = total + m.atoms[i].entries
+                total = total + m.atoms[i]
             terms.append(weight * float(np.trace(np.linalg.matrix_power(total, p))))
         assert_close(exact_trace_moment(family, p), math.fsum(terms), rel=1e-13)
 
@@ -654,8 +750,8 @@ def _moment_by_chunks(family, p):
     sizes = tuple(m.support_size for m in family.members)
     n = family.dim
     chunk = ensembles._chunk_outcomes(n)
-    stacks = [np.stack([a.entries for a in m.atoms]) for m in family.members]
-    prob_arrays = [np.asarray(m.probs) for m in family.members]
+    stacks = [m.atoms for m in family.members]
+    prob_arrays = [m.probs for m in family.members]
     split, tail = len(sizes), 1
     while split > 1 and tail * sizes[split - 1] <= chunk:
         split -= 1
@@ -723,9 +819,9 @@ def test_stacked_moments_match_exact_trace_moment_bit_for_bit(n):
     probs = np.zeros((len(shapes), 3, 6))
     for b, family in enumerate(families):
         for k, member in enumerate(family.members):
-            entries[b, k, : member.support_size] = [a.entries for a in member.atoms]
+            entries[b, k, : member.support_size] = member.atoms
             probs[b, k, : member.support_size] = member.probs
-    stacked = ensembles._stack([[(m.atoms, m.probs) for m in f.members] for f in families])
+    stacked = ensembles._stack([f.members for f in families])
     assert stacked[0].tobytes() == probs.tobytes()
     assert stacked[3].tobytes() == entries.tobytes()
     for p in (1, 2, 7, 30):
@@ -738,12 +834,11 @@ def test_stack_pads_with_exact_zeros(longest):
     # sampled members next to the surrogate's atoms, padded to the longest
     # support; a fourth family leads with ``longest`` atoms (none when 0)
     families = [_mixed_family(3, sizes, seed=410 + i) for i, sizes in enumerate([(1, 3), (2, 1)])]
-    members = [[(m.atoms, m.probs) for m in f.members] for f in families]
-    members.append([(ensembles._bernoulli_atoms(3, 1.5), (0.25, 0.75)), members[0][1]])
+    members = [f.members for f in families]
+    members.append([ensembles.bernoulli_member(3, 1.5, 0.25), members[0][1]])
     expected = [[1, 3], [2, 1], [2, 3]]
     if longest:
-        extra = _mixed_family(3, (longest, 1), seed=420)
-        members.append([(m.atoms, m.probs) for m in extra.members])
+        members.append(_mixed_family(3, (longest, 1), seed=420).members)
         expected.append([longest, 1])
     probs, vecs, spectra, entries, sizes = ensembles._stack(members)
     assert sizes.tolist() == expected
@@ -751,13 +846,12 @@ def test_stack_pads_with_exact_zeros(longest):
     assert spectra.shape == probs.shape + (3,)
     assert vecs.shape == entries.shape == probs.shape + (3, 3)
     for b, family in enumerate(members):
-        for k, (atoms, member_probs) in enumerate(family):
-            s = len(atoms)
-            assert probs[b, k, :s].tolist() == list(member_probs)
-            for i, atom in enumerate(atoms):
-                assert entries[b, k, i].tobytes() == atom.entries.tobytes()
-                assert vecs[b, k, i].tobytes() == atom.eig.eigenvectors.tobytes()
-                assert spectra[b, k, i].tobytes() == atom.eig.eigenvalues.tobytes()
+        for k, member in enumerate(family):
+            s = member.support_size
+            assert probs[b, k, :s].tobytes() == member.probs.tobytes()
+            assert entries[b, k, :s].tobytes() == member.atoms.tobytes()
+            assert vecs[b, k, :s].tobytes() == member.vecs.tobytes()
+            assert spectra[b, k, :s].tobytes() == member.spectra.tobytes()
             # padding is +0.0 bit for bit
             for array in (probs, vecs, spectra, entries):
                 assert not array[b, k, s:].view(np.uint64).any()
@@ -772,11 +866,10 @@ def test_sampled_mean_is_the_recomputed_mean_bit_for_bit():
         alpha = float(rng.choice([0.2, 0.5, 0.9, 0.999]))
         rows.append((n, s, 1.3, alpha, int(rng.integers(2**31))))
     for member in _attempt(rows):
-        seeded = member.__dict__["mean"]
-        recomputed = ensembles._mean(member.probs, (a.entries for a in member.atoms))
-        assert np.array_equal(seeded.entries, recomputed.entries)
-        assert seeded.entries.tobytes() == recomputed.entries.tobytes()
-        assert np.array_equal(seeded.eig.eigenvalues, recomputed.eig.eigenvalues)
+        recomputed = SymMatrix(ensembles._stacked_means(member.probs[None], member.atoms[None])[0])
+        assert np.array_equal(member.mean, recomputed.entries)
+        assert member.mean.tobytes() == recomputed.entries.tobytes()
+        assert np.array_equal(member.mean_spectrum, recomputed.eig.eigenvalues)
         assert member.mean_norm == recomputed.opnorm
 
 
@@ -784,8 +877,8 @@ def test_sampled_mean_is_the_recomputed_mean_bit_for_bit():
 def test_bernoulli_mean_is_the_recomputed_mean_bit_for_bit(n):
     for cap, alpha in [(1.0, 0.5), (1.7, 0.0), (0.3, 1.0), (2.5, 0.123456789)]:
         member = ensembles.bernoulli_member(n, cap, alpha)
-        recomputed = ensembles._mean(member.probs, (a.entries for a in member.atoms))
-        assert member.mean.entries.tobytes() == recomputed.entries.tobytes()
+        recomputed = ensembles._stacked_means(member.probs[None], member.atoms[None])[0]
+        assert member.mean.tobytes() == recomputed.tobytes()
         assert member.mean_norm == alpha * cap
 
 
@@ -816,11 +909,10 @@ def test_json_round_trip_is_bitwise():
     back = family_from_json(json.loads(text))
     assert back.dim == family.dim
     for orig, copy in zip(family.members, back.members):
-        assert orig.probs == copy.probs
+        assert orig.probs.tobytes() == copy.probs.tobytes()
         assert orig.cap == copy.cap
         assert orig.alpha == copy.alpha
-        for x, y in zip(orig.atoms, copy.atoms):
-            assert np.array_equal(x.entries, y.entries)
+        assert orig.atoms.tobytes() == copy.atoms.tobytes()
 
 
 def test_json_schema_shape():

@@ -43,6 +43,24 @@ def test_entries_are_frozen():
         m.entries[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("slot", [(0, 0), (1, 1), (0, 1)])
+def test_opnorm_of_a_nan_matrix_is_nan(slot):
+    # max(abs(lo), abs(hi)) returned the finite end when the other was NaN
+    entries = np.diag([1.0, 0.5])
+    entries[slot] = math.nan
+    m = SymMatrix(entries)
+    assert math.isnan(m.opnorm)
+    assert not m.is_psd()
+
+
+def test_opnorms_keep_the_bits_of_finite_spectra():
+    spectra = np.array([[-3.0, 1.0, 2.0], [-1.0, 0.0, 1.0], [0.0, 0.0, -0.0], [-1e-300, 0, 5e-324]])
+    for lam, norm in zip(spectra, linalg._opnorms(spectra).tolist()):
+        assert norm == max(abs(float(lam[0])), abs(float(lam[-1])))
+    assert math.isnan(linalg._opnorms(np.array([[math.nan, 1.0]]))[0])
+    assert math.isnan(linalg._opnorms(np.array([[0.0, math.nan]]))[0])
+
+
 def test_rejects_nonsquare():
     with pytest.raises(DimensionError):
         SymMatrix(np.zeros((2, 3)))
@@ -358,12 +376,17 @@ def _spectral_by_rows(n, rng, lo, hi, trig=math):
     return 0.5 * (m + m.T), q, lam
 
 
+def _built(stacks, ref):
+    """The (entries, eigenvectors, eigenvalues) of row ref = (n, row) of stacks."""
+    n, row = ref
+    vecs, spectra, entries = stacks[n]
+    return entries[row], vecs[row], spectra[row]
+
+
 def _assert_built_like_the_row_loop(got, expected):
-    entries, q, lam = expected
-    assert got.entries.tobytes() == entries.tobytes()  # signed zeros too
-    assert got.eig.eigenvectors.tobytes() == q.tobytes()
-    assert got.eig.eigenvalues.tobytes() == lam.tobytes()
-    assert not got.entries.flags.writeable
+    for array, want in zip(got, expected):
+        assert array.tobytes() == want.tobytes()  # signed zeros too
+        assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("trig", [math, _ShiftedMath()], ids=["math", "shifted"])
@@ -374,10 +397,12 @@ def test_spectral_build_matches_the_row_loop_bit_for_bit(monkeypatch, n, batch, 
     for seed in range(4):
         got_rng, ref_rng = stream(seed, 109, n), stream(seed, 109, n)
         draws = [_spectral_draw(n, got_rng, 0.0, 1.5) for _ in range(batch)]
-        got = _spectral_build(draws)
-        assert len(got) == batch
-        for m in got:
-            _assert_built_like_the_row_loop(m, _spectral_by_rows(n, ref_rng, 0.0, 1.5, trig))
+        stacks, refs = _spectral_build(draws)
+        assert list(stacks) == [n] and refs == [(n, row) for row in range(batch)]
+        for ref in refs:
+            _assert_built_like_the_row_loop(
+                _built(stacks, ref), _spectral_by_rows(n, ref_rng, 0.0, 1.5, trig)
+            )
         assert got_rng.random() == ref_rng.random()
 
 
@@ -386,18 +411,22 @@ def test_spectral_build_of_mixed_dimensions_keeps_the_draw_order():
     dims_drawn = [int(got_rng.integers(1, 9)) for _ in range(40)]
     draws = [_spectral_draw(n, got_rng, 0.5, 2.0) for n in dims_drawn]
     assert [int(ref_rng.integers(1, 9)) for _ in range(40)] == dims_drawn
-    for n, m in zip(dims_drawn, _spectral_build(draws)):
-        assert m.dim == n
-        _assert_built_like_the_row_loop(m, _spectral_by_rows(n, ref_rng, 0.5, 2.0))
+    stacks, refs = _spectral_build(draws)
+    assert sorted(stacks) == sorted(set(dims_drawn))
+    for n, ref in zip(dims_drawn, refs):
+        assert ref[0] == n
+        expected = _spectral_by_rows(n, ref_rng, 0.5, 2.0)
+        _assert_built_like_the_row_loop(_built(stacks, ref), expected)
     assert got_rng.random() == ref_rng.random()
 
 
 @given(seeds, dims)
 def test_random_spectral_cache_is_honest(seed, n):
-    (m,) = _spectral_build([_spectral_draw(n, stream(seed, 106), 0.0, 2.0)])
-    cached = m.eig.eigenvalues
-    fresh = np.linalg.eigvalsh(m.entries)
-    assert np.max(np.abs(cached - fresh)) <= 1e-11 * (1.0 + m.opnorm)
+    stacks, (ref,) = _spectral_build([_spectral_draw(n, stream(seed, 106), 0.0, 2.0)])
+    entries, q, lam = _built(stacks, ref)
+    fresh = np.linalg.eigvalsh(entries)
+    assert np.max(np.abs(lam - fresh)) <= 1e-11 * (1.0 + float(linalg._opnorms(lam)))
+    assert np.max(np.abs((q * lam) @ q.T - entries)) <= 1e-12 * (1.0 + float(lam[-1]))
 
 
 @given(psd_single())

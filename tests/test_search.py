@@ -140,7 +140,7 @@ def _oracle_propose(family, rng):
     perturbation, projected onto the shell and validated."""
     k = int(rng.integers(len(family.members)))
     member = family.members[k]
-    atoms, probs = member.atoms, member.probs
+    vecs, spectra, atoms, probs = member.vecs, member.spectra, member.atoms, member.probs.tolist()
     if member.support_size >= 2 and rng.random() < 0.5:
         i, j = (int(v) for v in rng.choice(member.support_size, size=2, replace=False))
         delta = float(rng.uniform(0.0, probs[i]))
@@ -148,29 +148,30 @@ def _oracle_propose(family, rng):
         moved[i] -= delta
         moved[j] += delta
         total = math.fsum(moved)
-        probs = tuple(q / total for q in moved)
+        probs = [q / total for q in moved]
     else:
         i = int(rng.integers(member.support_size))
         noise = rng.normal(0.0, 0.25 * member.cap, size=(member.dim, member.dim))
-        e = SymMatrix(atoms[i].entries + noise).eig  # clip the spectrum, keep the basis
+        e = SymMatrix(atoms[i] + noise).eig  # clip the spectrum, keep the basis
         q, lam = e.eigenvectors, np.clip(e.eigenvalues, 0.0, member.cap)
-        atoms = atoms[:i] + (SymMatrix.seeded(_spectral_entries(q, lam), q, lam),) + atoms[i + 1:]
+        vecs, spectra, atoms = vecs.copy(), spectra.copy(), atoms.copy()
+        vecs[i], spectra[i], atoms[i] = q, lam, _spectral_entries(q, lam)
     # the member's projection onto its shell, as a batch of one
-    vecs = np.stack([a.eig.eigenvectors for a in atoms])
     landed, spectra, entries, *_ = _project_batch(
         vecs[None],
-        np.stack([a.eig.eigenvalues for a in atoms])[None],
-        np.stack([a.entries for a in atoms])[None],
+        spectra[None],
+        atoms[None],
         np.array([probs]),
-        [len(atoms)],
+        [len(probs)],
         [member.cap],
         [member.alpha * member.cap],
     )
     if not landed[0]:
         return None
-    atoms = tuple(SymMatrix.seeded(*atom) for atom in zip(entries[0], vecs, spectra[0]))
     try:
-        moved = FiniteEnsemble(atoms=atoms, probs=probs, cap=member.cap, alpha=member.alpha)
+        moved = FiniteEnsemble(
+            entries[0], probs, member.cap, member.alpha, eigensystems=(vecs, spectra[0])
+        )
     except ConstraintViolated:
         return None
     return EnsembleFamily(members=family.members[:k] + (moved,) + family.members[k + 1:])
