@@ -159,6 +159,13 @@ class FiniteEnsemble:
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "alpha", alpha)
 
+    def __setstate__(self, state: dict) -> None:
+        # unpickled arrays, say a family sent back by a worker, are writeable
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
     @property
     def dim(self) -> int:
         return self.atoms.shape[-1]

@@ -4,6 +4,7 @@ enumeration checked against hand and brute-force enumerations."""
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -331,6 +332,17 @@ def test_member_arrays_are_frozen(name):
             array[(0,) * array.ndim] = 5.0
         with pytest.raises(AttributeError):
             setattr(member, name, array.copy())
+
+
+def test_member_arrays_stay_frozen_through_pickle():
+    # a parallel search's families come back from its workers pickled
+    for member in _members_built_every_way():
+        copy = pickle.loads(pickle.dumps(member))
+        for name in _MEMBER_ARRAYS:
+            array = getattr(copy, name)
+            assert array.tobytes() == getattr(member, name).tobytes(), name
+            assert not array.flags.writeable, name
+        assert (copy.cap, copy.alpha) == (member.cap, member.alpha)
 
 
 def test_member_atoms_from_entries_are_exactly_symmetric():
