@@ -10,19 +10,21 @@ Expectations are always exact sums over finite product supports; no
 check uses Monte Carlo, so there are no statistical false alarms.
 
 The randomized lemma sweep is the program's only evaluation of the first
-six links, and it is batched. It runs one lemma at a time over a block of
-trials, each drawing that lemma's inputs from its own stream, so one
+six links, and it is batched. It runs one lemma at a time over a block
+of trials, each drawing that lemma's inputs from its own stream, so one
 lemma's matrices are alive at a time; the two lemmas on sampled
 ensembles run in smaller batches. Random PSD matrices are built one call
 per dimension, as rows of eigensystem arrays, and each _batch_* function
-evaluates both sides of all its lemma's instances at once, indexing those
-rows, with one stacked matmul or eigh per dimension; _summary tallies the
-lemma from the resulting arrays. Streams
-are drawn from in the order of a trial run alone, and every matrix,
-ensemble and side is computed bit for bit as it is alone, so neither
-blocks nor batches change any output. Every case is valid, its power
-too, since run_lemma_sweep checks p_max before any trial runs. The tests
-hold every batched side, bit for bit, to a per-case reference checker
+evaluates both sides of all its lemma's instances at once, indexing
+those rows, with one stacked matmul or eigh per dimension; _summary
+tallies the lemma from the resulting arrays. One rng.streams call
+derives a block's (a batch's) streams of a lemma, and sampled ensembles
+and Bernoulli surrogates are checked batch-wide. Streams are drawn from
+in the order of a trial run alone, and every matrix, ensemble and side
+is computed bit for bit as it is alone, so neither blocks nor batches
+change any output. Every case is valid, its power too, since
+run_lemma_sweep checks p_max before any trial runs. The tests hold every
+batched side, bit for bit, to a per-case reference checker
 (tests/oracles.py).
 
 The last link, the closed-form maximum, is tallied the same way:
@@ -45,10 +47,10 @@ import numpy as np
 from .ensembles import (
     EnsembleFamily,
     FiniteEnsemble,
+    _bernoulli_members,
     _ensembles,
     _stack,
     _stacked_moments,
-    bernoulli_member,
     family_to_json,
 )
 from .errors import InvalidExponent, TracemaxError
@@ -62,7 +64,7 @@ from .linalg import (
     _symmetrised,
 )
 from .parallel import parallel_map
-from .rng import stream
+from .rng import streams
 from .words import AlternatingWord
 
 CHECK_TOL = 1e-9
@@ -291,11 +293,14 @@ def _moments(families: Sequence[Sequence[FiniteEnsemble]], powers: Sequence[int]
 def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr(X + Y)^p and E tr(f I + Y)^p of each case (ex, ey, p, cap), f
     the Bernoulli surrogate: two families each, (X, Y) and (f I, Y), with
-    f I the bernoulli_member of weight ||E X|| / cap."""
-    families = []
-    for ex, ey, _, cap in cases:
-        surrogate = bernoulli_member(ex.dim, cap, _bernoulli_weight(ex, cap))
-        families += [(ex, ey), (surrogate, ey)]
+    f I of weight ||E X|| / cap, built and checked per dimension by
+    ensembles._bernoulli_members."""
+    surrogates = {}
+    for n, idx in _groups(c[0].dim for c in cases).items():
+        caps = [cases[i][3] for i in idx]
+        weights = [_bernoulli_weight(cases[i][0], cases[i][3]) for i in idx]
+        surrogates.update(zip(idx, _bernoulli_members(n, caps, weights)))
+    families = [f for i, (x, y, _, _) in enumerate(cases) for f in ((x, y), (surrogates[i], y))]
     values = _moments(families, [c[2] for c in cases for _ in range(2)])
     return list(zip(values[::2], values[1::2]))
 
@@ -391,8 +396,7 @@ def _drawn(seed: int, trials: range, k: int, dim_max: int, draw) -> tuple[list, 
         return len(draws) - 1
 
     rows = []
-    for t in trials:
-        rng = stream(seed, t, k)
+    for t, rng in zip(trials, streams([(seed, t, k) for t in trials])):
         n = int(rng.integers(1, dim_max + 1))
         rows.append((t, n, *draw(rng, n, psd)))
     return (rows, *_spectral_build(draws))
@@ -451,10 +455,10 @@ def _sampled_batch(seed: int, trials: range, dim_max: int, p_max: int) -> tuple:
     ensemble are sampled, the ensembles of all trials together (see
     _families), and then each trial draws its word and power.
     """
-    heads = []  # (n, cap, rng) of each trial
-    for t in trials:
-        rng = stream(seed, t, 4)
-        heads.append((int(rng.integers(1, dim_max + 1)), float(rng.uniform(0.5, 2.0)), rng))
+    heads = [  # (n, cap, rng) of each trial
+        (int(rng.integers(1, dim_max + 1)), float(rng.uniform(0.5, 2.0)), rng)
+        for rng in streams([(seed, t, 4) for t in trials])
+    ]
 
     def request(i: int, k: int) -> tuple:
         """X (k = 0) at the trial's cap, or Y (k = 1) at a cap of its own."""
@@ -521,7 +525,7 @@ def _theorem_tally(seed: int, start: int, stop: int) -> tuple[LemmaSummary, list
     drawn is valid and every support within budget: no other error occurs.
     """
     trials = range(start, stop)
-    rngs = [stream(seed, 2, t) for t in trials]
+    rngs = list(streams([(seed, 2, t) for t in trials]))
     shapes = [
         tuple(int(rng.integers(1, top + 1)) for top in (_AUDIT_DIM, _AUDIT_MEMBERS, _AUDIT_POWER))
         for rng in rngs

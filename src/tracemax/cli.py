@@ -265,6 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse: 0 after --help or --version, 2 on a usage error
         return 1 if exc.code else 0
     try:
+        if getattr(args, "seed", 0) < 0:  # before any work, in the parent of a parallel run
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return args.handler(args)
     except (TracemaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,8 @@ factor, bracketed between the factors at which eigenvalues reach the cap.
 It projects a batch of atom stacks at once, each with its own cap and
 target: the search's lockstep restarts, and the batched sampler (_sample
 and _attempt), which draws the ensembles of many requests, builds their
-atoms one dimension at a time and projects them together. _ensembles
-samples batches of families through it, member by member.
+atoms one dimension at a time, projects them together and checks them by
+one _member_errors call. _ensembles samples families through it.
 
 _stack alone packs batches of families into the zero-padded (B, N, S, ...)
 layout, with (B, N) support sizes, that _stacked_moments enumerates.
@@ -52,7 +52,7 @@ from .linalg import (
     _symmetrised,
     batched_trace_power,
 )
-from .rng import stream, subseed
+from .rng import streams, subseed
 
 PROB_TOL = 1e-12
 CAP_SLACK = 1e-9
@@ -72,6 +72,45 @@ def _stacked_means(probs: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return _symmetrised(acc)
 
 
+def _member_errors(atoms, probs, spectra, mean_spectra, caps, alphas) -> list:
+    """The first constraint each of B zero-padded members violates, or None:
+    atoms (B, S, n, n) with ascending spectra (B, S, n), probs (B, S), means
+    of ascending spectra mean_spectra (B, n), targets caps and alphas. In
+    order: the targets, each probability >= 0, their math.fsum within
+    PROB_TOL of 1, then per atom finite entries, the PSD floor and the cap,
+    and the mean norm against alpha * cap. A NaN fails every test."""
+    errors = [_target_error(cap, alpha) for cap, alpha in zip(caps, alphas)]
+    cap, alpha = (np.where([not e for e in errors], v, 1.0) for v in (caps, alphas))
+    norms, mean_norms = _opnorms(spectra), _opnorms(mean_spectra)
+    atom_tests = [
+        (np.isfinite(atoms).all(axis=(-2, -1)), "has a non-finite entry"),
+        (spectra[..., 0] >= _psd_floor(norms), "is not PSD (min eigenvalue {low:.3e})"),
+        (norms <= (cap * (1.0 + CAP_SLACK))[:, None], "has norm {norm!r} above cap {cap!r}"),
+    ]
+    # Tiny absolute floor so alpha = 0 (target 0) stays checkable.
+    tols = MEAN_REL_TOL * (alpha * cap) + 1e-12 * (1.0 + cap)
+    on_target = np.abs(mean_norms - alpha * cap) <= tols
+    tests = [test.all(axis=1) for test, _ in atom_tests] + [(probs >= 0.0).all(axis=1), on_target]
+    passed = np.logical_and.reduce(tests).tolist()  # all but the sum
+    for b, row in enumerate(probs.tolist()):
+        if errors[b] or passed[b] and abs(math.fsum(row) - 1.0) <= PROB_TOL:
+            continue
+        failed = [(test, detail) for test, detail in atom_tests if not test[b].all()]
+        if (q := next((q for q in row if not q >= 0.0), None)) is not None:
+            message = f"probability {q} is not >= 0"
+        elif not abs((total := math.fsum(row)) - 1.0) <= PROB_TOL:
+            message = f"probabilities sum to {total!r}, not 1"
+        elif failed:
+            i = int(np.argmin(failed[0][0][b]))
+            detail = failed[0][1].format(low=spectra[b, i, 0], norm=float(norms[b, i]), cap=caps[b])
+            message = f"atom {i} {detail}"
+        else:
+            mean_norm, target, tol = float(mean_norms[b]), alphas[b] * caps[b], float(tols[b])
+            message = f"mean norm {mean_norm!r} misses target {target!r} by more than {tol:.3e}"
+        errors[b] = ConstraintViolated(message)
+    return errors
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class FiniteEnsemble:
     """One random PSD matrix with finite support, held as read-only arrays.
@@ -85,11 +124,11 @@ class FiniteEnsemble:
 
     Given entries, the atoms are stored as 0.5 * (M + M^T) and solved by
     one batched eigh. Code that holds the eigensystems passes
-    eigensystems=(vecs, spectra), and may pass mean=(mean, mean_spectrum,
-    mean_vecs), vouching that they are exact, as the sampler, the climb
-    and bernoulli_member hold them; no eigensolver then runs on the atoms,
-    which are kept as views. Either way the constraints are verified here,
-    making instances witnesses of admissibility.
+    eigensystems=(vecs, spectra), vouching that they are exact; no
+    eigensolver then runs on the atoms, which are kept as views. Either way
+    _member_errors checks the constraints, on a batch of one, so instances
+    witness admissibility. The sampler and _bernoulli_members check whole
+    batches with it and build their members by _admitted, with their means.
     """
 
     atoms: np.ndarray
@@ -102,7 +141,7 @@ class FiniteEnsemble:
     mean_spectrum: np.ndarray
     mean_vecs: np.ndarray
 
-    def __init__(self, atoms, probs, cap, alpha, *, eigensystems=None, mean=None):
+    def __init__(self, atoms, probs, cap, alpha, *, eigensystems=None):
         probs = np.array(probs, dtype=float)
         if not len(atoms):
             raise DimensionError("ensemble needs at least one atom")
@@ -120,44 +159,28 @@ class FiniteEnsemble:
             spectra, vecs = np.linalg.eigh(atoms)
         else:
             vecs, spectra = eigensystems
-        if error := _target_error(cap, alpha):
-            raise error
-        # each test is written so that a NaN fails it
-        for q in probs.tolist():
-            if not q >= 0.0:
-                raise ConstraintViolated(f"probability {q} is not >= 0")
-        total = math.fsum(probs.tolist())
-        if not abs(total - 1.0) <= PROB_TOL:
-            raise ConstraintViolated(f"probabilities sum to {total!r}, not 1")
-        norms = _opnorms(spectra)
-        for passed, failure in (
-            (np.isfinite(atoms).all(axis=(1, 2)), "has a non-finite entry"),
-            (spectra[:, 0] >= _psd_floor(norms), "is not PSD (min eigenvalue {low:.3e})"),
-            (norms <= cap * (1.0 + CAP_SLACK), "has norm {norm!r} above cap {cap!r}"),
-        ):
-            if not passed.all():
-                i = int(np.argmin(passed))
-                detail = failure.format(low=spectra[i, 0], norm=float(norms[i]), cap=cap)
-                raise ConstraintViolated(f"atom {i} {detail}")
-        if mean is None:
+        with np.errstate(all="ignore"):  # an inadmissible member's mean goes unused
             mean = _stacked_means(probs[None], atoms[None])[0]
-            mean = (mean, *np.linalg.eigh(mean))
-        mean_norm = float(_opnorms(mean[1]))
-        target = alpha * cap
-        # Tiny absolute floor so alpha = 0 (target 0) stays checkable.
-        tol = MEAN_REL_TOL * target + 1e-12 * (1.0 + cap)
-        if not abs(mean_norm - target) <= tol:
-            raise ConstraintViolated(
-                f"mean norm {mean_norm!r} misses target {target!r} by more than {tol:.3e}"
-            )
-        arrays = (atoms, probs, vecs, spectra, *mean)
-        names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
-        for name, array in zip(names, arrays):
-            view = array.view()
+        # eigh may not converge on a non-finite mean, whose atoms fail a test first
+        finite = np.isfinite(mean).all()
+        lam, mean_vecs = np.linalg.eigh(mean) if finite else (mean[0] * np.nan, mean)
+        one = [a[None] for a in (atoms, probs, spectra, lam)]  # a batch of one member
+        if error := _member_errors(*one, [cap], [alpha])[0]:
+            raise error
+        self._admitted(cap, alpha, atoms, probs, vecs, spectra, mean, lam, mean_vecs, member=self)
+
+    @classmethod
+    def _admitted(cls, cap, alpha, *arrays, member=None) -> "FiniteEnsemble":
+        """member, by default a new instance, holding read-only views of the
+        arrays that _member_errors has passed, in field order (atoms, probs,
+        vecs, spectra, mean, mean_spectrum, mean_vecs)."""
+        member = object.__new__(cls) if member is None else member
+        views = [array.view() for array in arrays]
+        for view in views:
             view.setflags(write=False)
-            object.__setattr__(self, name, view)
-        object.__setattr__(self, "cap", cap)
-        object.__setattr__(self, "alpha", alpha)
+        names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
+        member.__dict__.update(zip(names, views), cap=cap, alpha=alpha)
+        return member
 
     def __setstate__(self, state: dict) -> None:
         # unpickled arrays, say a family sent back by a worker, are writeable
@@ -385,47 +408,43 @@ def _solve_scale(
 SAMPLER_ATTEMPTS = 10
 
 
-def _checked(*args, **kwargs) -> FiniteEnsemble | TracemaxError:
-    """FiniteEnsemble(*args, **kwargs), or the error its validation raises."""
-    try:
-        return FiniteEnsemble(*args, **kwargs)
-    except TracemaxError as exc:
-        return exc
-
-
 def _attempt(
     rows: Sequence[tuple[int, int, float, float, int]],
 ) -> list[FiniteEnsemble | TracemaxError]:
     """One sampler attempt for each row (n, s, cap, alpha, seed).
 
-    Row b draws from stream(seed): its probabilities from a flat simplex,
-    then each atom's rotation angles and spectrum, uniform on [0, cap], by
+    Row b draws from stream(seed), derived with the other rows' by one
+    rng.streams call: its probabilities from a flat simplex, then each
+    atom's rotation angles and spectrum, uniform on [0, cap], by
     linalg._spectral_draw. The atoms of all rows of one dimension are
-    built together and projected onto their mean-norm shells by one
-    _project_batch call, padded to the longest support; a projected
-    ensemble's arrays, its mean and the mean's eigensystem included, are
-    views of its row of the projection's.
+    built together, projected onto their mean-norm shells by one
+    _project_batch call, padded to the longest support, and checked by one
+    _member_errors call; a projected ensemble's arrays, its mean and the
+    mean's eigensystem included, are views of its row of the projection's.
     alpha = 0 forces zero atoms and alpha = 1 makes every atom cap * I,
     always admissible; neither is projected. A row gets the error its
-    validation raises, or a SamplerFailed naming its seed if its
-    projection fails.
+    check reports, or a SamplerFailed naming its seed if its projection
+    fails.
     """
     results: list[FiniteEnsemble | TracemaxError | None] = [None] * len(rows)
     drawn = []  # (row, probs, draws) of each row to project
-    for row, (n, s, cap, alpha, seed) in enumerate(rows):
+    rngs = streams([(seed,) for *_, seed in rows])
+    for row, ((n, s, cap, alpha, _), rng) in enumerate(zip(rows, rngs)):
         if n < 1 or s < 1:
             results[row] = DimensionError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
         elif error := _target_error(cap, alpha):
             results[row] = error
-        else:
-            rng = stream(seed)
+        elif alpha in (0.0, 1.0):
             probs = rng.dirichlet(np.ones(s))
-            if alpha in (0.0, 1.0):
-                eye = np.broadcast_to(np.eye(n), (s, n, n))
-                vecs, spectra, atoms = _eigensystems(eye, np.full((s, n), alpha * cap))
-                results[row] = _checked(atoms, probs, cap, alpha, eigensystems=(vecs, spectra))
-            else:
-                drawn.append((row, probs, [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]))
+            eye = np.broadcast_to(np.eye(n), (s, n, n))
+            *eig, atoms = _eigensystems(eye, np.full((s, n), alpha * cap))
+            try:
+                results[row] = FiniteEnsemble(atoms, probs, cap, alpha, eigensystems=eig)
+            except TracemaxError as exc:
+                results[row] = exc
+        else:
+            probs = rng.dirichlet(np.ones(s))
+            drawn.append((row, probs, [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]))
 
     for n, idx in _groups(rows[row][0] for row, _, _ in drawn).items():
         group = [drawn[i] for i in idx]
@@ -442,10 +461,11 @@ def _attempt(
         padded[slot] = np.concatenate([probs for _, probs, _ in group])
         vecs[slot], spectra[slot], stacked[slot] = q, lam, entries
         caps = [rows[row][2] for row, _, _ in group]
-        targets = [rows[row][3] * rows[row][2] for row, _, _ in group]
+        alphas = [rows[row][3] for row, _, _ in group]
         landed, spectra, stacked, means, mean_lam, mean_vecs = _project_batch(
-            vecs, spectra, stacked, padded, sizes, caps, targets
+            vecs, spectra, stacked, padded, sizes, caps, [a * c for a, c in zip(alphas, caps)]
         )
+        errors = _member_errors(stacked, padded, spectra, mean_lam, caps, alphas)
         for b, (row, probs, _) in enumerate(group):
             n, s, cap, alpha, seed = rows[row]
             if not landed[b]:
@@ -454,10 +474,9 @@ def _attempt(
                     f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
                 )
             else:
-                results[row] = _checked(
-                    stacked[b, :s], probs, cap, alpha,
-                    eigensystems=(vecs[b, :s], spectra[b, :s]),
-                    mean=(means[b], mean_lam[b], mean_vecs[b]),
+                results[row] = errors[b] or FiniteEnsemble._admitted(
+                    cap, alpha, stacked[b, :s], probs, vecs[b, :s], spectra[b, :s],
+                    means[b], mean_lam[b], mean_vecs[b],
                 )
     return results
 
@@ -511,35 +530,40 @@ def _ensembles(
     return members
 
 
-def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:
-    """The scalar surrogate f I: cap * I with probability alpha, else 0.
-
-    Its atoms and its mean alpha * cap * I carry the identity eigenbasis;
-    the mean is the left-to-right mean of the two atoms bit for bit. A
-    cap that is not positive and finite, or an alpha outside [0, 1],
-    raises ConstraintViolated before any atom is built.
-    """
-    if error := _target_error(cap, alpha):
+def _bernoulli_members(n: int, caps: Sequence[float], alphas: Sequence[float]) -> list:
+    """The scalar surrogates f I of dimension n, member b caps[b] * I with
+    probability alphas[b], else 0, built and checked as one batch; the
+    first invalid (cap, alpha) raises ConstraintViolated before any atom
+    is built. Atoms and means carry the identity eigenbasis, and each mean
+    alpha * cap * I is its atoms' left-to-right mean bit for bit."""
+    if error := next(filter(None, map(_target_error, caps, alphas)), None):
         raise error
     eye = np.eye(n)
-    spectra = np.zeros((2, n))
-    spectra[0] = cap
-    return FiniteEnsemble(
-        spectra[:, :, None] * eye, (alpha, 1.0 - alpha), cap, alpha,
-        eigensystems=(eye[None].repeat(2, axis=0), spectra),
-        mean=(alpha * cap * eye, spectra[0] * alpha, eye),
-    )
+    spectra = np.zeros((len(caps), 2, n))
+    spectra[:, 0] = np.array(caps)[:, None]
+    mean_lam = spectra[:, 0] * np.array(alphas)[:, None]
+    probs = np.array([(alpha, 1.0 - alpha) for alpha in alphas])
+    atoms, means = spectra[..., None] * eye, mean_lam[..., None] * eye
+    errors = _member_errors(atoms, probs, spectra, mean_lam, caps, alphas)
+    if error := next(filter(None, errors), None):
+        raise error
+    vecs = np.broadcast_to(eye, (2, n, n))
+    return [
+        FiniteEnsemble._admitted(cap, alpha, atoms[b], probs[b], vecs, spectra[b], means[b], m, eye)
+        for b, (cap, alpha, m) in enumerate(zip(caps, alphas, mean_lam))
+    ]
+
+
+def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:
+    """The scalar surrogate f I: cap * I with probability alpha, else 0."""
+    return _bernoulli_members(n, [cap], [alpha])[0]
 
 
 def extremal_family(n: int, params: BernoulliParams) -> EnsembleFamily:
     """The conjectured maximizer: member k takes cap_k * I w.p. alpha_k, else 0."""
     if n < 1:
         raise DimensionError(f"dimension must be >= 1, got {n}")
-    return EnsembleFamily(
-        members=tuple(
-            bernoulli_member(n, cap, alpha) for cap, alpha in zip(params.caps, params.alphas)
-        )
-    )
+    return EnsembleFamily(members=tuple(_bernoulli_members(n, params.caps, params.alphas)))
 
 
 def _chunk_outcomes(n: int) -> int:

@@ -56,7 +56,7 @@ from .errors import BudgetExceeded, ConstraintViolated, TracemaxError
 from .extremal import BernoulliParams, theorem_max_value
 from .linalg import _spectral_entries, _symmetrised
 from .parallel import parallel_map, worker_count
-from .rng import stream, subseed
+from .rng import stream, streams, subseed
 
 # A gap below this fraction of the theorem value is dumped for replay.
 NEAR_MISS_TOL = 1e-6
@@ -113,7 +113,7 @@ class _Chains:
         """Start every chain, or raise the error of the lowest-numbered
         restart whose start failed, as that restart raises it alone."""
         self.n, self.params, self.p = n, params, p
-        self.rngs = [stream(config.seed, r) for r in range(start, stop)]
+        self.rngs = list(streams([(config.seed, r) for r in range(start, stop)]))
         # restart 0 starts at the conjectured maximizer; each other chain
         # draws member k's support size (1 to max_atoms), then its sampler
         # seeds, from its own stream

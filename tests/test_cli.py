@@ -54,6 +54,25 @@ def test_verify_lemmas_requires_seed(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command, seed", [
+    (["verify-lemmas", "--trials", "300", "--dim-max", "2", "--p-max", "4"], -1),
+    (["search", "--n", "1,2", "--members", "1", "--p", "2", "--restarts", "2", "--steps", "2",
+      "--sampler-trials", "20"], -5),
+])
+def test_a_negative_seed_is_rejected_before_any_work(
+    monkeypatch, capsys, tmp_path, threads, command, seed
+):
+    # rejected in the parent, before a worker could meet it in SeedSequence
+    monkeypatch.setenv("TMX_THREADS", threads)
+    out = tmp_path / "out.csv"
+    assert run_cli([*command, "--seed", str(seed), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --seed must be >= 0, got {seed}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_lemmas_unwritable_out(capsys, tmp_path):
     target = tmp_path / "missing" / "deep" / "out.json"
     code = run_cli([

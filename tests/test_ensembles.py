@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -647,6 +648,71 @@ def test_sample_with_retry_propagates_final_failure(monkeypatch):
     assert len(set(seeds)) == 4
     assert rng.random() == twin.random(), "exactly four seeds were drawn"
     assert f"for seed {seeds[-1]} (" in str(result)
+
+
+def _same_result(got, expected) -> bool:
+    """Whether two sampler results are the same error, or the same ensemble bit for bit."""
+    if isinstance(expected, Exception):
+        return type(got) is type(expected) and str(got) == str(expected)
+    names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
+    return (got.cap, got.alpha) == (expected.cap, expected.alpha) and all(
+        getattr(got, name).tobytes() == getattr(expected, name).tobytes() for name in names
+    )
+
+
+@pytest.mark.parametrize("every", [2, 4])
+def test_batched_sampling_under_failures_matches_each_request_alone(monkeypatch, every):
+    # The Newton fallback fails unless the CRC of its input spectra is a
+    # multiple of ``every``, the rule of the parallel tests' failing sampler.
+    # Near alpha = 1 the rescale rounds stall, so the fallback runs; a request
+    # whose solve fails retries with its stream's next subseed, or ends in
+    # SamplerFailed after the last of three attempts. Each request of the 64
+    # must get what it gets alone.
+    solve = ensembles._solve_scale
+
+    def flaky(vecs, lam, *args):
+        return None if zlib.crc32(lam.tobytes()) % every else solve(vecs, lam, *args)
+
+    monkeypatch.setattr(ensembles, "_solve_scale", flaky)
+    monkeypatch.setattr(ensembles, "SAMPLER_ATTEMPTS", 3)
+    shapes = [
+        (1 + k % 4, 1 + k % 3, 0.5 + 0.25 * (k % 5), (0.9995, 0.999, 0.5, 0.9999)[k % 4])
+        for k in range(64)
+    ]
+    batch = _sample([(*shape, stream(8, k)) for k, shape in enumerate(shapes)])
+    retried = failed = 0
+    for k, (shape, got) in enumerate(zip(shapes, batch)):
+        rng, twin = stream(8, k), stream(8, k)
+        (alone,) = _sample([(*shape, rng)])
+        assert _same_result(got, alone), k
+        subseed(twin)
+        retried += not isinstance(alone, SamplerFailed) and rng.random() != twin.random()
+        failed += isinstance(alone, SamplerFailed)
+    assert retried and failed, (retried, failed)  # both paths are exercised
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "^atom 2 has a non-finite entry$"),
+    ("cap", "^atom . has norm .* above cap 0.6$"),
+    ("mean", "^mean norm .* misses target .* by more than"),
+])
+def test_batch_member_check_reports_the_error_a_member_alone_raises(defect, message):
+    # three zero-padded rows of one stack; row 1, the longest, is broken
+    members = _attempt([(3, s, 1.2, 0.5, 60 + s) for s in (1, 3, 2)])
+    probs, vecs, spectra, atoms, _ = (a[:, 0] for a in ensembles._stack([[m] for m in members]))
+    caps, alphas = [1.2] * 3, [0.5] * 3
+    if defect == "nan":
+        atoms[1, 2, 0, 1] = atoms[1, 2, 1, 0] = math.nan
+    elif defect == "cap":
+        caps[1] = 0.6
+    else:
+        alphas[1] = 0.4
+    mean_spectra = np.array([m.mean_spectrum for m in members])
+    errors = ensembles._member_errors(atoms, probs, spectra, mean_spectra, caps, alphas)
+    assert errors[0] is None and errors[2] is None
+    with pytest.raises(ConstraintViolated, match=message) as alone:
+        FiniteEnsemble(atoms[1], probs[1], caps[1], alphas[1], eigensystems=(vecs[1], spectra[1]))
+    assert type(errors[1]) is ConstraintViolated and str(errors[1]) == str(alone.value)
 
 
 # Extremal family ---------------------------------------------------------------
