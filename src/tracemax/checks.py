@@ -18,14 +18,14 @@ per dimension, as rows of eigensystem arrays, and each _batch_* function
 evaluates both sides of all its lemma's instances at once, indexing
 those rows, with one stacked matmul or eigh per dimension; _summary
 tallies the lemma from the resulting arrays. One rng.streams call
-derives a block's (a batch's) streams of a lemma, and sampled ensembles
-and Bernoulli surrogates are checked batch-wide. Streams are drawn from
-in the order of a trial run alone, and every matrix, ensemble and side
-is computed bit for bit as it is alone, so neither blocks nor batches
-change any output. Every case is valid, its power too, since
-run_lemma_sweep checks p_max before any trial runs. The tests hold every
-batched side, bit for bit, to a per-case reference checker
-(tests/oracles.py).
+derives a block's (a batch's) streams of a lemma, and ensembles._admit,
+the one place a member is made, admits sampled ensembles and Bernoulli
+surrogates batch-wide. Streams are drawn from in the order of a trial
+run alone, and every matrix, ensemble and side is computed bit for bit
+as it is alone, so neither blocks nor batches change any output. Every
+case is valid, its power too, since run_lemma_sweep checks p_max before
+any trial runs. The tests hold every batched side, bit for bit, to a
+per-case reference checker (tests/oracles.py).
 
 The last link, the closed-form maximum, is tallied the same way:
 _theorem_tally is the search's audit of sampled families, whose exact

@@ -17,8 +17,13 @@ factor, bracketed between the factors at which eigenvalues reach the cap.
 It projects a batch of atom stacks at once, each with its own cap and
 target: the search's lockstep restarts, and the batched sampler (_sample
 and _attempt), which draws the ensembles of many requests, builds their
-atoms one dimension at a time, projects them together and checks them by
-one _member_errors call. _ensembles samples families through it.
+atoms one dimension at a time and projects them together. _ensembles
+samples families through it.
+
+_admit is the one place a member is made. It checks zero-padded rows,
+means included: a batch of one for the constructor, one per dimension
+for the sampler, and one each for the Bernoulli surrogates and for the
+kept families of a search block.
 
 _stack alone packs batches of families into the zero-padded (B, N, S, ...)
 layout, with (B, N) support sizes, that _stacked_moments enumerates.
@@ -42,7 +47,7 @@ from .errors import (
 )
 from .extremal import BernoulliParams, _target_error, _validate_p
 from .linalg import (
-    _eigensystems,
+    _eigh,
     _groups,
     _opnorms,
     _psd_floor,
@@ -72,13 +77,19 @@ def _stacked_means(probs: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return _symmetrised(acc)
 
 
-def _member_errors(atoms, probs, spectra, mean_spectra, caps, alphas) -> list:
-    """The first constraint each of B zero-padded members violates, or None:
-    atoms (B, S, n, n) with ascending spectra (B, S, n), probs (B, S), means
-    of ascending spectra mean_spectra (B, n), targets caps and alphas. In
-    order: the targets, each probability >= 0, their math.fsum within
-    PROB_TOL of 1, then per atom finite entries, the PSD floor and the cap,
-    and the mean norm against alpha * cap. A NaN fails every test."""
+def _admit(atoms, probs, vecs, spectra, sizes, caps, alphas) -> list:
+    """Each of B zero-padded members as a FiniteEnsemble of read-only views
+    of its row, or as the first constraint it violates. Row b holds
+    sizes[b] atoms atoms[b] (B, S, n, n), with eigenbases vecs[b], ascending
+    spectra spectra[b] (B, S, n) and probs[b] (B, S); its zero padding
+    passes every test and adds exact zeros to its mean. One batched eigh
+    solves the means. In order: the targets caps[b] and alphas[b], each
+    probability >= 0, their math.fsum within PROB_TOL of 1, then per atom
+    finite entries, the PSD floor and the cap, and the mean norm against
+    alpha * cap. A NaN fails every test."""
+    with np.errstate(all="ignore"):  # an inadmissible row's mean goes unused
+        means = _stacked_means(probs, atoms)
+    mean_spectra, mean_vecs = _eigh(means)
     errors = [_target_error(cap, alpha) for cap, alpha in zip(caps, alphas)]
     cap, alpha = (np.where([not e for e in errors], v, 1.0) for v in (caps, alphas))
     norms, mean_norms = _opnorms(spectra), _opnorms(mean_spectra)
@@ -108,6 +119,15 @@ def _member_errors(atoms, probs, spectra, mean_spectra, caps, alphas) -> list:
             mean_norm, target, tol = float(mean_norms[b]), alphas[b] * caps[b], float(tols[b])
             message = f"mean norm {mean_norm!r} misses target {target!r} by more than {tol:.3e}"
         errors[b] = ConstraintViolated(message)
+    names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
+    rows = [a.view() for a in (atoms, probs, vecs, spectra, means, mean_spectra, mean_vecs)]
+    for array in rows:
+        array.setflags(write=False)  # and so every member's slice of it
+    for b, s in enumerate(sizes):
+        if errors[b] is None:
+            errors[b] = member = object.__new__(FiniteEnsemble)
+            arrays = [a[b, :s] for a in rows[:4]] + [a[b] for a in rows[4:]]
+            member.__dict__.update(zip(names, arrays), cap=caps[b], alpha=alphas[b])
     return errors
 
 
@@ -122,13 +142,10 @@ class FiniteEnsemble:
     operator-norm bound L every atom must respect; ``alpha`` is the target
     mean-norm fraction, so ||E X|| = alpha * cap.
 
-    Given entries, the atoms are stored as 0.5 * (M + M^T) and solved by
-    one batched eigh. Code that holds the eigensystems passes
-    eigensystems=(vecs, spectra), vouching that they are exact; no
-    eigensolver then runs on the atoms, which are kept as views. Either way
-    _member_errors checks the constraints, on a batch of one, so instances
-    witness admissibility. The sampler and _bernoulli_members check whole
-    batches with it and build their members by _admitted, with their means.
+    _admit is the one place a member is made, so instances witness
+    admissibility. The constructor stores the entries as 0.5 * (M + M^T),
+    solves them by one batched eigh and admits them as a batch of one. The
+    sampler, the Bernoulli surrogates and the search admit whole batches.
     """
 
     atoms: np.ndarray
@@ -141,46 +158,26 @@ class FiniteEnsemble:
     mean_spectrum: np.ndarray
     mean_vecs: np.ndarray
 
-    def __init__(self, atoms, probs, cap, alpha, *, eigensystems=None):
+    def __init__(self, atoms, probs, cap, alpha):
         probs = np.array(probs, dtype=float)
         if not len(atoms):
             raise DimensionError("ensemble needs at least one atom")
         if len(atoms) != len(probs):
             raise DimensionError(f"{len(atoms)} atoms but {len(probs)} probabilities")
-        if eigensystems is None:
-            try:
-                atoms = np.array(atoms, dtype=float)
-            except ValueError:  # matrices of several shapes
-                dims = sorted({len(a) for a in atoms})
-                raise DimensionError(f"atom dims differ: {dims}") from None
-            if atoms.ndim != 3 or not atoms.shape[1] == atoms.shape[2] >= 1:
-                raise DimensionError(f"expected square atoms, got shape {atoms.shape[1:]}")
-            atoms = _symmetrised(atoms)
-            spectra, vecs = np.linalg.eigh(atoms)
-        else:
-            vecs, spectra = eigensystems
-        with np.errstate(all="ignore"):  # an inadmissible member's mean goes unused
-            mean = _stacked_means(probs[None], atoms[None])[0]
-        # eigh may not converge on a non-finite mean, whose atoms fail a test first
-        finite = np.isfinite(mean).all()
-        lam, mean_vecs = np.linalg.eigh(mean) if finite else (mean[0] * np.nan, mean)
-        one = [a[None] for a in (atoms, probs, spectra, lam)]  # a batch of one member
-        if error := _member_errors(*one, [cap], [alpha])[0]:
-            raise error
-        self._admitted(cap, alpha, atoms, probs, vecs, spectra, mean, lam, mean_vecs, member=self)
-
-    @classmethod
-    def _admitted(cls, cap, alpha, *arrays, member=None) -> "FiniteEnsemble":
-        """member, by default a new instance, holding read-only views of the
-        arrays that _member_errors has passed, in field order (atoms, probs,
-        vecs, spectra, mean, mean_spectrum, mean_vecs)."""
-        member = object.__new__(cls) if member is None else member
-        views = [array.view() for array in arrays]
-        for view in views:
-            view.setflags(write=False)
-        names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
-        member.__dict__.update(zip(names, views), cap=cap, alpha=alpha)
-        return member
+        try:
+            atoms = np.array(atoms, dtype=float)
+        except ValueError:  # matrices of several shapes
+            dims = sorted({len(a) for a in atoms})
+            raise DimensionError(f"atom dims differ: {dims}") from None
+        if atoms.ndim != 3 or not atoms.shape[1] == atoms.shape[2] >= 1:
+            raise DimensionError(f"expected square atoms, got shape {atoms.shape[1:]}")
+        atoms = _symmetrised(atoms)
+        spectra, vecs = _eigh(atoms)
+        one = [a[None] for a in (atoms, probs, vecs, spectra)]  # a batch of one member
+        (member,) = _admit(*one, [len(probs)], [cap], [alpha])
+        if isinstance(member, ConstraintViolated):
+            raise member
+        self.__dict__.update(member.__dict__)
 
     def __setstate__(self, state: dict) -> None:
         # unpickled arrays, say a family sent back by a worker, are writeable
@@ -230,10 +227,9 @@ class EnsembleFamily:
         )
 
 
-def _top_norms(means: np.ndarray) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Operator norms of a (B, n, n) stack of symmetric means, with their eigensystems."""
-    lam, vecs = np.linalg.eigh(means)
-    return _opnorms(lam).tolist(), lam, vecs
+def _top_norms(means: np.ndarray) -> list[float]:
+    """Operator norms of a (B, n, n) stack of symmetric means."""
+    return _opnorms(np.linalg.eigh(means)[0]).tolist()
 
 
 def _project_batch(
@@ -266,10 +262,9 @@ def _project_batch(
     stalls, or whose mean is zero, takes the Newton fallback of
     _solve_scale, one row at a time.
 
-    Returns (landed, spectra, entries, means, mean_lam, mean_vecs): whether
-    each row landed on its shell, the rows' spectra and entries on return
-    (their eigenbases never change), and the final mean of each row with
-    its eigensystem. A row fails to land when its target is unreachable or
+    Returns (landed, spectra, entries): whether each row landed on its
+    shell, and the rows' spectra and entries on return (their eigenbases
+    never change). A row fails to land when its target is unreachable or
     the fallback runs out of steps; callers turn that into SamplerFailed or
     a rejected proposal. A zero target zeroes its row, which then lands.
     Per-row scalars live in Python lists, so a batch of one costs little
@@ -281,12 +276,11 @@ def _project_batch(
         lam[zero], entries[zero] = 0.0, 0.0
     tols = [1e-9 * target for target in targets]
 
-    means = _stacked_means(probs, entries)
-    norms, mean_lam, mean_vecs = _top_norms(means)
+    norms = _top_norms(_stacked_means(probs, entries))
     landed = [abs(norm - target) <= tol for norm, target, tol in zip(norms, targets, tols)]
     rows = [b for b, on_shell in enumerate(landed) if not on_shell]
     if not rows:
-        return landed, lam, entries, means, mean_lam, mean_vecs
+        return landed, lam, entries
     spectra, entries = lam.copy(), entries.copy()
     # The rows still in the rounds, compacted (a view while that is every
     # row): spectra, probabilities, eigenbases and caps. Rounds over every
@@ -310,18 +304,16 @@ def _project_batch(
         factors = np.array([targets[b] / norm for b, norm in zip(rows, norms)])[:, None, None]
         scaled = np.clip(scaled * factors, 0.0, top)
         moved = _spectral_entries(basis, scaled)
-        mean = _stacked_means(q, moved)
-        norms, top_lam, top_vecs = _top_norms(mean)
+        norms = _top_norms(_stacked_means(q, moved))
         hits = [abs(norm - targets[b]) <= tols[b] for b, norm in zip(rows, norms)]
         if all(hits) and len(rows) == len(landed):
             # every row lands in this round: the round's arrays are the result
-            return [True] * len(landed), scaled, moved, mean, top_lam, top_vecs
+            return [True] * len(landed), scaled, moved
         if any(hits):
             done = [b for b, hit in zip(rows, hits) if hit]
             for b in done:
                 landed[b] = True
-            spectra[done], entries[done], means[done] = scaled[hits], moved[hits], mean[hits]
-            mean_lam[done], mean_vecs[done] = top_lam[hits], top_vecs[hits]
+            spectra[done], entries[done] = scaled[hits], moved[hits]
             keep = [not hit for hit in hits]
             rows = [b for b, hit in zip(rows, hits) if not hit]
             norms = [norm for norm, hit in zip(norms, hits) if not hit]
@@ -335,9 +327,9 @@ def _project_batch(
             vecs[b, :s], lam[b, :s], probs[b, :s], caps[b], targets[b], tols[b]
         )
         if solved is not None:
-            spectra[b, :s], entries[b, :s], means[b], mean_lam[b], mean_vecs[b] = solved
+            spectra[b, :s], entries[b, :s] = solved
             landed[b] = True
-    return landed, spectra, entries, means, mean_lam, mean_vecs
+    return landed, spectra, entries
 
 
 def _solve_scale(
@@ -347,7 +339,7 @@ def _solve_scale(
     cap: float,
     target: float,
     tol: float,
-) -> tuple[np.ndarray, ...] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """The Newton fallback of _project_batch for one stack of s atoms.
 
     Solves g(t) = target for one factor t on the original spectra, where
@@ -361,9 +353,8 @@ def _solve_scale(
     the piece, with slope v^T B v for the top eigenvector v and the
     unclipped part B; a step that leaves the bracket bisects instead.
 
-    Returns the spectra, entries, mean and the mean's eigensystem on the
-    shell, or None if the target is unreachable or _PROJECTION_ROUNDS
-    steps run out.
+    Returns the spectra and entries on the shell, or None if the target is
+    unreachable or _PROJECTION_ROUNDS steps run out.
     """
     lam = np.maximum(lam, 0.0)
     with np.errstate(divide="ignore"):
@@ -393,11 +384,10 @@ def _solve_scale(
             t = 0.5 * (lo + hi)
         spectra = np.clip(lam * t, 0.0, cap)
         entries = _spectral_entries(vecs, spectra)
-        mean = _stacked_means(probs[None], entries[None])[0]
-        mean_lam, mean_vecs = np.linalg.eigh(mean)
+        mean_lam, mean_vecs = np.linalg.eigh(_stacked_means(probs[None], entries[None])[0])
         norm, top = float(_opnorms(mean_lam)), mean_vecs[:, -1]
         if abs(norm - target) <= tol:
-            return spectra, entries, mean, mean_lam, mean_vecs
+            return spectra, entries
         if norm < target:
             lo = t
         else:
@@ -416,15 +406,15 @@ def _attempt(
     Row b draws from stream(seed), derived with the other rows' by one
     rng.streams call: its probabilities from a flat simplex, then each
     atom's rotation angles and spectrum, uniform on [0, cap], by
-    linalg._spectral_draw. The atoms of all rows of one dimension are
-    built together, projected onto their mean-norm shells by one
-    _project_batch call, padded to the longest support, and checked by one
-    _member_errors call; a projected ensemble's arrays, its mean and the
-    mean's eigensystem included, are views of its row of the projection's.
-    alpha = 0 forces zero atoms and alpha = 1 makes every atom cap * I,
-    always admissible; neither is projected. A row gets the error its
-    check reports, or a SamplerFailed naming its seed if its projection
-    fails.
+    linalg._spectral_draw. alpha = 0 forces zero atoms and alpha = 1 makes
+    every atom cap * I, so their atoms are draws with zero angles and the
+    spectrum alpha * cap, taken from no stream; they are on their shells
+    and the projection returns them unchanged. The atoms of all rows of one
+    dimension are built together, projected onto their mean-norm shells by
+    one _project_batch call, padded to the longest support, and admitted by
+    one _admit call, the one place a member is made; a member's arrays are
+    views of its row of the projection's. A row gets the error its check
+    reports, or a SamplerFailed naming its seed if its projection fails.
     """
     results: list[FiniteEnsemble | TracemaxError | None] = [None] * len(rows)
     drawn = []  # (row, probs, draws) of each row to project
@@ -434,17 +424,13 @@ def _attempt(
             results[row] = DimensionError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
         elif error := _target_error(cap, alpha):
             results[row] = error
-        elif alpha in (0.0, 1.0):
-            probs = rng.dirichlet(np.ones(s))
-            eye = np.broadcast_to(np.eye(n), (s, n, n))
-            *eig, atoms = _eigensystems(eye, np.full((s, n), alpha * cap))
-            try:
-                results[row] = FiniteEnsemble(atoms, probs, cap, alpha, eigensystems=eig)
-            except TracemaxError as exc:
-                results[row] = exc
         else:
             probs = rng.dirichlet(np.ones(s))
-            drawn.append((row, probs, [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]))
+            if alpha in (0.0, 1.0):
+                draws = [(np.zeros(n * (n - 1) // 2), np.full(n, alpha * cap))] * s
+            else:
+                draws = [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]
+            drawn.append((row, probs, draws))
 
     for n, idx in _groups(rows[row][0] for row, _, _ in drawn).items():
         group = [drawn[i] for i in idx]
@@ -462,22 +448,16 @@ def _attempt(
         vecs[slot], spectra[slot], stacked[slot] = q, lam, entries
         caps = [rows[row][2] for row, _, _ in group]
         alphas = [rows[row][3] for row, _, _ in group]
-        landed, spectra, stacked, means, mean_lam, mean_vecs = _project_batch(
+        landed, spectra, stacked = _project_batch(
             vecs, spectra, stacked, padded, sizes, caps, [a * c for a, c in zip(alphas, caps)]
         )
-        errors = _member_errors(stacked, padded, spectra, mean_lam, caps, alphas)
-        for b, (row, probs, _) in enumerate(group):
+        members = _admit(stacked, padded, vecs, spectra, sizes, caps, alphas)
+        for b, (row, *_) in enumerate(group):
             n, s, cap, alpha, seed = rows[row]
-            if not landed[b]:
-                results[row] = SamplerFailed(
-                    f"mean-norm projection did not converge for seed {seed} "
-                    f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
-                )
-            else:
-                results[row] = errors[b] or FiniteEnsemble._admitted(
-                    cap, alpha, stacked[b, :s], probs, vecs[b, :s], spectra[b, :s],
-                    means[b], mean_lam[b], mean_vecs[b],
-                )
+            results[row] = members[b] if landed[b] else SamplerFailed(
+                f"mean-norm projection did not converge for seed {seed} "
+                f"(n={n}, s={s}, cap={cap}, alpha={alpha})"
+            )
     return results
 
 
@@ -532,26 +512,20 @@ def _ensembles(
 
 def _bernoulli_members(n: int, caps: Sequence[float], alphas: Sequence[float]) -> list:
     """The scalar surrogates f I of dimension n, member b caps[b] * I with
-    probability alphas[b], else 0, built and checked as one batch; the
-    first invalid (cap, alpha) raises ConstraintViolated before any atom
-    is built. Atoms and means carry the identity eigenbasis, and each mean
-    alpha * cap * I is its atoms' left-to-right mean bit for bit."""
+    probability alphas[b], else 0, admitted as one batch; the first
+    invalid (cap, alpha) raises ConstraintViolated before any atom is
+    built. The atoms carry the identity eigenbasis."""
     if error := next(filter(None, map(_target_error, caps, alphas)), None):
         raise error
     eye = np.eye(n)
     spectra = np.zeros((len(caps), 2, n))
     spectra[:, 0] = np.array(caps)[:, None]
-    mean_lam = spectra[:, 0] * np.array(alphas)[:, None]
     probs = np.array([(alpha, 1.0 - alpha) for alpha in alphas])
-    atoms, means = spectra[..., None] * eye, mean_lam[..., None] * eye
-    errors = _member_errors(atoms, probs, spectra, mean_lam, caps, alphas)
-    if error := next(filter(None, errors), None):
+    vecs = np.broadcast_to(eye, spectra.shape + (n,))
+    members = _admit(spectra[..., None] * eye, probs, vecs, spectra, [2] * len(caps), caps, alphas)
+    if error := next((m for m in members if isinstance(m, ConstraintViolated)), None):
         raise error
-    vecs = np.broadcast_to(eye, (2, n, n))
-    return [
-        FiniteEnsemble._admitted(cap, alpha, atoms[b], probs[b], vecs, spectra[b], means[b], m, eye)
-        for b, (cap, alpha, m) in enumerate(zip(caps, alphas, mean_lam))
-    ]
+    return members
 
 
 def bernoulli_member(n: int, cap: float, alpha: float) -> FiniteEnsemble:

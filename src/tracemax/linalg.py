@@ -138,6 +138,15 @@ def _symmetrised(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.swapaxes(-1, -2))
 
 
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of a (K, n, n) stack, but NaN eigensystems for the
+    matrices with a non-finite entry, on which LAPACK may not converge."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    lam, vecs = np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
+    lam[finite], vecs[finite] = np.linalg.eigh(m[finite])
+    return lam, vecs
+
+
 def _spectral_entries(vecs: np.ndarray, spectra: np.ndarray) -> np.ndarray:
     """Entries of Q diag(lam) Q^T for a (..., n, n) stack of eigenbases.
 

@@ -43,7 +43,7 @@ import numpy as np
 from .checks import LemmaSummary, _blocks, _theorem_tally, holds
 from .ensembles import (
     EnsembleFamily,
-    FiniteEnsemble,
+    _admit,
     _ensembles,
     _project_batch,
     _require_support,
@@ -103,8 +103,9 @@ class _Chains:
     Every proposal that lands on the shell is admissible: spectra stay in
     [0, cap], probabilities stay nonnegative and sum to 1 within a few
     ulps, and the mean norm is within 1e-9 * alpha * cap of the target. So
-    the FiniteEnsemble check that follows each projection can never reject
-    one, and FiniteEnsemble is built, and checked, only for the results.
+    the admission check can never reject one, and it runs only on the
+    results: ensembles._admit, the one place a member is made, admits the
+    block's kept families in one families() call.
     """
 
     def __init__(
@@ -178,7 +179,7 @@ class _Chains:
 
         caps = [params.caps[k] for k in members.tolist()]
         targets = [params.alphas[k] * params.caps[k] for k in members.tolist()]
-        on_shell, spectra, entries, *_ = _project_batch(
+        on_shell, spectra, entries = _project_batch(
             vecs, spectra, entries, probs, self.sizes[rows, members], caps, targets
         )
 
@@ -208,25 +209,30 @@ class _Chains:
         can never be the cell's best (see _search_result), so its family
         is left out (None) rather than built and checked.
         """
-        outcomes: list[tuple[float, EnsembleFamily | None]] = []
-        later = -math.inf
+        kept, later = [], -math.inf
         for c in reversed(range(len(self.values))):
-            value = self.values[c]
-            family = None if later > value + _TIE_TOL else self.family(c)
-            outcomes.append((value, family))
-            later = max(later, value)
-        return outcomes[::-1]
+            if not later > self.values[c] + _TIE_TOL:
+                kept.insert(0, c)
+            later = max(later, self.values[c])
+        families = dict(zip(kept, self.families(kept)))
+        return [(value, families.get(c)) for c, value in enumerate(self.values)]
 
-    def family(self, c: int) -> EnsembleFamily:
-        """The checked EnsembleFamily of chain c, its members views of the chain's rows."""
-        members = zip(self.sizes[c].tolist(), self.params.caps, self.params.alphas)
-        return EnsembleFamily(members=tuple(
-            FiniteEnsemble(
-                self.entries[c, k, :s], self.probs[c, k, :s], cap, alpha,
-                eigensystems=(self.vecs[c, k, :s], self.spectra[c, k, :s]),
-            )
-            for k, (s, cap, alpha) in enumerate(members)
-        ))
+    def families(self, chains: list[int]) -> list[EnsembleFamily]:
+        """The checked EnsembleFamily of each of these chains, its members
+        admitted together in one _admit call; the first error is raised."""
+        def rows(array: np.ndarray) -> np.ndarray:  # one row per member of the chains
+            return array[chains].reshape(-1, *array.shape[2:])
+
+        caps, alphas = (targets * len(chains) for targets in (self.params.caps, self.params.alphas))
+        members = _admit(
+            *map(rows, (self.entries, self.probs, self.vecs, self.spectra)),
+            rows(self.sizes).tolist(), caps, alphas,
+        )
+        if error := next((m for m in members if isinstance(m, ConstraintViolated)), None):
+            raise error
+        count = self.params.count
+        return [EnsembleFamily(members=tuple(members[i : i + count]))
+                for i in range(0, len(members), count)]
 
 
 def _run_block(

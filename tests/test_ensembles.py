@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import tracemalloc
 import zlib
 
@@ -160,46 +161,60 @@ def _nan_atom(slot, value=math.nan):
     return atom
 
 
-@pytest.mark.parametrize("slot", _NAN_SLOTS)
+def _non_finite_member(slot, value=math.nan):
+    """(atoms, probs, cap, alpha, i) of a member whose atom i holds value:
+    atom 1, diag(1, 0.5), in one slot, or for slot "sampled" the sampled,
+    non-diagonal 3 x 3 atom 2 at (0, 1) and (1, 0), where a NaN keeps eigh
+    from converging."""
+    if slot != "sampled":
+        return (np.diag([1.0, 0.0]), _nan_atom(slot, value)), (0.5, 0.5), 1.0, 0.5, 1
+    (member,) = _attempt([(3, 3, 1.2, 0.5, 63)])
+    atoms = member.atoms.copy()
+    atoms[2, 0, 1] = atoms[2, 1, 0] = value
+    return atoms, member.probs.tolist(), 1.2, 0.5, 2
+
+
+@pytest.mark.parametrize("slot", [*_NAN_SLOTS, "sampled"])
 def test_rejects_a_nan_atom_entry(slot):
     # max(abs(lo), abs(hi)) dropped a NaN eigenvalue, so every atom check
     # passed and exact_trace_moment returned nan
-    with pytest.raises(ConstraintViolated, match="^atom 1 has a non-finite entry$"):
-        FiniteEnsemble(
-            atoms=(np.diag([1.0, 0.0]), _nan_atom(slot)), probs=(0.5, 0.5), cap=1.0, alpha=0.5
-        )
+    atoms, probs, cap, alpha, i = _non_finite_member(slot)
+    with pytest.raises(ConstraintViolated, match=f"^atom {i} has a non-finite entry$"):
+        FiniteEnsemble(atoms=atoms, probs=probs, cap=cap, alpha=alpha)
 
 
 @pytest.mark.parametrize("slot", _NAN_SLOTS)
 def test_projection_reads_a_nan_mean_norm_as_nan(slot):
     # so that the projection's landing test abs(norm - target) <= tol fails
     mean = _nan_atom(slot)
-    (norm,), _, _ = ensembles._top_norms(0.5 * (mean + mean.T)[None])
+    (norm,) = ensembles._top_norms(0.5 * (mean + mean.T)[None])
     assert math.isnan(norm)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["NaN", "Infinity"])
-@pytest.mark.parametrize("slot", _NAN_SLOTS)
+@pytest.mark.parametrize("slot", [*_NAN_SLOTS, "sampled"])
 def test_json_rejects_a_non_finite_atom_entry(slot, value):
+    atoms, probs, cap, alpha, i = _non_finite_member(slot, value)
     doc = {
-        "dim": 2,
+        "dim": len(atoms[0]),
         "members": [{
-            "atoms": [[1.0, 0.0, 0.0, 0.0], _nan_atom(slot, value).ravel().tolist()],
-            "probs": [0.5, 0.5], "L_cap": 1.0, "alpha_target": 0.5,
+            "atoms": [np.ravel(atom).tolist() for atom in atoms],
+            "probs": list(probs), "L_cap": cap, "alpha_target": alpha,
         }],
     }
     text = json.dumps(doc)
     assert json.dumps(value) in text  # json.loads accepts NaN and Infinity by default
-    with pytest.raises(ConstraintViolated, match="^atom 1 has a non-finite entry$"):
+    with pytest.raises(ConstraintViolated, match=f"^atom {i} has a non-finite entry$"):
         family_from_json(json.loads(text))
 
 
 def test_rejects_an_infinite_atom_entry_from_its_eigensystem():
     # given eigensystems are checked as given, not trusted
-    vecs, spectra = np.broadcast_to(np.eye(2), (1, 2, 2)), np.array([[0.5, 0.5]])
-    atoms = np.array([[[0.5, 0.0], [0.0, math.inf]]])
-    with pytest.raises(ConstraintViolated, match="^atom 0 has a non-finite entry$"):
-        FiniteEnsemble(atoms, (1.0,), 1.0, 0.5, eigensystems=(vecs, spectra))
+    vecs, spectra = np.broadcast_to(np.eye(2), (1, 1, 2, 2)), np.array([[[0.5, 0.5]]])
+    atoms = np.array([[[[0.5, 0.0], [0.0, math.inf]]]])
+    (error,) = ensembles._admit(atoms, np.array([[1.0]]), vecs, spectra, [1], [1.0], [0.5])
+    assert type(error) is ConstraintViolated
+    assert str(error) == "atom 0 has a non-finite entry"
 
 
 def test_json_rejects_an_atom_of_the_wrong_size():
@@ -316,7 +331,7 @@ def _members_built_every_way():
         _bernoulli_member(1.0, 0.5),
         *_attempt([(3, 2, 1.0, 0.4, 42)]),
         ensembles.bernoulli_member(2, 1.0, 0.5),
-        *chains.family(1).members,
+        *chains.families([1])[0].members,
     ]
 
 
@@ -389,6 +404,33 @@ def test_sampler_alpha_one_caps_every_atom():
     (member,) = _attempt([(3, 2, 1.7, 1.0, 7)])
     for atom in member.atoms:
         np.testing.assert_allclose(atom, 1.7 * np.eye(3), atol=1e-12)
+
+
+def test_sampler_extreme_alpha_rows_are_their_members_from_entries(monkeypatch):
+    # alpha = 0 and alpha = 1 rows share an attempt, and its projection and
+    # admission, with a row the projection moves; each must be the member
+    # built from its entries, and its stream must have drawn its
+    # probabilities alone
+    shapes = list(itertools.product((1, 2, 5), (1, 3), (0.7, 2.0), (0.0, 1.0)))
+    rows = [(n, s, cap, alpha, 700 + k) for k, (n, s, cap, alpha) in enumerate(shapes)]
+    made = []
+
+    def recorded(keys, _streams=ensembles.streams):
+        made.extend(_streams(keys))
+        return iter(made)
+
+    monkeypatch.setattr(ensembles, "streams", recorded)
+    *members, projected = _attempt([*rows, (2, 3, 0.7, 0.5, 699)])
+    assert isinstance(projected, FiniteEnsemble)
+    for (n, s, cap, alpha, seed), member, rng in zip(rows, members, made):
+        twin = stream(seed)
+        expected = FiniteEnsemble(
+            np.broadcast_to(alpha * cap * np.eye(n), (s, n, n)), twin.dirichlet(np.ones(s)),
+            cap, alpha,
+        )
+        for name in _MEMBER_ARRAYS:
+            assert getattr(member, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert rng.random() == twin.random(), "the row drew its probabilities alone"
 
 
 def test_sampler_deterministic_in_seed():
@@ -699,7 +741,7 @@ def test_batched_sampling_under_failures_matches_each_request_alone(monkeypatch,
 def test_batch_member_check_reports_the_error_a_member_alone_raises(defect, message):
     # three zero-padded rows of one stack; row 1, the longest, is broken
     members = _attempt([(3, s, 1.2, 0.5, 60 + s) for s in (1, 3, 2)])
-    probs, vecs, spectra, atoms, _ = (a[:, 0] for a in ensembles._stack([[m] for m in members]))
+    probs, vecs, spectra, atoms, sizes = (a[:, 0] for a in ensembles._stack([[m] for m in members]))
     caps, alphas = [1.2] * 3, [0.5] * 3
     if defect == "nan":
         atoms[1, 2, 0, 1] = atoms[1, 2, 1, 0] = math.nan
@@ -707,12 +749,12 @@ def test_batch_member_check_reports_the_error_a_member_alone_raises(defect, mess
         caps[1] = 0.6
     else:
         alphas[1] = 0.4
-    mean_spectra = np.array([m.mean_spectrum for m in members])
-    errors = ensembles._member_errors(atoms, probs, spectra, mean_spectra, caps, alphas)
-    assert errors[0] is None and errors[2] is None
-    with pytest.raises(ConstraintViolated, match=message) as alone:
-        FiniteEnsemble(atoms[1], probs[1], caps[1], alphas[1], eigensystems=(vecs[1], spectra[1]))
-    assert type(errors[1]) is ConstraintViolated and str(errors[1]) == str(alone.value)
+    errors = ensembles._admit(atoms, probs, vecs, spectra, sizes.tolist(), caps, alphas)
+    assert isinstance(errors[0], FiniteEnsemble) and isinstance(errors[2], FiniteEnsemble)
+    row = (a[1:2] for a in (atoms, probs, vecs, spectra))
+    (alone,) = ensembles._admit(*row, [3], caps[1:2], alphas[1:2])
+    assert type(alone) is ConstraintViolated and re.search(message, str(alone))
+    assert type(errors[1]) is ConstraintViolated and str(errors[1]) == str(alone)
 
 
 # Extremal family ---------------------------------------------------------------

@@ -14,7 +14,6 @@ from tracemax import (
     BernoulliParams,
     ConstraintViolated,
     EnsembleFamily,
-    FiniteEnsemble,
     SearchConfig,
     SymMatrix,
     TracemaxError,
@@ -168,11 +167,10 @@ def _oracle_propose(family, rng):
     )
     if not landed[0]:
         return None
-    try:
-        moved = FiniteEnsemble(
-            entries[0], probs, member.cap, member.alpha, eigensystems=(vecs, spectra[0])
-        )
-    except ConstraintViolated:
+    (moved,) = ensembles._admit(
+        entries, np.array([probs]), vecs[None], spectra, [len(probs)], [member.cap], [member.alpha]
+    )
+    if isinstance(moved, ConstraintViolated):
         return None
     return EnsembleFamily(members=family.members[:k] + (moved,) + family.members[k + 1:])
 
@@ -211,7 +209,7 @@ def _lockstep(n, params, p, config, start, stop):
         return exc
     for _ in range(config.steps_per_restart):
         chains.step()
-    return [(value, chains.family(c)) for c, value in enumerate(chains.values)]
+    return list(zip(chains.values, chains.families(list(range(len(chains.values))))))
 
 
 def _assert_same_error(got, expected):
@@ -423,6 +421,32 @@ def test_block_results_keep_every_family_that_can_win():
     chains.values = [3.0, 5.0, 5.0 + 1e-13, 2.0, 5.0 - 1e-13, 1.0]
     kept = [family is not None for _, family in chains.results()]
     assert kept == [False, True, True, False, True, True]
+
+
+def test_block_results_admit_every_family_as_it_is_admitted_alone():
+    # a large_support-shaped block: the kept families, of members with one
+    # to six atoms, are admitted in one batch, each as it is alone
+    params = BernoulliParams(caps=(1.0,) * 6, alphas=(0.5,) * 6)
+    config = SearchConfig(restarts=6, steps_per_restart=3, seed=72, max_atoms=6)
+    chains = search._Chains(8, params, 30, config, 0, 6)
+    for _ in range(config.steps_per_restart):
+        chains.step()
+    outcomes = chains.results()
+    pruned = [max(chains.values[c + 1:], default=-math.inf) > value + 1e-12
+              for c, value in enumerate(chains.values)]
+    assert any(pruned) and not all(pruned), pruned
+    sizes = {m.support_size for _, f in outcomes if f is not None for m in f.members}
+    assert len(sizes) > 1, sizes
+    for c, ((value, family), left_out) in enumerate(zip(outcomes, pruned)):
+        assert value == chains.values[c]
+        assert (family is None) == left_out, c
+        if family is None:
+            continue
+        (alone,) = chains.families([c])
+        for got, expected in zip(family.members, alone.members, strict=True):
+            assert (got.cap, got.alpha) == (expected.cap, expected.alpha)
+            for name in ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs"):
+                assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
 
 
 def test_sweep_error_in_a_block_leaves_the_next_cell_intact(monkeypatch):
