@@ -31,6 +31,13 @@ COMMANDS = [
          ["verify-lemmas", "--trials", "512", "--p-max", "8", "--seed", str(seed), *_SWEEP])
         for seed in (7000, 7001, 7002)
     ),
+    # every trial of one dimension: the sampled lemmas' largest batches
+    ("dim-max-1", [
+        "verify-lemmas", "--trials", "512", "--dim-max", "1", "--p-max", "8", "--seed", "5",
+        "--out", "lemmas.json",
+    ]),
+    # a last block of one trial
+    ("trials-257", ["verify-lemmas", "--trials", "257", "--p-max", "8", "--seed", "6", *_SWEEP]),
     # powers above the moment budget, rejected before any trial runs
     ("p-max-40", ["verify-lemmas", "--trials", "300", "--p-max", "40", "--seed", "0", *_SWEEP]),
     # a power whose word bounds overflow unless it is rejected first

@@ -12,20 +12,21 @@ check uses Monte Carlo, so there are no statistical false alarms.
 The randomized lemma sweep is the program's only evaluation of the first
 six links, and it is batched. It runs one lemma at a time over a block
 of trials, each drawing that lemma's inputs from its own stream, so one
-lemma's matrices are alive at a time; the two lemmas on sampled
-ensembles run in smaller batches. Random PSD matrices are built one call
-per dimension, as rows of eigensystem arrays, and each _batch_* function
-evaluates both sides of all its lemma's instances at once, indexing
-those rows, with one stacked matmul or eigh per dimension; _summary
-tallies the lemma from the resulting arrays. One rng.streams call
-derives a block's (a batch's) streams of a lemma, and ensembles._admit,
-the one place a member is made, admits sampled ensembles and Bernoulli
-surrogates batch-wide. Streams are drawn from in the order of a trial
-run alone, and every matrix, ensemble and side is computed bit for bit
-as it is alone, so neither blocks nor batches change any output. Every
-case is valid, its power too, since run_lemma_sweep checks p_max before
-any trial runs. The tests hold every batched side, bit for bit, to a
-per-case reference checker (tests/oracles.py).
+lemma's matrices are alive at a time. The two lemmas on sampled
+ensembles share them: a block samples all its X ensembles in one step,
+then all its Y ensembles, and evaluates both lemmas one dimension at a
+time. Random PSD matrices are built one call per dimension, as rows of
+eigensystem arrays, and each _batch_* function evaluates both sides of
+all its lemma's instances at once, indexing those rows, with one stacked
+matmul or eigh per dimension; _summary tallies the lemma from the
+resulting arrays. One rng.streams call derives a block's streams of a
+lemma, and ensembles._admit, the one place a member is made, admits
+sampled ensembles and Bernoulli surrogates batch-wide. Streams are drawn
+from in the order of a trial run alone, and every matrix, ensemble and
+side is computed bit for bit as it is alone, so blocks change no
+output. Every case is valid, its power too, since run_lemma_sweep checks
+p_max before any trial runs. The tests hold every batched side, bit for
+bit, to a per-case reference checker (tests/oracles.py).
 
 The last link, the closed-form maximum, is tallied the same way:
 _theorem_tally is the search's audit of sampled families, whose exact
@@ -73,13 +74,11 @@ CHECK_TOL = 1e-9
 ALT_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 
 # The sweep runs trials in blocks of _BLOCK_TRIALS, one parallel task each.
-# The sampled lemmas run batches of _SAMPLED_TRIALS, trading per-call
-# overhead against memory: with 32, 64, 96 and 128 the 512-trial benchmark
-# sweep takes 0.44, 0.39, 0.35 and 0.35 s in-process and peaks at 36.4,
-# 36.4, 36.6 and 37.1 MB RSS at two workers (2-vCPU VM). At 64 a block's
-# traced peak is the other lemmas' own, 0.8 MB.
+# The sampled lemmas sample and evaluate a whole block at once: the
+# 512-trial benchmark sweep takes 0.18 s in-process at one worker, against
+# 0.24 s in batches of 64 trials, and peaks at 35.2 against 34.9 MB RSS at
+# two workers (2-vCPU VM). A block's traced peak is 0.86 against 0.69 MB.
 _BLOCK_TRIALS = 256
-_SAMPLED_TRIALS = 64
 
 # Budget for the search's audit of sampled families, matching the central
 # admissibility property: n <= 4, N <= 3, s <= 3, p <= 8. The audit runs
@@ -164,26 +163,28 @@ def _schatten_norms(sigmas: Sequence[np.ndarray], qs: Sequence[float]) -> list[f
 def _chain_traces(stacks: dict, chains: Sequence[Sequence[tuple]]) -> list[float]:
     """tr(F1 F2 ... Fk) of each chain of factors (m, t), m a row (n, row) of
     stacks: F = m^t, the PSD power on m's clamped spectrum, or m itself if
-    t is None. Per dimension, each distinct factor is powered once, in one
-    stacked call, and the chains of each length are multiplied as stacks."""
+    t is None. The chains of each dimension and length take their factors'
+    spectral powers in one stacked call, then are multiplied as stacks, one
+    factor column at a time, so only a column's factors are ever built."""
     out: list = [None] * len(chains)
-    for n, idx in _groups(chain[0][0][0] for chain in chains).items():
+    for (n, length), idx in _groups((c[0][0][0], len(c)) for c in chains).items():
         vecs, spectra, entries = stacks[n]
-        slots: dict = {}  # factor -> its row in the stack
-        rows = [[slots.setdefault(f, len(slots)) for f in chains[i]] for i in idx]
-        stack = np.empty((len(slots), n, n))
-        powers = [(k, row, t) for ((_, row), t), k in slots.items() if t is not None]
-        at, picks, exps = (list(v) for v in zip(*powers))  # every chain has a power
-        lam = _row_powers(np.maximum(spectra[picks], 0.0), exps)
-        stack[at] = _spectral_entries(vecs[picks], lam)
-        for ((_, row), t), k in slots.items():
-            if t is None:
-                stack[k] = entries[row]
-        for length, group in _groups(len(row) for row in rows).items():
-            factors = stack[np.array([rows[g] for g in group])]
-            product = reduce(np.matmul, (factors[:, j] for j in range(length)))
-            for g, diagonal in zip(group, product.diagonal(axis1=1, axis2=2).tolist()):
-                out[idx[g]] = math.fsum(diagonal)
+        rows = np.array([[m[1] for m, _ in chains[i]] for i in idx])
+        exps = np.array([[t for _, t in chains[i]] for i in idx], dtype=float)  # None: NaN
+        powered = ~np.isnan(exps)
+        lam = np.empty(rows.shape + (n,))
+        lam[powered] = _row_powers(np.maximum(spectra[rows[powered]], 0.0), exps[powered])
+        product = None
+        for j in range(length):
+            column, mask = rows[:, j], powered[:, j]
+            if mask.all():
+                factor = _spectral_entries(vecs[column], lam[:, j])
+            else:
+                factor = entries[column]
+                factor[mask] = _spectral_entries(vecs[column[mask]], lam[mask, j])
+            product = factor if product is None else product @ factor
+        for i, diagonal in zip(idx, product.diagonal(axis1=1, axis2=2).tolist()):
+            out[i] = math.fsum(diagonal)
     return out
 
 
@@ -246,26 +247,19 @@ def _batch_word_bound(stacks: dict, cases: Sequence[tuple]) -> list[tuple[float,
     ]
 
 
-def _pooled(members: Sequence[FiniteEnsemble]) -> tuple[dict, list]:
-    """The members' atoms as rows of stacks, those of each dimension in
-    member order, and each member's atoms as (n, row)."""
-    stacks, atoms = {}, [None] * len(members)
-    for n, idx in _groups(m.dim for m in members).items():
-        group = [members[i] for i in idx]
-        stacks[n] = tuple(map(np.concatenate, zip(*((m.vecs, m.spectra, m.atoms) for m in group))))
-        rows = np.cumsum([0] + [m.support_size for m in group]).tolist()
-        for i, first, stop in zip(idx, rows, rows[1:]):
-            atoms[i] = [(n, row) for row in range(first, stop)]
-    return stacks, atoms
-
-
 def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr X^l1 Y^m1 ... and E f^l * E tr Y^m of each case (ex, ey, w, cap),
-    f the {0, cap} Bernoulli surrogate with P(f = cap) = ||E X|| / cap."""
-    stacks, atoms = _pooled([m for c in cases for m in c[:2]])
-    traces = iter(_chain_traces(stacks, [
-        _word_chain(ax, ay, c[2])
-        for c, xs, ys in zip(cases, atoms[::2], atoms[1::2]) for ax in xs for ay in ys
+    f the {0, cap} Bernoulli surrogate with P(f = cap) = ||E X|| / cap. The
+    cases share one dimension n; the eigensystems of their atoms are the
+    rows of one stack, those of each case's X, then its Y."""
+    members = [m for c in cases for m in c[:2]]
+    n = members[0].dim
+    vecs, spectra = (np.concatenate([getattr(m, k) for m in members]) for k in ("vecs", "spectra"))
+    first = np.cumsum([0] + [m.support_size for m in members]).tolist()
+    traces = iter(_chain_traces({n: (vecs, spectra, None)}, [
+        _word_chain((n, x), (n, y), w)
+        for (ex, ey, w, _), x0, y0 in zip(cases, first[::2], first[1::2])
+        for x in range(x0, x0 + ex.support_size) for y in range(y0, y0 + ey.support_size)
     ]))
     y_atoms = [(lam, c[2].y_degree) for c in cases for lam in c[1].spectra]
     y_traces = iter(_spectral_sums([lam for lam, _ in y_atoms], [t for _, t in y_atoms]))
@@ -279,13 +273,12 @@ def _batch_expectation_word_bound(cases: Sequence[tuple]) -> list[tuple[float, f
 
 def _moments(families: Sequence[Sequence[FiniteEnsemble]], powers: Sequence[int]) -> list[float]:
     """exact_trace_moment of each family, given as its members, at its
-    power: the families of one (n, N, p) go through one _stack and one
-    _stacked_moments call."""
+    power: the families of one (n, N) go through one _stack of their
+    probabilities and atoms and one _stacked_moments call."""
     out: list = [None] * len(families)
-    keys = ((f[0].dim, len(f), p) for f, p in zip(families, powers))
-    for (_, _, p), idx in _groups(keys).items():
-        probs, _, _, entries, sizes = _stack([families[i] for i in idx])
-        for i, value in zip(idx, _stacked_moments(entries, probs, sizes, p)):
+    for idx in _groups((f[0].dim, len(f)) for f in families).values():
+        stacked = _stack([families[i] for i in idx], ("atoms", "probs"))
+        for i, value in zip(idx, _stacked_moments(*stacked, [powers[i] for i in idx])):
             out[i] = value
     return out
 
@@ -293,14 +286,11 @@ def _moments(families: Sequence[Sequence[FiniteEnsemble]], powers: Sequence[int]
 def _batch_binomial_reduction(cases: Sequence[tuple]) -> list[tuple[float, float]]:
     """E tr(X + Y)^p and E tr(f I + Y)^p of each case (ex, ey, p, cap), f
     the Bernoulli surrogate: two families each, (X, Y) and (f I, Y), with
-    f I of weight ||E X|| / cap, built and checked per dimension by
-    ensembles._bernoulli_members."""
-    surrogates = {}
-    for n, idx in _groups(c[0].dim for c in cases).items():
-        caps = [cases[i][3] for i in idx]
-        weights = [_bernoulli_weight(cases[i][0], cases[i][3]) for i in idx]
-        surrogates.update(zip(idx, _bernoulli_members(n, caps, weights)))
-    families = [f for i, (x, y, _, _) in enumerate(cases) for f in ((x, y), (surrogates[i], y))]
+    f I of weight ||E X|| / cap. The cases share one dimension n, and their
+    surrogates are built and checked by one ensembles._bernoulli_members."""
+    weights = [_bernoulli_weight(ex, cap) for ex, _, _, cap in cases]
+    surrogates = _bernoulli_members(cases[0][0].dim, [c[3] for c in cases], weights)
+    families = [f for c, f_i in zip(cases, surrogates) for f in (c[:2], (f_i, c[1]))]
     values = _moments(families, [c[2] for c in cases for _ in range(2)])
     return list(zip(values[::2], values[1::2]))
 
@@ -447,13 +437,14 @@ def _families(counts: Sequence[int], request) -> list[list[FiniteEnsemble]]:
     return sampled
 
 
-def _sampled_batch(seed: int, trials: range, dim_max: int, p_max: int) -> tuple:
-    """The expectation word bound's and the binomial reduction's sides on
-    each trial's stream 4, and their digests' parts (t, n, cap, word, p).
+def _sampled_tallies(seed: int, trials: range, dim_max: int, p_max: int) -> list[LemmaSummary]:
+    """The tallies of the expectation word bound and the binomial reduction
+    on each trial's stream 4.
 
     Each trial draws its dimension and X cap, then its X and its Y
-    ensemble are sampled, the ensembles of all trials together (see
-    _families), and then each trial draws its word and power.
+    ensemble are sampled, the ensembles of all the block's trials together
+    (see _families), and then each trial draws its word and power; both
+    lemmas are evaluated on all the trials at once.
     """
     heads = [  # (n, cap, rng) of each trial
         (int(rng.integers(1, dim_max + 1)), float(rng.uniform(0.5, 2.0)), rng)
@@ -474,19 +465,21 @@ def _sampled_batch(seed: int, trials: range, dim_max: int, p_max: int) -> tuple:
         p = int(rng.integers(1, p_max + 1))
         cases.append((ex, ey, w, p, cap))
         parts.append((t, n, cap, w.exponent_pairs, p))
-    expectation = _batch_expectation_word_bound([(ex, ey, w, cap) for ex, ey, w, _, cap in cases])
-    binomial = _batch_binomial_reduction([(ex, ey, p, cap) for ex, ey, _, p, cap in cases])
-    return expectation, binomial, parts
+    heads.clear()  # the streams, about 0.9 KB each, are drawn from no more
+    expectation, binomial = [None] * len(cases), [None] * len(cases)
+    # one dimension at a time, smallest first, each one's ensembles dropped
+    # once evaluated: the largest are evaluated with the fewest held
+    for _, idx in sorted(_groups(n for _, n, *_ in parts).items()):
+        group = [cases[i] for i in idx]
+        for i in idx:
+            cases[i] = None
+        sides = zip(
+            _batch_expectation_word_bound([(ex, ey, w, cap) for ex, ey, w, _, cap in group]),
+            _batch_binomial_reduction([(ex, ey, p, cap) for ex, ey, _, p, cap in group]),
+        )
+        for i, (e, b) in zip(idx, sides):
+            expectation[i], binomial[i] = e, b
 
-
-def _sampled_tallies(seed: int, trials: range, dim_max: int, p_max: int) -> list[LemmaSummary]:
-    """The tallies of the two lemmas on sampled ensembles, whose trials run
-    in batches of _SAMPLED_TRIALS (see _sampled_batch)."""
-    expectation, binomial, parts = [], [], []
-    for lo in range(0, len(trials), _SAMPLED_TRIALS):
-        batch = _sampled_batch(seed, trials[lo : lo + _SAMPLED_TRIALS], dim_max, p_max)
-        for out, sides in zip((expectation, binomial, parts), batch):
-            out += sides
     def label(i: int, key: str, k: int) -> str:
         return "trial={};n={};cap={};{}={}".format(*parts[i][:3], key, parts[i][k])
 

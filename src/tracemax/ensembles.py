@@ -2,7 +2,7 @@
 
 An ensemble is a random PSD matrix taking finitely many values (atoms)
 with given probabilities, subject to a hard cap ||X|| <= L and an exact
-mean-norm constraint ||E X|| = alpha * L. A FiniteEnsemble is one record
+mean-norm constraint ||E X|| = alpha * L. A FiniteEnsemble is one row
 of read-only arrays, from the sampler to the dump: its atoms' entries,
 eigensystems and probabilities, and its mean with its eigensystem. A
 family is a tuple of independent ensembles sharing a dimension;
@@ -23,10 +23,14 @@ samples families through it.
 _admit is the one place a member is made. It checks zero-padded rows,
 means included: a batch of one for the constructor, one per dimension
 for the sampler, and one each for the Bernoulli surrogates and for the
-kept families of a search block.
+kept families of a search block. It keeps the batch's arrays as one
+read-only record, and a member is a row of it: a handle whose arrays are
+views made on access, so a member costs its row of arrays and little
+more, and pickles as that row alone.
 
 _stack alone packs batches of families into the zero-padded (B, N, S, ...)
-layout, with (B, N) support sizes, that _stacked_moments enumerates.
+layout, with (B, N) support sizes, that _stacked_moments enumerates,
+each family at its own power.
 """
 
 from __future__ import annotations
@@ -51,9 +55,8 @@ from .linalg import (
     _groups,
     _opnorms,
     _psd_floor,
-    _spectral_arrays,
-    _spectral_draw,
     _spectral_entries,
+    _spectral_scaled,
     _symmetrised,
     batched_trace_power,
 )
@@ -78,8 +81,9 @@ def _stacked_means(probs: np.ndarray, entries: np.ndarray) -> np.ndarray:
 
 
 def _admit(atoms, probs, vecs, spectra, sizes, caps, alphas) -> list:
-    """Each of B zero-padded members as a FiniteEnsemble of read-only views
-    of its row, or as the first constraint it violates. Row b holds
+    """Each of B zero-padded members as a FiniteEnsemble, row b of one
+    read-only record of these arrays and the means, or as the first
+    constraint it violates. Row b holds
     sizes[b] atoms atoms[b] (B, S, n, n), with eigenbases vecs[b], ascending
     spectra spectra[b] (B, S, n) and probs[b] (B, S); its zero padding
     passes every test and adds exact zeros to its mean. One batched eigh
@@ -119,19 +123,37 @@ def _admit(atoms, probs, vecs, spectra, sizes, caps, alphas) -> list:
             mean_norm, target, tol = float(mean_norms[b]), alphas[b] * caps[b], float(tols[b])
             message = f"mean norm {mean_norm!r} misses target {target!r} by more than {tol:.3e}"
         errors[b] = ConstraintViolated(message)
-    names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
-    rows = [a.view() for a in (atoms, probs, vecs, spectra, means, mean_spectra, mean_vecs)]
-    for array in rows:
-        array.setflags(write=False)  # and so every member's slice of it
+    record = tuple(a.view() for a in (atoms, probs, vecs, spectra, means, mean_spectra, mean_vecs))
+    for array in record:
+        array.setflags(write=False)  # and so every member's view of it
     for b, s in enumerate(sizes):
         if errors[b] is None:
-            errors[b] = member = object.__new__(FiniteEnsemble)
-            arrays = [a[b, :s] for a in rows[:4]] + [a[b] for a in rows[4:]]
-            member.__dict__.update(zip(names, arrays), cap=caps[b], alpha=alphas[b])
+            errors[b] = _member(record, b, s, caps[b], alphas[b])
     return errors
 
 
-@dataclass(frozen=True, eq=False, init=False)
+def _member(record: tuple, row: int, size: int, cap: float, alpha: float) -> "FiniteEnsemble":
+    """Row ``row`` of an admitted record, its first ``size`` atoms, as a FiniteEnsemble."""
+    member = object.__new__(FiniteEnsemble)
+    for name, value in zip(FiniteEnsemble.__slots__, (record, row, size, cap, alpha)):
+        object.__setattr__(member, name, value)
+    return member
+
+
+def _unpickled(arrays: tuple, cap: float, alpha: float) -> "FiniteEnsemble":
+    """A member from its own row's seven arrays: a record of one row."""
+    for array in arrays:
+        array.setflags(write=False)  # unpickled arrays are writeable
+    return _member(tuple(a[None] for a in arrays), 0, len(arrays[1]), cap, alpha)
+
+
+def _row_view(k: int, padded: bool) -> property:
+    """Array k of a member's record, at the member's row (its atoms' slots if padded)."""
+    if padded:
+        return property(lambda m: m._record[k][m._row, : m._size])
+    return property(lambda m: m._record[k][m._row])
+
+
 class FiniteEnsemble:
     """One random PSD matrix with finite support, held as read-only arrays.
 
@@ -146,17 +168,15 @@ class FiniteEnsemble:
     admissibility. The constructor stores the entries as 0.5 * (M + M^T),
     solves them by one batched eigh and admits them as a batch of one. The
     sampler, the Bernoulli surrogates and the search admit whole batches.
+    A member is a row of its batch's read-only record, and each array
+    attribute is a view of that row, made on access; so an admitted member
+    costs little more than its row of arrays. It pickles as its own row.
     """
 
-    atoms: np.ndarray
-    probs: np.ndarray
-    cap: float
-    alpha: float
-    vecs: np.ndarray
-    spectra: np.ndarray
-    mean: np.ndarray
-    mean_spectrum: np.ndarray
-    mean_vecs: np.ndarray
+    __slots__ = ("_record", "_row", "_size", "cap", "alpha")
+
+    atoms, probs, vecs, spectra = (_row_view(k, True) for k in range(4))
+    mean, mean_spectrum, mean_vecs = (_row_view(k, False) for k in range(4, 7))
 
     def __init__(self, atoms, probs, cap, alpha):
         probs = np.array(probs, dtype=float)
@@ -177,22 +197,26 @@ class FiniteEnsemble:
         (member,) = _admit(*one, [len(probs)], [cap], [alpha])
         if isinstance(member, ConstraintViolated):
             raise member
-        self.__dict__.update(member.__dict__)
+        for name in self.__slots__:
+            object.__setattr__(self, name, getattr(member, name))
 
-    def __setstate__(self, state: dict) -> None:
-        # unpickled arrays, say a family sent back by a worker, are writeable
-        for value in state.values():
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
-        self.__dict__.update(state)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        names = ("atoms", "probs", "vecs", "spectra", "mean", "mean_spectrum", "mean_vecs")
+        return _unpickled, (tuple(getattr(self, name) for name in names), self.cap, self.alpha)
 
     @property
     def dim(self) -> int:
-        return self.atoms.shape[-1]
+        return self._record[0].shape[-1]
 
     @property
     def support_size(self) -> int:
-        return len(self.probs)
+        return self._size
 
     @property
     def mean_norm(self) -> float:
@@ -406,53 +430,67 @@ def _attempt(
     Row b draws from stream(seed), derived with the other rows' by one
     rng.streams call: its probabilities from a flat simplex, then each
     atom's rotation angles and spectrum, uniform on [0, cap], by
-    linalg._spectral_draw. alpha = 0 forces zero atoms and alpha = 1 makes
-    every atom cap * I, so their atoms are draws with zero angles and the
-    spectrum alpha * cap, taken from no stream; they are on their shells
-    and the projection returns them unchanged. The atoms of all rows of one
-    dimension are built together, projected onto their mean-norm shells by
-    one _project_batch call, padded to the longest support, and admitted by
-    one _admit call, the one place a member is made; a member's arrays are
-    views of its row of the projection's. A row gets the error its check
-    reports, or a SamplerFailed naming its seed if its projection fails.
+    linalg._spectral_draw, the uniforms of all its atoms in one call,
+    straight into its dimension's zero-padded array. alpha = 0 forces zero
+    atoms and alpha = 1 makes every atom cap * I, so their atoms are draws
+    with zero angles and the spectrum alpha * cap, taken from no stream;
+    they are on their shells and the projection returns them unchanged.
+    The atoms of all rows of one dimension are built together, projected
+    onto their mean-norm shells by one _project_batch call, padded to the
+    longest support, and admitted by one _admit call, the one place a
+    member is made; a member's arrays are views of its row of the
+    projection's. A row gets the error its check reports, or a
+    SamplerFailed naming its seed if its projection fails.
     """
     results: list[FiniteEnsemble | TracemaxError | None] = [None] * len(rows)
-    drawn = []  # (row, probs, draws) of each row to project
-    rngs = streams([(seed,) for *_, seed in rows])
-    for row, ((n, s, cap, alpha, _), rng) in enumerate(zip(rows, rngs)):
+    for row, (n, s, cap, alpha, _) in enumerate(rows):
         if n < 1 or s < 1:
             results[row] = DimensionError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
-        elif error := _target_error(cap, alpha):
-            results[row] = error
         else:
-            probs = rng.dirichlet(np.ones(s))
+            results[row] = _target_error(cap, alpha)
+    drawn = [row for row, error in enumerate(results) if error is None]
+    groups = _groups(rows[row][0] for row in drawn)
+    # row b of a dimension's group draws into row b of its zero-padded
+    # probabilities and _spectral_draw uniforms
+    padded, slot = {}, {}
+    for n, idx in groups.items():
+        shape = (len(idx), max(rows[drawn[i]][1] for i in idx))
+        padded[n] = np.zeros(shape), np.zeros(shape + (n * (n + 1) // 2,))
+        slot.update((drawn[i], b) for b, i in enumerate(idx))
+    for row, rng in zip(range(len(rows)), streams([(seed,) for *_, seed in rows])):
+        if row in slot:
+            n, s, cap, alpha, _ = rows[row]
+            (probs, uniforms), b = padded[n], slot[row]
+            probs[b, :s] = rng.dirichlet(np.ones(s))
             if alpha in (0.0, 1.0):
-                draws = [(np.zeros(n * (n - 1) // 2), np.full(n, alpha * cap))] * s
+                uniforms[b, :s, n * (n - 1) // 2 :] = 1.0  # zero angles, the spectrum alpha * cap
             else:
-                draws = [_spectral_draw(n, rng, 0.0, cap) for _ in range(s)]
-            drawn.append((row, probs, draws))
+                uniforms[b, :s] = rng.random((s, uniforms.shape[-1]))
 
-    for n, idx in _groups(rows[row][0] for row, _, _ in drawn).items():
+    # the largest dimension first, while the fewest members are held
+    for n, idx in sorted(groups.items(), reverse=True):
         group = [drawn[i] for i in idx]
-        q, lam, entries = _spectral_arrays(n, [d for *_, row_draws in group for d in row_draws])
-        sizes = [len(probs) for _, probs, _ in group]
-        # atom i of row b goes to slot (b, i) of arrays padded to the longest
-        # support, by one scatter per array (a loop-based packer slowed _sample)
+        probs, uniforms = padded.pop(n)
+        sizes = [rows[row][1] for row in group]
+        # atom i of row b is slot (b, i) of the arrays padded to the longest
+        # support, built unpadded and scattered by one call per array (a
+        # loop-based packer slowed _sample)
         owners = np.repeat(np.arange(len(group)), sizes)
-        slot = owners, np.concatenate([np.arange(s) for s in sizes])
-        padded = np.zeros((len(group), max(sizes)))
-        vecs = np.zeros(padded.shape + (n, n))
-        spectra = np.zeros(padded.shape + (n,))
-        stacked = np.zeros(padded.shape + (n, n))
-        padded[slot] = np.concatenate([probs for _, probs, _ in group])
-        vecs[slot], spectra[slot], stacked[slot] = q, lam, entries
-        caps = [rows[row][2] for row, _, _ in group]
-        alphas = [rows[row][3] for row, _, _ in group]
-        landed, spectra, stacked = _project_batch(
-            vecs, spectra, stacked, padded, sizes, caps, [a * c for a, c in zip(alphas, caps)]
+        atoms = owners, np.concatenate([np.arange(s) for s in sizes])
+        vecs = np.zeros(probs.shape + (n, n))
+        spectra = np.zeros(probs.shape + (n,))
+        stacked = np.zeros(probs.shape + (n, n))
+        caps = [rows[row][2] for row in group]
+        alphas = [rows[row][3] for row in group]
+        highs = np.repeat([a * c if a in (0.0, 1.0) else c for a, c in zip(alphas, caps)], sizes)
+        vecs[atoms], spectra[atoms], stacked[atoms] = _spectral_scaled(
+            n, uniforms[atoms], 0.0, highs[:, None]
         )
-        members = _admit(stacked, padded, vecs, spectra, sizes, caps, alphas)
-        for b, (row, *_) in enumerate(group):
+        landed, spectra, stacked = _project_batch(
+            vecs, spectra, stacked, probs, sizes, caps, [a * c for a, c in zip(alphas, caps)]
+        )
+        members = _admit(stacked, probs, vecs, spectra, sizes, caps, alphas)
+        for b, row in enumerate(group):
             n, s, cap, alpha, seed = rows[row]
             results[row] = members[b] if landed[b] else SamplerFailed(
                 f"mean-norm projection did not converge for seed {seed} "
@@ -636,9 +674,11 @@ def _trace_moment(stacks: list[np.ndarray], prob_arrays: list[np.ndarray], p: in
     )
 
 
-def _stack(families: Sequence[Sequence[FiniteEnsemble]]) -> tuple[np.ndarray, ...]:
-    """(probs, vecs, spectra, atoms, sizes) of B families of N members:
-    member k of family b has sizes[b, k] (B, N) atoms, laid out as
+def _stack(
+    families: Sequence[Sequence[FiniteEnsemble]], names=("probs", "vecs", "spectra", "atoms")
+) -> tuple[np.ndarray, ...]:
+    """The named member arrays of B families of N members, then their (B, N)
+    support sizes: member k of family b has sizes[b, k] atoms, laid out as
     probs[b, k, :s] (B, N, S), vecs and atoms (B, N, S, n, n) and ascending
     spectra (B, N, S, n). S is the longest support; other slots are exact
     zeros. Each array is one scatter of the members' arrays."""
@@ -646,31 +686,32 @@ def _stack(families: Sequence[Sequence[FiniteEnsemble]]) -> tuple[np.ndarray, ..
     counts = [m.support_size for m in members]
     # atom i of member m goes to slot (m, i)
     slot = np.repeat(np.arange(len(counts)), counts), np.concatenate([np.arange(s) for s in counts])
-    shape, n = (len(counts), max(counts)), members[0].dim
-    probs, spectra = np.zeros(shape), np.zeros(shape + (n,))
-    vecs, atoms = np.zeros(shape + (n, n)), np.zeros(shape + (n, n))
-    probs[slot] = np.concatenate([m.probs for m in members])
-    vecs[slot] = np.concatenate([m.vecs for m in members])
-    spectra[slot] = np.concatenate([m.spectra for m in members])
-    atoms[slot] = np.concatenate([m.atoms for m in members])
     sizes = np.array(counts).reshape(len(families), -1)
-    return (*(a.reshape(sizes.shape + a.shape[1:]) for a in (probs, vecs, spectra, atoms)), sizes)
+    out = []
+    for name in names:
+        rows = np.concatenate([getattr(m, name) for m in members])
+        array = np.zeros((len(counts), max(counts), *rows.shape[1:]))
+        array[slot] = rows
+        out.append(array.reshape(sizes.shape + array.shape[1:]))
+    return (*out, sizes)
 
 
 def _stacked_moments(
-    entries: np.ndarray, probs: np.ndarray, sizes: np.ndarray, p: int
+    entries: np.ndarray, probs: np.ndarray, sizes: np.ndarray, powers: Sequence[int]
 ) -> list[float]:
-    """exact_trace_moment of B families held as stacked arrays, bit for bit.
+    """exact_trace_moment of B families held as stacked arrays, each at its
+    own power, bit for bit.
 
     Member k of family b is entries[b, k, :sizes[b, k]] (B, N, s, n, n)
-    with probabilities probs[b, k, :sizes[b, k]] (B, N, s); p is valid and
-    every support within budget. A family whose support exceeds one
-    enumeration chunk is enumerated alone, by _trace_moment. The others
-    are enumerated together, as many families per batched_trace_power call
-    as fit in one chunk, which is what makes small supports cheap. Each
-    outcome's sum and weight are formed member by member from left to
-    right, its trace does not depend on its neighbours and math.fsum is
-    exact, so the grouping changes no value.
+    with probabilities probs[b, k, :sizes[b, k]] (B, N, s); powers[b] is
+    valid and every support within budget. A family whose support exceeds
+    one enumeration chunk is enumerated alone, by _trace_moment. The others
+    are enumerated together, as many families as fit in one chunk, with
+    one batched_trace_power call per distinct power among them, which is
+    what makes small supports cheap. Each outcome's sum and weight are
+    formed member by member from left to right, its trace does not depend
+    on its neighbours and math.fsum is exact, so the grouping changes no
+    value.
 
     The enumerations stay two, chosen by support size (large_support runs
     both): folding _trace_moment into this gather made that benchmark 32%
@@ -682,6 +723,7 @@ def _stacked_moments(
     values = [0.0] * count
 
     def enumerate_together(group: list[int]) -> None:
+        group = sorted(group, key=powers.__getitem__)  # each power's outcomes in one run
         rows = np.array(group)
         counts = supports[rows]
         family = np.repeat(rows, counts)
@@ -697,9 +739,14 @@ def _stacked_moments(
         for k in range(1, members):
             total += entries[family, k, idx[k]]
             weight *= probs[family, k, idx[k]]
-        contributions = (weight * batched_trace_power(total, p)).tolist()
         stops = np.cumsum(counts).tolist()
-        for b, start, stop in zip(group, [0] + stops, stops):
+        starts = [0] + stops
+        traces = np.empty(family.size)
+        for p, at in _groups(powers[b] for b in group).items():
+            run = slice(starts[at[0]], stops[at[-1]])
+            traces[run] = batched_trace_power(total[run], p)
+        contributions = (weight * traces).tolist()
+        for b, start, stop in zip(group, starts, stops):
             values[b] = math.fsum(contributions[start:stop])
 
     group: list[int] = []
@@ -709,7 +756,7 @@ def _stacked_moments(
             values[b] = _trace_moment(
                 [entries[b, k, :s] for k, s in enumerate(sizes[b].tolist())],
                 [probs[b, k, :s] for k, s in enumerate(sizes[b].tolist())],
-                p,
+                powers[b],
             )
             continue
         if pending + support > chunk:

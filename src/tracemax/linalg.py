@@ -198,27 +198,40 @@ def _givens(n: int, angles: np.ndarray) -> np.ndarray:
 
 def _spectral_draw(
     n: int, rng: np.random.Generator, lo: float, hi: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[int, np.ndarray, float, float]:
     """A random symmetric matrix's draws, recorded rather than built.
 
-    First its n(n-1)/2 rotation angles, uniform on [0, 2 pi), in one call,
-    then its spectrum, uniform on [lo, hi]. _spectral_build builds the
-    matrix Q diag(spectrum) Q^T, with Q the _givens rotation of the angles.
+    One rng.random call draws n(n+1)/2 standard uniforms u: its n(n-1)/2
+    rotation angles, then its spectrum. _spectral_scaled scales them to
+    angles uniform on [0, 2 pi) and a spectrum uniform on [lo, hi] as
+    rng.uniform scales its draws, low + (high - low) * u, so they are the
+    floats that an rng.uniform call for each would draw. _spectral_build
+    builds the matrix Q diag(spectrum) Q^T, with Q the _givens rotation of
+    the angles. Returns (n, u, lo, hi).
     """
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=n * (n - 1) // 2)
-    return angles, rng.uniform(lo, hi, size=n)
+    return n, rng.random(n * (n + 1) // 2), lo, hi
+
+
+def _spectral_scaled(
+    n: int, u: np.ndarray, lo, hi
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_eigensystems of the n x n matrices of K rows of _spectral_draw
+    uniforms u (K, n(n+1)/2), with spectra on [lo, hi], scalars or (K, 1)."""
+    k = n * (n - 1) // 2
+    return _eigensystems(_givens(n, 2.0 * math.pi * u[:, :k]), lo + (hi - lo) * u[:, k:])
 
 
 def _spectral_arrays(
-    n: int, draws: Sequence[tuple[np.ndarray, np.ndarray]]
+    n: int, draws: Sequence[tuple[int, np.ndarray, float, float]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_eigensystems of the n x n matrices built from these _spectral_draw draws."""
-    angles = np.array([angles for angles, _ in draws])
-    return _eigensystems(_givens(n, angles), np.array([spectrum for _, spectrum in draws]))
+    u = np.array([d[1] for d in draws])
+    lo, hi = (np.array([d[i] for d in draws])[:, None] for i in (2, 3))
+    return _spectral_scaled(n, u, lo, hi)
 
 
 def _spectral_build(
-    draws: Sequence[tuple[np.ndarray, np.ndarray]],
+    draws: Sequence[tuple[int, np.ndarray, float, float]],
 ) -> tuple[dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]], list[tuple[int, int]]]:
     """The matrices of these _spectral_draw draws, as rows of read-only
     per-dimension arrays {n: (vecs, spectra, entries)}, one _spectral_arrays
@@ -227,7 +240,7 @@ def _spectral_build(
     norms and powers of sampled matrices cost no eigensolver call."""
     stacks: dict = {}
     refs: list = [None] * len(draws)
-    for n, idx in _groups(len(spectrum) for _, spectrum in draws).items():
+    for n, idx in _groups(draw[0] for draw in draws).items():
         stacks[n] = _spectral_arrays(n, [draws[i] for i in idx])
         for array in stacks[n]:
             array.setflags(write=False)

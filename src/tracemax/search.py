@@ -133,7 +133,7 @@ class _Chains:
             _require_support(tuple(m.support_size for m in family))
 
         self.probs, self.vecs, self.spectra, self.entries, self.sizes = _stack(members)
-        self.values = _stacked_moments(self.entries, self.probs, self.sizes, p)
+        self.values = _stacked_moments(self.entries, self.probs, self.sizes, [p] * len(members))
 
     def step(self) -> None:
         """One proposal per chain, then keep each strict improvement.
@@ -191,7 +191,9 @@ class _Chains:
         family_probs = self.probs[landed]
         family_entries[np.arange(landed.size), changed] = entries[landed]
         family_probs[np.arange(landed.size), changed] = probs[landed]
-        moments = _stacked_moments(family_entries, family_probs, self.sizes[landed], self.p)
+        moments = _stacked_moments(
+            family_entries, family_probs, self.sizes[landed], [self.p] * landed.size
+        )
         better = []
         for c, value in zip(landed.tolist(), moments):
             if value > self.values[c]:

@@ -359,6 +359,24 @@ def test_member_arrays_stay_frozen_through_pickle():
             assert array.tobytes() == getattr(member, name).tobytes(), name
             assert not array.flags.writeable, name
         assert (copy.cap, copy.alpha) == (member.cap, member.alpha)
+    # a member of a 256-row batch is a view of its batch's record, but it
+    # pickles as its own row: no larger than the same row admitted alone,
+    # and it unpickles frozen
+    batch = _attempt([(3, 1 + k % 3, 1.0, 0.4, 900 + k) for k in range(256)])
+    for member in batch[:3]:
+        row = (getattr(member, name)[None] for name in ("atoms", "probs", "vecs", "spectra"))
+        (alone,) = ensembles._admit(*row, [member.support_size], [member.cap], [member.alpha])
+        pickled = pickle.dumps(member)
+        assert len(pickled) <= len(pickle.dumps(alone)) + 64
+        copy = pickle.loads(pickled)
+        for name in _MEMBER_ARRAYS:
+            array = getattr(copy, name)
+            assert array.tobytes() == getattr(member, name).tobytes(), name
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 5.0
+        with pytest.raises(AttributeError):
+            copy.cap = 2.0
 
 
 def test_member_atoms_from_entries_are_exactly_symmetric():
@@ -945,8 +963,29 @@ def test_stacked_moments_match_exact_trace_moment_bit_for_bit(n):
     assert stacked[0].tobytes() == probs.tobytes()
     assert stacked[3].tobytes() == entries.tobytes()
     for p in (1, 2, 7, 30):
-        got = ensembles._stacked_moments(entries, probs, np.array(shapes), p)
+        got = ensembles._stacked_moments(entries, probs, np.array(shapes), [p] * len(shapes))
         assert got == [exact_trace_moment(family, p) for family in families], (n, p)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_stacked_moments_of_mixed_powers_match_each_power_alone(monkeypatch, n):
+    # one batch in which each family takes its own power: at n = 1 every
+    # family fits one chunk, which makes one kernel call per distinct power;
+    # at n = 8 the 6 x 5 x 6 support is enumerated alone, at its own power
+    shapes = [(1, 1, 1), (3, 2, 1), (2, 1, 3), (3, 1, 2), (2, 3, 3), (6, 5, 6), (1, 2, 2)]
+    powers = [7, 1, 30, 7, 2, 29, 1]
+    families = [_mixed_family(n, sizes, seed=500 + 10 * n + i) for i, sizes in enumerate(shapes)]
+    probs, entries, sizes = ensembles._stack([f.members for f in families], ("probs", "atoms"))
+    kernel, calls = ensembles.batched_trace_power, []
+    monkeypatch.setattr(
+        ensembles, "batched_trace_power", lambda stack, p: calls.append(p) or kernel(stack, p)
+    )
+    got = ensembles._stacked_moments(entries, probs, sizes, powers)
+    if n == 1:
+        assert sorted(calls) == sorted(set(powers))
+    for b, (family, p) in enumerate(zip(families, powers)):
+        alone = ensembles._stacked_moments(entries, probs, sizes, [p] * len(shapes))[b]
+        assert got[b] == alone == exact_trace_moment(family, p), (n, b, p)
 
 
 @pytest.mark.parametrize("longest", [0, 2, 5])
